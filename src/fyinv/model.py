@@ -403,12 +403,11 @@ class Dataset:
         object.__setattr__(self, "decisions", y)
         if c.shape[0] != y.shape[0]:
             raise ValueError("contexts and decisions disagree on sample count")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
+            raise ValueError("contexts and decisions must be finite")
 
     def __len__(self) -> int:
         return self.contexts.shape[0]
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.contexts[i], self.decisions[i]
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.contexts[idx], self.decisions[idx], self.truth)

@@ -212,15 +212,15 @@ class FwConfig:
 
     The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
-    a face, so every ``correct_every`` iterations the weights over the
-    vertices discovered so far are re-solved exactly; with the optimal face's
-    vertices in hand that snaps the iterate onto the true projection and the
-    gap collapses to roundoff.
+    a face, so every ``correct_every`` iterations each row's weights over the
+    vertices it has visited are re-solved exactly, as one batched active-set
+    solve per vertex count (_correct_rows).  With the optimal face's vertices
+    in hand that snaps the iterate onto the true projection and the gap
+    collapses to roundoff.
     """
 
     max_iters: int = 2000
     gap_tol: float = 1e-6
-    step_rule: str = "exact_line_search"
     correct_every: int = 8
 
     def __post_init__(self):
@@ -228,16 +228,16 @@ class FwConfig:
             raise ValueError("max_iters must be at least 1")
         if self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
-        if self.step_rule != "exact_line_search":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 def fw_project(g: Graph, target, cfg: FwConfig | None = None) -> np.ndarray:
     """Euclidean projection of ``target`` onto the graph's path polytope.
 
     Frank-Wolfe with shortest_path as the linear oracle and exact line search
-    on the quadratic objective f(x) = 0.5 ||x - target||^2, plus periodic
-    exact re-solves over the visited vertices (see FwConfig).  Deterministic.
+    on the quadratic objective f(x) = 0.5 ||x - target||^2.  Every
+    cfg.correct_every iterations the iterate is replaced by the exact
+    projection onto the hull of the paths visited so far, computed by one
+    batched active-set solve (see FwConfig).  Deterministic.
 
     Raises NonConvergenceError (carrying the final gap) if the budget runs
     out before the gap certificate reaches cfg.gap_tol.
@@ -320,132 +320,101 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
 def _correct_rows(verts, counts, weights, x, targets, rows) -> None:
     """Exact projection onto each row's visited-vertex hull, in place.
 
-    Rows sharing a vertex count are solved as one stacked KKT system over
-    their full vertex sets; with every vertex in the support there is no
-    dual-feasibility phase, so a solution that is already nonnegative is the
-    hull optimum.  Rows whose stacked solution is infeasible or degenerate
-    fall back to the scalar active-set routine.  A candidate only replaces
-    the iterate when it does not worsen the objective, so a garbage solve
-    from a singular system can never hurt.
+    Rows sharing a vertex count form one stack for _simplex_lsq_batch.  A
+    candidate only replaces the iterate when it does not worsen the
+    objective, so a garbage solve from a near-singular system can never
+    hurt.  Vertices whose weight drops to zero leave the row, and only the
+    vertices behind them are moved.
     """
     for k in np.unique(counts[rows]):
-        grp = rows[counts[rows] == k]
         if k == 1:
             continue
+        grp = rows[counts[rows] == k]
         P = verts[grp, :k]
-        G = P @ P.transpose(0, 2, 1)
-        c = np.einsum("mke,me->mk", P, targets[grp])
-        kkt = np.zeros((grp.size, k + 1, k + 1))
-        kkt[:, :k, :k] = G
-        kkt[:, :k, k] = 1.0
-        kkt[:, k, :k] = 1.0
-        rhs = np.concatenate([c, np.ones((grp.size, 1))], axis=1)
-        try:
-            sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
-            ws = sol[:, :k]
-            good = (ws >= -1e-12).all(axis=1)
-        except np.linalg.LinAlgError:
-            ws = np.zeros((grp.size, k))
-            good = np.zeros(grp.size, dtype=bool)
-        for i, r in enumerate(grp):
-            r = int(r)
-            if good[i]:
-                w = np.maximum(ws[i], 0.0)
-            else:
-                w = _simplex_lsq(verts[r, :k], targets[r], w0=weights[r, :k])
-            x_new = verts[r, :k].T @ w
-            if (
-                0.5 * np.sum((x_new - targets[r]) ** 2)
-                > 0.5 * np.sum((x[r] - targets[r]) ** 2) + 1e-15
-            ):
-                continue
-            keep = w > 1e-14
-            if not np.any(keep):
-                keep[int(np.argmax(w))] = True
-            nk = int(keep.sum())
-            verts[r, :nk] = verts[r, :k][keep]
-            weights[r, :nk] = w[keep]
-            weights[r, nk:] = 0.0
-            counts[r] = nk
-            x[r] = x_new
+        t = targets[grp]
+        w = _simplex_lsq_batch(P, t)
+        x_new = (w[:, None, :] @ P)[:, 0]
+        f_new = 0.5 * np.sum((x_new - t) ** 2, axis=1)
+        ok = f_new <= 0.5 * np.sum((x[grp] - t) ** 2, axis=1) + 1e-15
+        grp, w = grp[ok], w[ok]
+        x[grp] = x_new[ok]
+        keep = w > 1e-14
+        keep[np.arange(grp.size), w.argmax(axis=1)] = True  # never an empty row
+        # Stable compaction: a kept vertex moves to the slot numbered by the
+        # kept vertices before it, so only those behind a dropped one move.
+        dst = np.cumsum(keep, axis=1) - 1
+        i, j = np.nonzero(keep & (dst != np.arange(k)))
+        verts[grp[i], dst[i, j]] = verts[grp[i], j]
+        weights[grp, :k] = 0.0
+        i, j = np.nonzero(keep)
+        weights[grp[i], dst[i, j]] = w[i, j]
+        counts[grp] = dst[:, -1] + 1
 
 
-def _simplex_lsq(
-    P: np.ndarray, t: np.ndarray, max_pivots: int | None = None, w0: np.ndarray | None = None
-) -> np.ndarray:
-    """Minimize ||P^T w - t||^2 over the probability simplex, exactly.
+def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Minimize ||P[i]^T w[i] - t[i]||^2 over the probability simplex, per row.
 
-    Active-set scheme in the style of NNLS: solve the equality-constrained
-    least squares on the current support through its KKT system, step back
-    toward feasibility when a weight goes negative, and admit the most
-    violating zero coordinate until dual feasibility holds.  k is tiny here
-    (vertices visited by Frank-Wolfe), so the cubic cost is irrelevant.
-
-    ``w0`` warm-starts the support; when it already matches the optimal face
-    the loop exits after a single KKT solve, which is the common case for
-    the repeated corrections inside fw_project.
+    P stacks m rows of k vertices, shape (m, k, e); t is (m, e).  Active-set
+    scheme in the style of NNLS, run on all rows at once.  Each row's
+    equality-constrained least squares on its current support is one
+    (k+1)-square KKT system whose off-support weights are pinned to zero,
+    so rows with different supports share one stacked solve.  The first pass
+    uses every vertex.  A row whose candidate goes negative steps from its
+    feasible weights (the centroid at first) toward the candidate until a
+    weight hits zero and drops that vertex; a row whose candidate is
+    feasible admits its most violating vertex, and is done once none
+    violates dual feasibility.  When a stack is exactly singular (affinely
+    dependent paths) it is solved with the pseudo-inverse instead.
     """
-    k = P.shape[0]
-    if k == 1:
-        return np.ones(1)
-    if max_pivots is None:
-        max_pivots = 12 * (k + 1)
-    G = P @ P.T
-    c = P @ t
-    if w0 is not None and np.any(w0 > 1e-14):
-        w = np.maximum(np.asarray(w0, dtype=float), 0.0)
-        w = w / w.sum()
-        support = w > 1e-14
-    else:
-        support = np.zeros(k, dtype=bool)
-        support[0] = True
-        w = np.zeros(k)
-        w[0] = 1.0
-
-    for _ in range(max_pivots):
-        idx = np.flatnonzero(support)
-        kk = idx.size
-        kkt = np.zeros((kk + 1, kk + 1))
-        kkt[:kk, :kk] = G[np.ix_(idx, idx)]
-        kkt[:kk, kk] = 1.0
-        kkt[kk, :kk] = 1.0
-        rhs = np.concatenate([c[idx], [1.0]])
+    m, k, _ = P.shape
+    G = P @ P.transpose(0, 2, 1)
+    c = np.einsum("mke,me->mk", P, t)
+    w = np.full((m, k), 1.0 / k)
+    support = np.ones((m, k), dtype=bool)
+    idx = np.arange(m)
+    out = np.empty((m, k))
+    d = np.arange(k)
+    # State arrays hold the unfinished rows only; idx maps them back.  A row
+    # still cycling after 12 (k + 1) passes keeps its last feasible weights.
+    for _ in range(12 * (k + 1)):
+        if idx.size == 0:
+            break
+        n = idx.size
+        kkt = np.zeros((n, k + 1, k + 1))
+        kkt[:, :k, :k] = G
+        kkt[:, :k, :k] *= support[:, :, None] & support[:, None, :]
+        kkt[:, d, d] += ~support
+        kkt[:, :k, k] = support
+        kkt[:, k, :k] = support
+        rhs = np.concatenate([np.where(support, c, 0.0), np.ones((n, 1))], axis=1)[:, :, None]
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            sol = np.linalg.solve(kkt, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        w_cand = np.zeros(k)
-        w_cand[idx] = sol[:kk]
+            sol = (np.linalg.pinv(kkt) @ rhs)[:, :, 0]
+        cand = np.where(support, sol[:, :k], 0.0)
 
-        if np.min(w_cand[idx]) < -1e-12:
-            # Step from w toward the candidate until a weight hits zero.
-            diff = w_cand[idx] - w[idx]
-            bad = diff < 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alphas = np.where(bad, -w[idx] / diff, np.inf)
-            alpha = float(np.min(alphas))
-            alpha = min(max(alpha, 0.0), 1.0)
-            w[idx] = w[idx] + alpha * diff
-            drop = idx[w[idx] <= 1e-14]
-            w[drop] = 0.0
-            support[drop] = False
-            if not np.any(support):
-                support[int(np.argmin(np.diag(G) - 2 * c))] = True
-                w[support] = 1.0
-            continue
+        # Step from w toward an infeasible candidate until a weight hits zero.
+        back = (cand < -1e-12).any(axis=1)
+        diff = cand[back] - w[back]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(diff < 0, -w[back] / diff, np.inf).min(axis=1)
+        w[back] += np.clip(alpha, 0.0, 1.0)[:, None] * diff
+        drop = back[:, None] & (w <= 1e-14)
+        w[drop] = 0.0
+        support &= ~drop
 
-        w = w_cand
-        # Dual feasibility: gradient on zero coordinates must not undercut
-        # the support's common value mu (the KKT multiplier).
-        mu = float(sol[kk])
-        grad = G @ w - c
-        off = np.flatnonzero(~support)
-        if off.size == 0:
-            return w
-        viol = grad[off] + mu  # grad_j = -mu on the support at optimality
-        j = off[int(np.argmin(viol))]
-        if viol.min() >= -1e-12:
-            return w
-        support[j] = True
-
-    return w
+        # Dual feasibility: on the support the gradient equals -mu (the KKT
+        # multiplier); no vertex off it may undercut that.
+        w[~back] = cand[~back]
+        grad = np.einsum("mij,mj->mi", G, w) - c
+        viol = np.where(support, np.inf, grad + sol[:, k, None])
+        j = viol.argmin(axis=1)
+        enter = ~back & (viol[np.arange(n), j] < -1e-12)
+        support[enter, j[enter]] = True
+        done = ~back & ~enter
+        if done.any():
+            out[idx[done]] = w[done]
+            live = ~done
+            idx, G, c, w, support = idx[live], G[live], c[live], w[live], support[live]
+    out[idx] = w
+    return np.maximum(out, 0.0)

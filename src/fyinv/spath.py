@@ -119,10 +119,6 @@ class SpDataset:
         )
 
 
-def _derive_observations(g: Graph, times: np.ndarray) -> np.ndarray:
-    return shortest_path_batch(g, times)
-
-
 def load_graph(path, source: str, sink: str) -> Graph:
     """Read an edge CSV and return the graph with named source and sink.
 
@@ -207,7 +203,7 @@ def load_records(path, graph: Graph) -> SpDataset:
     if not records:
         raise ParseError("records file has no data rows")
     recs = tuple(records)
-    ys = _derive_observations(graph, np.stack([r.times for r in recs]))
+    ys = shortest_path_batch(graph, np.stack([r.times for r in recs]))
     return SpDataset(graph, recs, ys)
 
 
@@ -305,7 +301,7 @@ def synth_graph_instance(
         factor = np.ones((n, g.num_edges))
     times = np.maximum(mean_times * factor, 0.01)
     records = tuple(TravelRecord(ctxs[i], times[i]) for i in range(n))
-    ys = _derive_observations(g, times)
+    ys = shortest_path_batch(g, times)
     return SpDataset(g, records, ys, Parameter.from_matrix(theta))
 
 

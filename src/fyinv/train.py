@@ -97,6 +97,13 @@ def _apply_space(theta: np.ndarray, space: ParamSpace | None) -> np.ndarray:
     return np.clip(theta, space.lo, space.hi)
 
 
+def _guard(theta: np.ndarray) -> np.ndarray:
+    """The iterate itself, unless its norm is past _DIVERGE_NORM or NaN."""
+    if not np.linalg.norm(theta) <= _DIVERGE_NORM:
+        raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g} or is not finite")
+    return theta
+
+
 def _run_sgd(
     fp: ForwardProblem,
     ds: Dataset,
@@ -112,7 +119,7 @@ def _run_sgd(
         theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
         if theta.size != p:
             raise ValueError(f"theta0 must have {p} entries")
-    theta = _apply_space(theta, cfg.param_space)
+    theta = _guard(_apply_space(theta, cfg.param_space))
 
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
@@ -142,9 +149,7 @@ def _run_sgd(
         step = cfg.learning_rate
         if cfg.step_decay == "inv_sqrt":
             step /= np.sqrt(t + 1.0)
-        theta = _apply_space(theta - step * grad, cfg.param_space)
-        if np.linalg.norm(theta) > _DIVERGE_NORM:
-            raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g}")
+        theta = _guard(_apply_space(theta - step * grad, cfg.param_space))
         t += 1
         if t % cfg.eval_every == 0:
             risk = full_risk(theta)
@@ -228,7 +233,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
         if theta.size != p:
             raise ValueError(f"theta0 must have {p} entries")
-    theta = _apply_space(theta, cfg.param_space)
+    theta = _guard(_apply_space(theta, cfg.param_space))
     duals = np.zeros((n, q))
 
     start = time.perf_counter()
@@ -250,10 +255,8 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         step = cfg.learning_rate
         if cfg.step_decay == "inv_sqrt":
             step /= np.sqrt(t + 1.0)
-        theta = _apply_space(theta - step * g_theta, cfg.param_space)
+        theta = _guard(_apply_space(theta - step * g_theta, cfg.param_space))
         duals = np.maximum(duals - step * g_duals, 0.0)
-        if np.linalg.norm(theta) > _DIVERGE_NORM:
-            raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g}")
         t += 1
 
     obj = kka_objective(fp, theta, duals, ds) / n

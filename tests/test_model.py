@@ -215,9 +215,6 @@ def test_dataset_basics():
     ys = np.arange(9.0).reshape(3, 3)
     ds = Dataset(ctxs, ys)
     assert len(ds) == 3
-    u, y = ds[1]
-    np.testing.assert_array_equal(u, ctxs[1])
-    np.testing.assert_array_equal(y, ys[1])
     sub = ds.subset([0, 2])
     assert len(sub) == 2
     np.testing.assert_array_equal(sub.decisions, ys[[0, 2]])
@@ -225,6 +222,16 @@ def test_dataset_basics():
         Dataset(ctxs, ys[:2])
     with pytest.raises(ValueError):
         ds.contexts[0, 0] = 5.0
+
+
+def test_dataset_rejects_non_finite():
+    ctxs = np.arange(6.0).reshape(3, 2)
+    ys = np.arange(9.0).reshape(3, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Dataset(ctxs, np.where(ys == 4.0, bad, ys))
+        with pytest.raises(ValueError):
+            Dataset(np.where(ctxs == 1.0, bad, ctxs), ys)
 
 
 def test_uniform_contexts_validation_and_range():

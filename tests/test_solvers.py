@@ -32,7 +32,7 @@ from fyinv.solvers import (
     _fw_project_batch,
     _linear_argmax,
     _linear_argmax_batch,
-    _simplex_lsq,
+    _simplex_lsq_batch,
 )
 
 from oracles import (
@@ -400,28 +400,46 @@ def test_fw_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(ValueError):
         FwConfig(gap_tol=0.0)
-    with pytest.raises(ValueError):
-        FwConfig(step_rule="fixed")
 
 
-def test_simplex_lsq_matches_projection_oracle():
+def test_simplex_lsq_batch_matches_projection_oracle():
     rng = rng_stream(55)
+    draws = []
     for _ in range(40):
         k = int(rng.integers(1, 7))
-        P = rng.standard_normal((k, 5))
-        t = rng.standard_normal(5)
-        w = _simplex_lsq(P, t)
-        assert w.shape == (k,)
-        assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= -1e-12
-        want, certified = hull_project(P, t)
-        assert certified
-        np.testing.assert_allclose(P.T @ w, want, atol=1e-7)
+        draws.append((rng.standard_normal((k, 5)), rng.standard_normal(5)))
+    for k in sorted({P.shape[0] for P, _ in draws}):
+        Ps = np.stack([P for P, _ in draws if P.shape[0] == k])
+        ts = np.stack([t for P, t in draws if P.shape[0] == k])
+        ws = _simplex_lsq_batch(Ps, ts)
+        assert ws.shape == (Ps.shape[0], k)
+        for P, t, w in zip(Ps, ts, ws):
+            assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= -1e-12
+            want, certified = hull_project(P, t)
+            assert certified
+            np.testing.assert_allclose(P.T @ w, want, atol=1e-7)
 
 
-def test_simplex_lsq_warm_start_consistent():
-    rng = rng_stream(56)
-    P = rng.standard_normal((5, 4))
-    t = rng.standard_normal(4)
-    cold = _simplex_lsq(P, t)
-    warm = _simplex_lsq(P, t, w0=cold)
-    np.testing.assert_allclose(P.T @ cold, P.T @ warm, atol=1e-10)
+def test_simplex_lsq_batch_singular_kkt_uses_pinv(monkeypatch):
+    # two diamonds in series: the four paths satisfy p1 + p4 = p2 + p3, so
+    # the full-support KKT system is singular.  Listed as p1, p4, p2, p3 the
+    # LU factorization meets an exact zero pivot and solve raises; in
+    # enumeration order it may get a roundoff pivot and a garbage solution
+    # instead, which the active set must recover from.
+    tails = np.array([0, 0, 1, 2, 3, 3, 4, 5])
+    heads = np.array([1, 2, 3, 3, 4, 5, 6, 6])
+    paths = enum_paths(Graph(7, tails, heads, 0, 6))
+    assert paths.shape[0] == 4
+    ts = rng_stream(57).uniform(-1.0, 2.0, (12, 8))
+    pinv_calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(a.shape) or pinv(a))
+    for order in ([0, 3, 1, 2], [0, 1, 2, 3]):
+        P = np.broadcast_to(paths[order], (12, 4, 8)).copy()
+        ws = _simplex_lsq_batch(P, ts)
+        assert pinv_calls
+        for t, w in zip(ts, ws):
+            assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= 0.0
+            want, certified = hull_project(paths, t)
+            assert certified
+            np.testing.assert_allclose(paths[order].T @ w, want, atol=1e-7)

@@ -22,7 +22,8 @@ from fyinv import (
     synth_graph_instance,
     train_test_split,
 )
-from fyinv.spath import SP_METHODS, _derive_observations
+from fyinv.graphs import shortest_path_batch
+from fyinv.spath import SP_METHODS
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_synth_instance_deterministic_and_coherent():
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.observations, b.observations)
     # observations really are the shortest paths under realized times
-    np.testing.assert_array_equal(a.observations, _derive_observations(a.graph, a.times))
+    np.testing.assert_array_equal(a.observations, shortest_path_batch(a.graph, a.times))
     assert a.theta_star.shape == (35, 4)
     assert (a.times > 0).all()
     assert (a.contexts[:, -1] == 1.0).all()

@@ -141,6 +141,14 @@ def test_fy_fit_diverges_with_absurd_learning_rate():
         fy_sgd_fit(fp, ds, SgdConfig(learning_rate=1e9, max_iters=50, eval_every=50))
 
 
+def test_sgd_fits_raise_on_nan_iterate():
+    fp, _, ds = _noisy_c()
+    theta0 = np.full(fp.cost_map.p, np.nan)
+    for fit in (fy_sgd_fit, subopt_fit):
+        with pytest.raises(DivergedError):
+            fit(fp, ds, SgdConfig(theta0=theta0, max_iters=5))
+
+
 def test_fy_fit_respects_param_space():
     fp, _, ds = _noisy_c()
     cfg = SgdConfig(learning_rate=0.1, max_iters=60, param_space=UnitL2Sphere(), eval_every=20)
@@ -213,6 +221,13 @@ def test_kka_fit_deterministic_and_validates_theta0():
     np.testing.assert_array_equal(a.meta["duals"], b.meta["duals"])
     with pytest.raises(ValueError):
         kka_fit(fp, ds, SgdConfig(theta0=np.zeros(99)))
+
+
+def test_kka_fit_raises_on_nan_iterate():
+    fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), Box.cube(3, -1, 1), Sense.MIN)
+    ds = generate(ExampleSpec("C", p=3), 20, NoisyDecision(0.3), 6)
+    with pytest.raises(DivergedError):
+        kka_fit(fp, ds, SgdConfig(theta0=np.full(3, np.nan), max_iters=5))
 
 
 # ---------------------------------------------------------------------------
