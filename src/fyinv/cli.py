@@ -36,9 +36,17 @@ from .losses import fy_grad, fy_loss
 from .solvers import FwConfig, solve_exact, solve_regularized
 from .spath import sp_run, synth_graph_instance
 from .synth import EXAMPLE_KINDS, build_example, generate
-from .train import SgdConfig, SpaConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
+from .train import (
+    METHODS,
+    SgdConfig,
+    SpaConfig,
+    _with_seed,
+    fy_sgd_fit,
+    kka_fit,
+    spa_fit,
+    subopt_fit,
+)
 
-METHODS = ("FY", "SUBOPT", "KKA", "SPA")
 NOISE_KINDS = ("none", "noisy_decision", "noisy_objective")
 
 CSV_COLUMNS = (
@@ -124,11 +132,11 @@ def _noise_model(noise: str, sigma: float):
 # baseline budgets: the subgradient objectives need longer decayed-step
 # schedules than the smooth FY risk to reach a comparable plateau
 _SYNTH_CFG = {
-    "FY": SgdConfig(learning_rate=0.1, batch_size=32, max_iters=2000, eval_every=200),
+    "FY": SgdConfig(learning_rate=0.1, batch_size=32, max_iters=2000, lam=0.1, eval_every=200),
     "SUBOPT": SgdConfig(
         learning_rate=0.1, batch_size=32, max_iters=4000, step_decay="inv_sqrt", eval_every=400
     ),
-    "KKA": SgdConfig(learning_rate=0.05, batch_size=64, max_iters=4000, eval_every=400),
+    "KKA": SgdConfig(learning_rate=0.05, max_iters=4000),
     "SPA": SpaConfig(),
 }
 
@@ -143,19 +151,14 @@ def _synth_cell(desc: dict) -> dict:
     ds = generate(kind, desc["n"], noise, seed)
 
     t0 = time.perf_counter()
-    if method == "FY" and (lam is None or lam > 0):
-        cfg = dataclasses.replace(
-            _SYNTH_CFG["FY"], seed=seed, lam=0.1 if lam is None else float(lam)
-        )
-        fit = fy_sgd_fit(fp, ds, cfg)
-    elif method in ("FY", "SUBOPT"):
+    if method == "FY" and lam is not None and lam <= 0:
         # lam = 0 turns the FY objective into the plain suboptimality loss
-        fit = subopt_fit(fp, ds, dataclasses.replace(_SYNTH_CFG["SUBOPT"], seed=seed))
-    elif method == "KKA":
-        fit = kka_fit(fp, ds, dataclasses.replace(_SYNTH_CFG["KKA"], seed=seed))
-    else:
-        spa = _SYNTH_CFG["SPA"]
-        fit = spa_fit(fp, ds, dataclasses.replace(spa, inner=dataclasses.replace(spa.inner, seed=seed)))
+        method = "SUBOPT"
+    cfg = _with_seed(_SYNTH_CFG[method], seed)
+    if method == "FY" and lam is not None:
+        cfg = dataclasses.replace(cfg, lam=float(lam))
+    fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "KKA": kka_fit, "SPA": spa_fit}
+    fit = fitters[method](fp, ds, cfg)
     wall = time.perf_counter() - t0
 
     eval_ctxs = law.sample(rng_stream(seed, 99), desc["n_eval"])

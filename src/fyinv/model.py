@@ -56,6 +56,8 @@ class Parameter:
         r, c = self.shape
         if r * c != v.size:
             raise ValueError(f"shape {self.shape} incompatible with {v.size} values")
+        if not np.isfinite(v).all():
+            raise ValueError("parameter values must be finite")
 
     @property
     def p(self) -> int:
@@ -439,7 +441,7 @@ def sample_dataset(
     seed : int
         Master seed.  The same seed reproduces the dataset bitwise.
     """
-    from .solvers import solve_exact  # late import: solvers builds on model
+    from .solvers import _solve_exact_batch  # late import: solvers builds on model
 
     if n <= 0:
         raise ValueError("n must be positive")
@@ -450,16 +452,10 @@ def sample_dataset(
 
     rng = rng_stream(seed)
     ctxs = contexts.sample(rng, n)
-    decisions = np.empty((n, cm.d))
-    for i in range(n):
-        u = ctxs[i]
-        if isinstance(noise, NoisyObjective):
-            w = noise.sigma * rng.standard_normal(cm.d)
-            h = cost(cm, theta_star, u) + w
-            hc = fp.canonical_sign * h
-            decisions[i] = solve_exact(fp, theta_star, u, cost_override=hc)
-        else:
-            decisions[i] = solve_exact(fp, theta_star, u)
-            if isinstance(noise, NoisyDecision):
-                decisions[i] += noise.sigma * rng.standard_normal(cm.d)
+    hs = _cost_batch(cm, theta_star, ctxs)
+    if isinstance(noise, NoisyObjective):
+        hs = hs + noise.sigma * rng.standard_normal((n, cm.d))
+    decisions = _solve_exact_batch(fp, fp.canonical_sign * hs)
+    if isinstance(noise, NoisyDecision):
+        decisions = decisions + noise.sigma * rng.standard_normal((n, cm.d))
     return Dataset(ctxs, decisions, truth=theta_star)

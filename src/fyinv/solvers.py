@@ -152,20 +152,15 @@ def solve_exact(
     theta,
     u,
     *,
-    cost_override: np.ndarray | None = None,
     fw: "FwConfig | None" = None,
 ) -> np.ndarray:
     """Optimal decision of the forward problem at (theta, u).
 
     With base_quad = 0 this is a tie-broken extreme point; with base_quad > 0
     the objective is strongly concave and the optimum is the projection of
-    hc / base_quad onto the region.  ``cost_override`` substitutes a
-    canonical cost vector directly (used by objective-noise sampling).
+    hc / base_quad onto the region.
     """
-    if cost_override is not None:
-        hc = np.asarray(cost_override, dtype=float)
-    else:
-        hc = fp.canonical_cost(as_parameter(theta, fp.cost_map), u)
+    hc = fp.canonical_cost(as_parameter(theta, fp.cost_map), u)
     if fp.base_quad > 0:
         return _project_region_batch(fp.region, hc[None, :] / fp.base_quad, fw)[0]
     return _linear_argmax(fp.region, hc)

@@ -2,9 +2,11 @@
 
 Ingests an edge list and per-trip travel records, derives observed optimal
 paths by solving a shortest path under each record's realized edge times,
-and fits a matrix cost parameter mapping trip context to edge costs.  A
-synthetic grid generator with a planted parameter stands in for real trip
-data, which cannot be bundled.
+and fits a matrix cost parameter mapping trip context to edge costs.  The
+trips live in ``SpDataset`` as three row-aligned arrays (contexts, realized
+times, observed paths), validated once on construction.  A synthetic grid
+generator with a planted parameter stands in for real trip data, which
+cannot be bundled.
 
 CSV formats:
   edges:   header ``edge_id,tail,head``; node ids are arbitrary strings;
@@ -17,10 +19,8 @@ CSV formats:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,85 +35,69 @@ from .model import (
     Parameter,
     Sense,
     _cost_batch,
-    as_parameter,
+    _frozen,
     rng_stream,
 )
 from .solvers import FwConfig, _solve_exact_batch
 from .metrics import MetricsReport, parameter_error
-from .train import FitResult, SgdConfig, SpaConfig, fy_sgd_fit, spa_fit, subopt_fit
-
-SP_METHODS = ("FY", "SUBOPT", "KKA", "SPA")
-
-
-@dataclass(frozen=True)
-class TravelRecord:
-    """One trip: context features (intercept last, fixed at 1) and the
-    realized time of every edge during that trip."""
-
-    context: np.ndarray
-    times: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.context, dtype=float)
-        t = np.asarray(self.times, dtype=float)
-        if u.ndim != 1 or t.ndim != 1:
-            raise ValueError("context and times must be vectors")
-        if u[-1] != 1.0:
-            raise ValueError("context must end with an intercept equal to 1")
-        if np.any(t <= 0):
-            raise ValueError("realized edge times must be strictly positive")
-        u.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "context", u)
-        object.__setattr__(self, "times", t)
-
+from .train import (
+    METHODS,
+    FitResult,
+    SgdConfig,
+    SpaConfig,
+    _with_seed,
+    fy_sgd_fit,
+    spa_fit,
+    subopt_fit,
+)
 
 @dataclass(frozen=True)
 class SpDataset:
-    """Graph plus travel records plus the derived observed paths.
+    """Graph plus per-trip arrays plus the derived observed paths.
 
-    ``observations[i]`` is the 0/1 indicator of the shortest path under
-    record i's realized times, the proxy for the decision a cost-aware
-    traveler would have taken.  ``theta_star`` is only set by the synthetic
+    Row i of ``contexts`` holds trip i's features with the intercept, fixed
+    at 1, last; row i of ``times`` holds the realized time of every edge
+    during that trip; row i of ``observations`` is the 0/1 indicator of the
+    shortest path under those times, the proxy for the decision a
+    cost-aware traveler would have taken.  All three are validated once and
+    stored as read-only copies.  ``theta_star`` is only set by the synthetic
     generator; it stays None for ingested data.
     """
 
     graph: Graph
-    records: tuple[TravelRecord, ...]
+    contexts: np.ndarray
+    times: np.ndarray
     observations: np.ndarray
     theta_star: Parameter | None = None
 
     def __post_init__(self):
-        ys = np.asarray(self.observations, dtype=float)
-        if ys.shape != (len(self.records), self.graph.num_edges):
-            raise ValueError("observations shape disagrees with records/graph")
-        ys.setflags(write=False)
+        u, t, ys = (_frozen(a) for a in (self.contexts, self.times, self.observations))
+        if u.ndim != 2 or t.ndim != 2 or ys.ndim != 2:
+            raise ValueError("contexts, times and observations must be 2-D arrays")
+        shape = (u.shape[0], self.graph.num_edges)
+        if t.shape != shape or ys.shape != shape:
+            raise ValueError(f"times and observations must have shape {shape}")
+        if u.shape[1] == 0 or np.any(u[:, -1] != 1.0):
+            raise ValueError("contexts must end with an intercept equal to 1")
+        if not np.all(t > 0):
+            raise ValueError("realized edge times must be strictly positive")
+        object.__setattr__(self, "contexts", u)
+        object.__setattr__(self, "times", t)
         object.__setattr__(self, "observations", ys)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.contexts.shape[0]
 
     @property
     def m(self) -> int:
-        return self.records[0].context.size
-
-    @cached_property
-    def contexts(self) -> np.ndarray:
-        out = np.stack([r.context for r in self.records])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        out = np.stack([r.times for r in self.records])
-        out.setflags(write=False)
-        return out
+        return self.contexts.shape[1]
 
     def subset(self, idx) -> "SpDataset":
         idx = np.asarray(idx, dtype=int)
         return SpDataset(
             self.graph,
-            tuple(self.records[i] for i in idx),
+            self.contexts[idx],
+            self.times[idx],
             self.observations[idx],
             self.theta_star,
         )
@@ -173,7 +157,7 @@ def load_records(path, graph: Graph) -> SpDataset:
     """
     d = graph.num_edges
     t_cols = [f"t_{i}" for i in range(d)]
-    records: list[TravelRecord] = []
+    rows: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -195,16 +179,15 @@ def load_records(path, graph: Graph) -> SpDataset:
                 vals = np.array([float(c) for c in row], dtype=float)
             except ValueError:
                 raise ParseError("non-numeric field", line=lineno) from None
-            t = vals[:d]
-            if np.any(t <= 0) or not np.all(np.isfinite(vals)):
+            if np.any(vals[:d] <= 0) or not np.all(np.isfinite(vals)):
                 raise ParseError("times must be finite and strictly positive", line=lineno)
-            u = np.concatenate([vals[d:], [1.0]])
-            records.append(TravelRecord(u, t))
-    if not records:
+            rows.append(vals)
+    if not rows:
         raise ParseError("records file has no data rows")
-    recs = tuple(records)
-    ys = shortest_path_batch(graph, np.stack([r.times for r in recs]))
-    return SpDataset(graph, recs, ys)
+    vals = np.stack(rows)
+    times = vals[:, :d]
+    ctxs = np.column_stack([vals[:, d:], np.ones(len(rows))])
+    return SpDataset(graph, ctxs, times, shortest_path_batch(graph, times))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +283,8 @@ def synth_graph_instance(
     else:
         factor = np.ones((n, g.num_edges))
     times = np.maximum(mean_times * factor, 0.01)
-    records = tuple(TravelRecord(ctxs[i], times[i]) for i in range(n))
     ys = shortest_path_batch(g, times)
-    return SpDataset(g, records, ys, Parameter.from_matrix(theta))
+    return SpDataset(g, ctxs, times, ys, Parameter.from_matrix(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +343,7 @@ def train_test_split(n: int, seed: int, train_frac: float = 0.6):
 
 def sp_fit(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> FitResult:
     """Fit the edge-cost parameter on the full given dataset."""
-    if method not in SP_METHODS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "KKA":
         raise UnsupportedRegionError(
@@ -369,12 +351,7 @@ def sp_fit(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> FitResult:
         )
     fp = _flow_problem(sp)
     ds = Dataset(sp.contexts, sp.observations)
-    if cfg is None:
-        cfg = _DEFAULT_CFG[method]
-    if isinstance(cfg, SgdConfig) and cfg.seed != seed:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    elif isinstance(cfg, SpaConfig) and cfg.inner.seed != seed:
-        cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, seed=seed))
+    cfg = _with_seed(_DEFAULT_CFG[method] if cfg is None else cfg, seed)
     if method == "FY":
         return fy_sgd_fit(fp, ds, cfg)
     if method == "SUBOPT":

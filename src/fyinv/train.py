@@ -11,6 +11,7 @@ hold by construction even for nonsmooth objectives.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -23,6 +24,7 @@ from .model import Dataset, ForwardProblem, Parameter, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
 _DIVERGE_NORM = 1e6
+METHODS = ("FY", "SUBOPT", "KKA", "SPA")
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,18 @@ def _guard(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _start_theta(fp: ForwardProblem, cfg: SgdConfig) -> np.ndarray:
+    """cfg.theta0 (zeros when unset), mapped into the parameter space and guarded."""
+    p = fp.cost_map.p
+    if cfg.theta0 is None:
+        theta = np.zeros(p)
+    else:
+        theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
+        if theta.size != p:
+            raise ValueError(f"theta0 must have {p} entries")
+    return _guard(_apply_space(theta, cfg.param_space))
+
+
 def _run_sgd(
     fp: ForwardProblem,
     ds: Dataset,
@@ -112,15 +126,7 @@ def _run_sgd(
     full_risk: Callable[[np.ndarray], float],
 ) -> FitResult:
     n = len(ds)
-    p = fp.cost_map.p
-    if cfg.theta0 is None:
-        theta = np.zeros(p)
-    else:
-        theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
-        if theta.size != p:
-            raise ValueError(f"theta0 must have {p} entries")
-    theta = _guard(_apply_space(theta, cfg.param_space))
-
+    theta = _start_theta(fp, cfg)
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
     order = rng.permutation(n)
@@ -218,23 +224,17 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     """Projected gradient descent on the mean KKT-residual objective.
 
     Joint descent over (theta, per-point duals) with the duals clamped to
-    stay nonnegative after every step.  Stepping uses the per-point mean so
-    the step size does not have to shrink with the sample count; reported
-    trace values are on the same mean scale.  The best-objective duals are
+    stay nonnegative after every step.  Every step is full-batch and the
+    objective is checkpointed at every iteration, so ``batch_size`` and
+    ``eval_every`` are not read.  Stepping uses the per-point mean so the
+    step size does not have to shrink with the sample count; reported trace
+    values are on the same mean scale.  The best-objective duals are
     returned in ``meta["duals"]``.
     """
     cfg = cfg or SgdConfig()
     n = len(ds)
-    p = fp.cost_map.p
-    q = kka_dual_dim(fp)
-    if cfg.theta0 is None:
-        theta = np.zeros(p)
-    else:
-        theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
-        if theta.size != p:
-            raise ValueError(f"theta0 must have {p} entries")
-    theta = _guard(_apply_space(theta, cfg.param_space))
-    duals = np.zeros((n, q))
+    theta = _start_theta(fp, cfg)
+    duals = np.zeros((n, kka_dual_dim(fp)))
 
     start = time.perf_counter()
     best = (kka_objective(fp, theta, duals, ds) / n, theta.copy(), duals.copy())
@@ -360,13 +360,11 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SpaConfig | None = None) -> Fi
     projected = _project_region_batch(fp.region, smoothed, cfg.inner.fw)
     cleaned = Dataset(ds.contexts, projected, truth=ds.truth)
     result = subopt_fit(fp, cleaned, cfg.inner)
-    meta = dict(result.meta)
-    meta["bandwidth"] = bw
-    return FitResult(
-        theta=result.theta,
-        iterations=result.iterations,
-        grad_norm=result.grad_norm,
-        loss_trace=result.loss_trace,
-        wall_time=result.wall_time,
-        meta=meta,
-    )
+    return dataclasses.replace(result, meta={**result.meta, "bandwidth": bw})
+
+
+def _with_seed(cfg: SgdConfig | SpaConfig, seed: int) -> SgdConfig | SpaConfig:
+    """cfg with its SGD seed set to seed (the inner config's, for SPA)."""
+    if isinstance(cfg, SpaConfig):
+        return dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, seed=seed))
+    return dataclasses.replace(cfg, seed=seed)

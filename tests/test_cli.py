@@ -6,12 +6,15 @@ import json
 import numpy as np
 import pytest
 
+import fyinv.cli
+from fyinv import FitResult, build_example
 from fyinv.cli import (
     CSV_COLUMNS,
     RunConfig,
     _build_cells,
     _fmt,
     _mean_se,
+    _synth_cell,
     build_parser,
     grad_check,
     load_config,
@@ -112,6 +115,41 @@ def test_build_cells_spath_ignores_sample_sizes_and_lambdas():
     key, cells = groups[0]
     assert key == ("spath", "FY", 77, None)
     assert all(c["n"] == 77 for c in cells)
+
+
+def test_synth_cell_dispatches_method_lam_and_seed(monkeypatch):
+    _, theta_star, _ = build_example("C")
+    fixed = FitResult(theta_star, 0, 0.0, np.zeros(0), 0.0, {"risk": 0.0})
+    calls = []
+    for name in ("fy_sgd_fit", "subopt_fit", "kka_fit", "spa_fit"):
+        def record(fp, ds, cfg, name=name):
+            calls.append((name, cfg))
+            return fixed
+
+        monkeypatch.setattr(fyinv.cli, name, record)
+    cfg = RunConfig(
+        methods=("FY", "SUBOPT", "KKA", "SPA"), sample_sizes=(20,), lambdas=(0.3, 0.0),
+        replications=1, n_eval=10, seed=3,
+    )
+    expected = {
+        ("FY", 0.3): "fy_sgd_fit",
+        ("FY", 0.0): "subopt_fit",  # lam 0 is the plain suboptimality loss
+        ("SUBOPT", None): "subopt_fit",
+        ("KKA", None): "kka_fit",
+        ("SPA", None): "spa_fit",
+    }
+    seen = []
+    for (_, method, _, lam), (desc,) in _build_cells(cfg, spath=False):
+        calls.clear()
+        _synth_cell(desc)
+        [(name, fit_cfg)] = calls
+        assert name == expected[method, lam]
+        seed = fit_cfg.inner.seed if name == "spa_fit" else fit_cfg.seed
+        assert seed == desc["seed"] != 0
+        if name == "fy_sgd_fit":
+            assert fit_cfg.lam == lam
+        seen.append((method, lam))
+    assert set(seen) == expected.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from fyinv import (
     cost,
     cost_jacobian,
     region_contains,
+    build_example,
+    regret,
     rng_stream,
     sample_dataset,
     solve_exact,
@@ -47,6 +49,18 @@ def test_parameter_rejects_incompatible_shape():
         Parameter(np.zeros(5), (2, 3))
     with pytest.raises(ValueError):
         Parameter.from_matrix(np.zeros(4))
+
+
+def test_parameter_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Parameter.from_vector([1.0, bad])
+        with pytest.raises(ValueError):
+            Parameter(np.array([[bad, 0.0]]), (1, 2))
+    # a NaN estimate used to score as a finite regret (the box midpoint)
+    fp, theta_star, law = build_example("C")
+    with pytest.raises(ValueError):
+        regret(fp, np.full(fp.cost_map.p, np.nan), theta_star, law.sample(rng_stream(0), 5))
 
 
 def test_parameter_values_immutable():

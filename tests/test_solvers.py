@@ -316,13 +316,6 @@ def test_solve_regularized_rejects_bad_lam():
         solve_regularized(fp, np.ones(2), np.zeros(1), -1.0)
 
 
-def test_solve_exact_cost_override():
-    fp = _identity_problem(Box.cube(3, -1, 1), 3)
-    hc = np.array([1.0, -2.0, 0.0])
-    x = solve_exact(fp, np.zeros(3), np.zeros(1), cost_override=hc)
-    np.testing.assert_array_equal(x, _linear_argmax(fp.region, hc))
-
-
 def test_solve_regularized_converges_to_exact_as_lam_shrinks():
     fp = _identity_problem(Ball(2.0), 4)
     h = np.array([1.0, 2.0, -1.0, 0.5])

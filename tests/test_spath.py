@@ -9,7 +9,6 @@ from fyinv import (
     ParseError,
     SgdConfig,
     SpDataset,
-    TravelRecord,
     UnsupportedRegionError,
     grid_graph,
     load_graph,
@@ -23,7 +22,7 @@ from fyinv import (
     train_test_split,
 )
 from fyinv.graphs import shortest_path_batch
-from fyinv.spath import SP_METHODS
+from fyinv.train import METHODS
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +82,20 @@ def test_planted_theta_keeps_predicted_times_positive():
 # records and datasets
 
 
-def test_travel_record_validation():
+def test_sp_dataset_array_validation():
+    g = grid_graph(3, 2)  # a 2-edge line
+    u = np.array([[0.5, 1.0]])
+    t = np.array([[1.0, 2.0]])
+    ys = np.ones((1, 2))
     with pytest.raises(ValueError):
-        TravelRecord(np.array([0.5, 0.9]), np.ones(3))  # intercept not 1
+        SpDataset(g, np.array([[0.5, 0.9]]), t, ys)  # intercept not 1
     with pytest.raises(ValueError):
-        TravelRecord(np.array([0.5, 1.0]), np.array([1.0, 0.0, 2.0]))  # zero time
+        SpDataset(g, u, np.array([[1.0, 0.0]]), ys)  # zero time
     with pytest.raises(ValueError):
-        TravelRecord(np.ones((2, 2)), np.ones(3))
-    rec = TravelRecord(np.array([0.5, 1.0]), np.array([1.0, 2.0, 3.0]))
+        SpDataset(g, u[0], t[0], ys[0])
+    sp = SpDataset(g, u, t, ys)
     with pytest.raises(ValueError):
-        rec.times[0] = 9.0
+        sp.times[0, 0] = 9.0
 
 
 def test_sp_dataset_validation_and_views():
@@ -102,7 +105,7 @@ def test_sp_dataset_validation_and_views():
     assert sp.contexts.shape == (8, 3)
     assert sp.times.shape == (8, 20)
     with pytest.raises(ValueError):
-        SpDataset(sp.graph, sp.records, sp.observations[:, :-1])
+        SpDataset(sp.graph, sp.contexts, sp.times, sp.observations[:, :-1])
     sub = sp.subset([1, 3])
     assert len(sub) == 2
     np.testing.assert_array_equal(sub.contexts, sp.contexts[[1, 3]])
@@ -239,7 +242,7 @@ def test_sp_fit_rejects_unknown_and_kka():
         sp_fit(sp, "GRADIENT")
     with pytest.raises(UnsupportedRegionError):
         sp_fit(sp, "KKA")
-    assert "KKA" in SP_METHODS
+    assert "KKA" in METHODS
 
 
 def test_sp_fit_seed_is_injected_and_deterministic():
