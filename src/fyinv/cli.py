@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .metrics import calibration_check, decision_error, parameter_error, regret
+from .metrics import _exact_batch, calibration_check, decision_error, parameter_error, regret
 from .model import Dataset, Noiseless, NoisyDecision, NoisyObjective, cost, rng_stream
 from .losses import fy_grad, fy_loss
 from .solvers import FwConfig, solve_exact, solve_regularized
@@ -362,7 +362,7 @@ def grad_check(kind: str, trials: int, seed: int = 0, fd_step: float = 1e-6):
         else:
             u = law.sample(rng, 1)[0]
         witness = theta_star.values + rng.standard_normal(p)
-        y = solve_exact(fp, witness, u, fw=fw)
+        y = solve_exact(fp, witness, u)
         lam = 0.1 if t % 2 == 0 else 1.0
         g = fy_grad(fp, theta, u, y, lam, fw=fw)
         v = rng.standard_normal(p)
@@ -406,7 +406,7 @@ def calib_suite(lam: float, samples: int, seed: int, n_ctx: int = 200):
     """Calibration-bound hold rate on example C plus ball exactness on E."""
     fp, theta_star, law = build_example("C")
     ctxs = law.sample(rng_stream(seed, 31), n_ctx)
-    surrogate = np.stack([solve_exact(fp, theta_star, u) for u in ctxs])
+    surrogate = _exact_batch(fp, theta_star, ctxs)
     fit = fy_sgd_fit(
         fp,
         Dataset(ctxs, surrogate),

@@ -27,21 +27,21 @@ from .model import (
     Dataset,
     ForwardProblem,
     NonNegL1Cap,
+    _check_context,
     _cost_batch,
     _jac_t_mean,
     as_parameter,
-    cost_jacobian,
 )
-from .solvers import FwConfig, _linear_argmax, _linear_argmax_batch, _solve_reg_batch, solve_exact
+from .solvers import FwConfig, _linear_argmax_batch, _solve_reg_batch, solve_exact
 
 
 def _check_pair(fp: ForwardProblem, u, y):
-    u = np.asarray(u, dtype=float)
+    u = _check_context(fp.cost_map, u)
     y = np.asarray(y, dtype=float)
-    if u.shape != (fp.cost_map.m,):
-        raise ValueError(f"context must have shape ({fp.cost_map.m},)")
     if y.shape != (fp.cost_map.d,):
         raise ValueError(f"decision must have shape ({fp.cost_map.d},)")
+    if not np.isfinite(y).all():
+        raise ValueError("decision must be finite")
     return u, y
 
 
@@ -52,7 +52,6 @@ def _check_pair(fp: ForwardProblem, u, y):
 def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> float:
     """Fenchel-Young loss at one observation; lam must be positive."""
     u, y = _check_pair(fp, u, y)
-    theta = as_parameter(theta, fp.cost_map)
     loss, _, _ = _fy_batch(fp, theta, u[None, :], y[None, :], lam, fw=fw, want_grad=False)
     return float(loss)
 
@@ -60,7 +59,6 @@ def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None 
 def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
     u, y = _check_pair(fp, u, y)
-    theta = as_parameter(theta, fp.cost_map)
     _, grad, _ = _fy_batch(fp, theta, u[None, :], y[None, :], lam, fw=fw)
     return grad
 
@@ -102,19 +100,15 @@ def subopt_loss(fp: ForwardProblem, theta, u, y) -> float:
     baseline, not a regularized quantity.
     """
     u, y = _check_pair(fp, u, y)
-    theta = as_parameter(theta, fp.cost_map)
-    hc = fp.canonical_cost(theta, u)
-    x = _linear_argmax(fp.region, hc)
-    return float(hc @ (x - y))
+    loss, _, _ = _subopt_batch(fp, theta, u[None, :], y[None, :], hinge=False)
+    return loss
 
 
 def subopt_subgrad(fp: ForwardProblem, theta, u, y) -> np.ndarray:
     """A subgradient of subopt_loss via the tie-broken exact maximizer."""
     u, y = _check_pair(fp, u, y)
-    theta = as_parameter(theta, fp.cost_map)
-    hc = fp.canonical_cost(theta, u)
-    x = _linear_argmax(fp.region, hc)
-    return fp.canonical_sign * cost_jacobian(fp.cost_map, u).transpose_apply(x - y)
+    _, grad, _ = _subopt_batch(fp, theta, u[None, :], y[None, :], hinge=False)
+    return grad
 
 
 def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *, hinge: bool):
@@ -232,6 +226,5 @@ def dist_loss_oracle(fp: ForwardProblem, theta, u, y) -> float:
     independent consistency target for the fitters.
     """
     u, y = _check_pair(fp, u, y)
-    theta = as_parameter(theta, fp.cost_map)
     x = solve_exact(fp, theta, u)
     return float(np.sum((y - x) ** 2))

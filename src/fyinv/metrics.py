@@ -19,10 +19,14 @@ from .model import (
     FlowPolytope,
     ForwardProblem,
     Parameter,
+    _check_contexts,
     _cost_batch,
     as_parameter,
 )
-from .solvers import FwConfig, _solve_exact_batch, _solve_reg_batch
+from .solvers import _solve_exact_batch, _solve_reg_batch
+
+# Roundoff allowance of the two inequality checks below.
+_SLACK = 1e-8
 
 
 def parameter_error(theta_hat, theta_star) -> float:
@@ -34,31 +38,31 @@ def parameter_error(theta_hat, theta_star) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _exact_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, fw=None) -> np.ndarray:
+def _exact_batch(fp: ForwardProblem, theta, ctxs: np.ndarray) -> np.ndarray:
     theta = as_parameter(theta, fp.cost_map)
     hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
-    return _solve_exact_batch(fp, hcs, fw)
+    return _solve_exact_batch(fp, hcs)
 
 
-def decision_error(fp: ForwardProblem, theta_hat, theta_star, ctxs, *, fw=None) -> float:
+def decision_error(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     """Mean squared distance between estimated and true exact decisions."""
-    ctxs = np.atleast_2d(np.asarray(ctxs, dtype=float))
-    xs_hat = _exact_batch(fp, theta_hat, ctxs, fw)
-    xs_star = _exact_batch(fp, theta_star, ctxs, fw)
+    ctxs = _check_contexts(fp.cost_map, ctxs)
+    xs_hat = _exact_batch(fp, theta_hat, ctxs)
+    xs_star = _exact_batch(fp, theta_star, ctxs)
     return float(np.mean(np.sum((xs_hat - xs_star) ** 2, axis=1)))
 
 
-def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs, *, fw=None) -> float:
+def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     """Mean true-objective gap of the estimated decisions.
 
     Positive when the decisions induced by theta_hat cost more (under the
     true parameter) than the optimal ones; zero iff they are equally good.
     """
-    ctxs = np.atleast_2d(np.asarray(ctxs, dtype=float))
+    ctxs = _check_contexts(fp.cost_map, ctxs)
     theta_star = as_parameter(theta_star, fp.cost_map)
     hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta_star, ctxs)
-    xs_hat = _exact_batch(fp, theta_hat, ctxs, fw)
-    xs_star = _solve_exact_batch(fp, hcs, fw)
+    xs_hat = _exact_batch(fp, theta_hat, ctxs)
+    xs_star = _solve_exact_batch(fp, hcs)
 
     def value(z):
         return np.einsum("ij,ij->i", hcs, z) - 0.5 * fp.base_quad * np.einsum(
@@ -76,7 +80,7 @@ def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
     """
     if not isinstance(fp.region, FlowPolytope):
         raise ValueError("relative regret is defined for flow regions")
-    ctxs = np.atleast_2d(np.asarray(ctxs, dtype=float))
+    ctxs = _check_contexts(fp.cost_map, ctxs)
     times = np.atleast_2d(np.asarray(times, dtype=float))
     if times.shape[0] != ctxs.shape[0]:
         raise ValueError("times and contexts disagree on record count")
@@ -120,9 +124,6 @@ def calibration_check(
     lam: float,
     ctxs,
     candidates=(),
-    *,
-    slack: float = 1e-8,
-    fw: FwConfig | None = None,
 ) -> CalibrationReport:
     """Check the calibration inequality relating decision error to excess risk.
 
@@ -135,21 +136,21 @@ def calibration_check(
     """
     from .losses import _fy_batch
 
-    ctxs = np.atleast_2d(np.asarray(ctxs, dtype=float))
+    ctxs = _check_contexts(fp.cost_map, ctxs)
     theta = as_parameter(theta, fp.cost_map)
     theta_star = as_parameter(theta_star, fp.cost_map)
 
-    lhs = decision_error(fp, theta, theta_star, ctxs, fw=fw)
+    lhs = decision_error(fp, theta, theta_star, ctxs)
 
     hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
-    x_reg = _solve_reg_batch(fp, hcs, lam, fw)
-    x_exact = _solve_exact_batch(fp, hcs, fw)
+    x_reg = _solve_reg_batch(fp, hcs, lam)
+    x_exact = _solve_exact_batch(fp, hcs)
     reg_term = float(np.mean(np.sum((x_reg - x_exact) ** 2, axis=1)))
 
-    surrogate = _exact_batch(fp, theta_star, ctxs, fw)
+    surrogate = _exact_batch(fp, theta_star, ctxs)
 
     def risk(t):
-        loss, _, _ = _fy_batch(fp, t, ctxs, surrogate, lam, fw=fw, want_grad=False)
+        loss, _, _ = _fy_batch(fp, t, ctxs, surrogate, lam, want_grad=False)
         return loss
 
     pool = [theta_star] + [as_parameter(c, fp.cost_map) for c in candidates]
@@ -161,7 +162,7 @@ def calibration_check(
         reg_error_term=reg_term,
         excess_risk_term=excess,
         rhs=rhs,
-        holds=bool(lhs <= rhs + slack),
+        holds=bool(lhs <= rhs + _SLACK),
     )
 
 
@@ -178,21 +179,14 @@ class RegretBoundReport:
     holds: bool
 
 
-def regret_bound_check(
-    fp: ForwardProblem,
-    theta_hat,
-    theta_star,
-    ctxs,
-    *,
-    slack: float = 1e-8,
-) -> RegretBoundReport:
+def regret_bound_check(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> RegretBoundReport:
     """Cauchy-Schwarz regret bound: regret <= sqrt(mean ||h||^2 * decision error).
 
     Both moments are empirical means over the same contexts, which is what
     makes the inequality an identity-level consequence of Cauchy-Schwarz
     for linear objectives.
     """
-    ctxs = np.atleast_2d(np.asarray(ctxs, dtype=float))
+    ctxs = _check_contexts(fp.cost_map, ctxs)
     theta_star = as_parameter(theta_star, fp.cost_map)
     hcs = _cost_batch(fp.cost_map, theta_star, ctxs)
     b_hat = float(np.mean(np.sum(hcs**2, axis=1)))
@@ -204,5 +198,5 @@ def regret_bound_check(
         cost_second_moment=b_hat,
         decision_error=d_hat,
         bound=bound,
-        holds=bool(reg <= bound + slack),
+        holds=bool(reg <= bound + _SLACK),
     )

@@ -16,6 +16,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import UnsupportedRegionError
 from .graphs import Graph
 
 
@@ -131,7 +132,19 @@ def _check_context(cm: CostMap, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (cm.m,):
         raise ValueError(f"context must have shape ({cm.m},)")
+    if not np.isfinite(u).all():
+        raise ValueError("context must be finite")
     return u
+
+
+def _check_contexts(cm: CostMap, ctxs) -> np.ndarray:
+    """A stack of contexts as an (n, m) array; a single context becomes one row."""
+    c = np.atleast_2d(np.asarray(ctxs, dtype=float))
+    if c.ndim != 2 or c.shape[1] != cm.m or c.shape[0] == 0:
+        raise ValueError(f"contexts must have shape (n, {cm.m}) with n >= 1")
+    if not np.isfinite(c).all():
+        raise ValueError("contexts must be finite")
+    return c
 
 
 def cost(cm: CostMap, theta, u) -> np.ndarray:
@@ -158,50 +171,6 @@ def _cost_batch(cm: CostMap, theta: Parameter, ctxs: np.ndarray) -> np.ndarray:
     if cm.kind is CostKind.MATRIX_PRODUCT:
         return ctxs @ theta.as_matrix().T
     return np.broadcast_to(t, (ctxs.shape[0], cm.d)).copy()
-
-
-class CostJacobian:
-    """The Jacobian dh/dtheta at a fixed context, kept as a lazy linear map.
-
-    ``apply`` sends a parameter direction to cost space, ``transpose_apply``
-    pulls a cost-space residual back; the dense matrix only materializes in
-    ``to_matrix`` (meant for small problems and tests).
-    """
-
-    def __init__(self, cm: CostMap, u: np.ndarray):
-        self.cm = cm
-        self.u = _check_context(cm, u)
-
-    def apply(self, v) -> np.ndarray:
-        v = np.ravel(np.asarray(v, dtype=float))
-        if v.size != self.cm.p:
-            raise ValueError("direction has wrong parameter dimension")
-        k = self.cm.kind
-        if k is CostKind.HADAMARD:
-            return v * self.u
-        if k is CostKind.MATRIX_PRODUCT:
-            return v.reshape(self.cm.d, self.cm.m) @ self.u
-        return v.copy()
-
-    def transpose_apply(self, r) -> np.ndarray:
-        r = np.ravel(np.asarray(r, dtype=float))
-        if r.size != self.cm.d:
-            raise ValueError("residual has wrong decision dimension")
-        k = self.cm.kind
-        if k is CostKind.HADAMARD:
-            return r * self.u
-        if k is CostKind.MATRIX_PRODUCT:
-            return np.outer(r, self.u).ravel()
-        return r.copy()
-
-    def to_matrix(self) -> np.ndarray:
-        eye = np.eye(self.cm.p)
-        return np.stack([self.apply(eye[j]) for j in range(self.cm.p)], axis=1)
-
-
-def cost_jacobian(cm: CostMap, u) -> CostJacobian:
-    """Jacobian of the cost map with respect to theta at context u."""
-    return CostJacobian(cm, u)
 
 
 def _jac_t_mean(cm: CostMap, ctxs: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -266,11 +235,17 @@ class NonNegL1Cap:
 class FlowPolytope:
     """Unit source->sink flows of a graph: {x in [0,1]^E : A x = b}.
 
-    On acyclic graphs this is exactly the convex hull of simple path
-    indicators, which is the case all shipped problem builders produce.
+    The graph must be acyclic: then this is exactly the convex hull of the
+    source->sink path indicators.  On a graph with a cycle the flow set
+    also holds paths plus circulations and the shortest-path oracle can
+    meet negative cycles, so construction raises UnsupportedRegionError.
     """
 
     graph: Graph
+
+    def __post_init__(self):
+        if self.graph._topo_edge_order is None:
+            raise UnsupportedRegionError("flow regions need an acyclic graph")
 
     @property
     def source(self) -> int:

@@ -24,7 +24,6 @@ from .model import (
     ForwardProblem,
     NonNegL1Cap,
     Region,
-    as_parameter,
 )
 
 __all__ = [
@@ -45,16 +44,12 @@ __all__ = [
 
 def project_box(v, lo, hi) -> np.ndarray:
     """Clip v into the box [lo, hi]."""
-    return np.clip(np.asarray(v, dtype=float), lo, hi)
+    return _project_box_batch(np.asarray(v, dtype=float)[None, :], lo, hi)[0]
 
 
 def project_ball(v, radius: float) -> np.ndarray:
     """Scale v back onto the centered ball when it sticks out."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm <= radius:
-        return v.copy()
-    return (radius / nrm) * v
+    return _project_ball_batch(np.asarray(v, dtype=float)[None, :], radius)[0]
 
 
 def project_nonneg_l1cap(v, cap: float) -> np.ndarray:
@@ -115,18 +110,14 @@ def _project_region_batch(region: Region, vs: np.ndarray, fw: "FwConfig | None")
 # linear maximization over a region (the lam_eff = 0 branch)
 
 
-def _linear_argmax(region: Region, hc: np.ndarray) -> np.ndarray:
-    """argmax of hc^T x over the region with a deterministic tie-break.
-
-    Box ties sit at the coordinate midpoint, the cap region breaks argmax
-    ties toward the lowest index, and flow regions inherit the shortest-path
-    edge-order rule.  Zero cost is not an error, it just lands on the
-    tie-broken point.
-    """
-    return _linear_argmax_batch(region, np.asarray(hc, dtype=float)[None, :])[0]
-
-
 def _linear_argmax_batch(region: Region, hcs: np.ndarray) -> np.ndarray:
+    """argmax of hc^T x over the region for every row hc of hcs.
+
+    The tie-break is deterministic: box ties sit at the coordinate midpoint,
+    the cap region breaks argmax ties toward the lowest index, and flow
+    regions inherit the shortest-path edge-order rule.  Zero cost is not an
+    error, it just lands on the tie-broken point.
+    """
     if isinstance(region, Box):
         mid = 0.5 * (region.lo + region.hi)
         return np.where(hcs > 0, region.hi, np.where(hcs < 0, region.lo, mid))
@@ -147,23 +138,14 @@ def _linear_argmax_batch(region: Region, hcs: np.ndarray) -> np.ndarray:
 # forward solves
 
 
-def solve_exact(
-    fp: ForwardProblem,
-    theta,
-    u,
-    *,
-    fw: "FwConfig | None" = None,
-) -> np.ndarray:
+def solve_exact(fp: ForwardProblem, theta, u) -> np.ndarray:
     """Optimal decision of the forward problem at (theta, u).
 
     With base_quad = 0 this is a tie-broken extreme point; with base_quad > 0
     the objective is strongly concave and the optimum is the projection of
     hc / base_quad onto the region.
     """
-    hc = fp.canonical_cost(as_parameter(theta, fp.cost_map), u)
-    if fp.base_quad > 0:
-        return _project_region_batch(fp.region, hc[None, :] / fp.base_quad, fw)[0]
-    return _linear_argmax(fp.region, hc)
+    return _solve_exact_batch(fp, fp.canonical_cost(theta, u)[None, :])[0]
 
 
 def solve_regularized(
@@ -181,14 +163,12 @@ def solve_regularized(
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    hc = fp.canonical_cost(as_parameter(theta, fp.cost_map), u)
-    lam_eff = fp.base_quad + lam
-    return _project_region_batch(fp.region, hc[None, :] / lam_eff, fw)[0]
+    return _solve_reg_batch(fp, fp.canonical_cost(theta, u)[None, :], lam, fw)[0]
 
 
-def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray, fw=None) -> np.ndarray:
+def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray) -> np.ndarray:
     if fp.base_quad > 0:
-        return _project_region_batch(fp.region, hcs / fp.base_quad, fw)
+        return _project_region_batch(fp.region, hcs / fp.base_quad, None)
     return _linear_argmax_batch(fp.region, hcs)
 
 

@@ -359,8 +359,8 @@ def sp_fit(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> FitResult:
     return spa_fit(fp, ds, cfg)
 
 
-def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0, train_frac: float = 0.6) -> MetricsReport:
-    """Split, fit, and score one method against the clairvoyant benchmark.
+def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> MetricsReport:
+    """Split 60/40, fit, and score one method against the clairvoyant benchmark.
 
     Decision error compares predicted paths to the observed (clairvoyant)
     ones on the test split; regret is the mean realized-time excess of the
@@ -369,13 +369,13 @@ def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0, train_frac: floa
     dataset carries a planted parameter.
     """
     t0 = time.perf_counter()
-    tr_idx, te_idx = train_test_split(len(sp), seed, train_frac)
+    tr_idx, te_idx = train_test_split(len(sp), seed)
     fit = sp_fit(sp.subset(tr_idx), method, cfg, seed)
 
     test = sp.subset(te_idx)
     fp = _flow_problem(sp)
     hcs = fp.canonical_sign * _cost_batch(fp.cost_map, fit.theta, test.contexts)
-    xs_hat = _solve_exact_batch(fp, hcs, None)
+    xs_hat = _solve_exact_batch(fp, hcs)
     ys = test.observations
     dec_err = float(np.mean(np.sum((xs_hat - ys) ** 2, axis=1)))
     realized = np.einsum("ij,ij->i", test.times, xs_hat)

@@ -106,9 +106,18 @@ def _guard(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _start_theta(fp: ForwardProblem, cfg: SgdConfig) -> np.ndarray:
-    """cfg.theta0 (zeros when unset), mapped into the parameter space and guarded."""
-    p = fp.cost_map.p
+def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
+    """cfg.theta0 (zeros when unset), mapped into the parameter space and guarded.
+
+    Also rejects a dataset whose context or decision width does not match
+    the forward problem.
+    """
+    cm = fp.cost_map
+    if ds.contexts.shape[1] != cm.m or ds.decisions.shape[1] != cm.d:
+        raise ValueError(
+            f"dataset rows must be contexts of width {cm.m} and decisions of width {cm.d}"
+        )
+    p = cm.p
     if cfg.theta0 is None:
         theta = np.zeros(p)
     else:
@@ -126,7 +135,7 @@ def _run_sgd(
     full_risk: Callable[[np.ndarray], float],
 ) -> FitResult:
     n = len(ds)
-    theta = _start_theta(fp, cfg)
+    theta = _start_theta(fp, ds, cfg)
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
     order = rng.permutation(n)
@@ -233,7 +242,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     """
     cfg = cfg or SgdConfig()
     n = len(ds)
-    theta = _start_theta(fp, cfg)
+    theta = _start_theta(fp, ds, cfg)
     duals = np.zeros((n, kka_dual_dim(fp)))
 
     start = time.perf_counter()
@@ -355,6 +364,9 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SpaConfig | None = None) -> Fi
     is meaningful; stage three runs subopt_fit on the cleaned dataset.
     """
     cfg = cfg or SpaConfig()
+    # Fail on bad widths or theta0 before denoising: the projection below
+    # would broadcast width-1 decisions back to the full width.
+    _start_theta(fp, ds, cfg.inner)
     bw = _cv_bandwidth(ds, cfg)
     smoothed = nw_denoise(ds, bw)
     projected = _project_region_batch(fp.region, smoothed, cfg.inner.fw)

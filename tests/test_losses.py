@@ -31,7 +31,7 @@ from fyinv import (
     subopt_subgrad,
 )
 from fyinv.losses import _fy_batch, _subopt_batch
-from fyinv.solvers import _linear_argmax
+from fyinv.solvers import _linear_argmax_batch
 
 from oracles import enum_paths, fd_grad, sample_region
 
@@ -167,6 +167,28 @@ def test_fy_shape_validation():
         fy_loss(fp, theta, np.zeros(fp.cost_map.m), np.zeros(fp.cost_map.d + 2), 0.1)
 
 
+def test_single_sample_entry_points_reject_non_finite_context():
+    fp, theta_star, _ = build_example("C")
+    theta = theta_star.values
+    u = np.full(fp.cost_map.m, 0.5)
+    u[3] = np.nan
+    y = solve_exact(fp, theta, np.full(fp.cost_map.m, 0.5))
+    calls = [
+        lambda: solve_exact(fp, theta, u),
+        lambda: solve_regularized(fp, theta, u, 0.5),
+        lambda: fy_loss(fp, theta, u, y, 0.5),
+        lambda: subopt_loss(fp, theta, u, y),
+        lambda: dist_loss_oracle(fp, theta, u, y),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    # a non-finite decision is rejected the same way
+    y[0] = np.inf
+    with pytest.raises(ValueError):
+        subopt_loss(fp, theta, np.full(fp.cost_map.m, 0.5), y)
+
+
 # ---------------------------------------------------------------------------
 # suboptimality loss
 
@@ -179,7 +201,7 @@ def test_subopt_loss_is_duality_gap():
         u = rng.uniform(-1, 1, 4)
         y = sample_region(fp.region, 4, rng)
         hc = -(theta + u)  # additive cost, minimization
-        x = _linear_argmax(fp.region, hc)
+        x = _linear_argmax_batch(fp.region, hc[None])[0]
         want = float(hc @ (x - y))
         assert abs(subopt_loss(fp, theta, u, y) - want) < 1e-12
         assert want >= -1e-12
@@ -195,7 +217,7 @@ def test_subopt_loss_zero_at_exact_decision():
         if fp.base_quad == 0.0:
             y = solve_exact(fp, theta, u)
         else:
-            y = _linear_argmax(fp.region, fp.canonical_cost(theta, u))
+            y = _linear_argmax_batch(fp.region, fp.canonical_cost(theta, u)[None])[0]
         assert abs(subopt_loss(fp, theta, u, y)) <= 1e-10, kind
 
 
@@ -221,7 +243,7 @@ def test_subopt_batch_matches_scalar_and_hinges():
     ys = np.stack([sample_region(fp.region, 4, rng) for _ in range(15)])
     for i in range(5):
         hc = theta + ctxs[i]
-        ys[i] = _linear_argmax(fp.region, hc) + hc
+        ys[i] = _linear_argmax_batch(fp.region, hc[None])[0] + hc
     loss_plain, grad_plain, xs = _subopt_batch(fp, theta, ctxs, ys, hinge=False)
     raw = [subopt_loss(fp, theta, ctxs[i], ys[i]) for i in range(15)]
     np.testing.assert_allclose(loss_plain, np.mean(raw), rtol=1e-12)

@@ -173,3 +173,24 @@ def test_regret_bound_report_fields():
     assert rep.regret == 0.0
     assert rep.bound == 0.0
     assert rep.holds
+
+
+def test_metrics_reject_bad_contexts():
+    fp, theta_star, law = build_example("C")
+    theta = theta_star.values + 0.3
+    ctxs = law.sample(rng_stream(104), 5)
+    bad = []
+    for v in (np.nan, np.inf, -np.inf):
+        c = ctxs.copy()
+        c[2, 4] = v
+        bad.append(c)
+    bad.append(ctxs[:, :1])  # width 1 would broadcast against the additive cost
+    for c in bad:
+        with pytest.raises(ValueError):
+            decision_error(fp, theta, theta_star, c)
+        with pytest.raises(ValueError):
+            regret(fp, theta, theta_star, c)
+        with pytest.raises(ValueError):
+            calibration_check(fp, theta, theta_star, 0.5, c)
+        with pytest.raises(ValueError):
+            regret_bound_check(fp, theta, theta_star, c)

@@ -17,6 +17,7 @@ from fyinv import (
     NonNegL1Cap,
     Sense,
     UnreachableError,
+    UnsupportedRegionError,
     fw_project,
     project_ball,
     project_box,
@@ -30,7 +31,6 @@ from fyinv import (
 from fyinv.graphs import shortest_path_batch
 from fyinv.solvers import (
     _fw_project_batch,
-    _linear_argmax,
     _linear_argmax_batch,
     _simplex_lsq_batch,
 )
@@ -95,9 +95,20 @@ def test_shortest_path_negative_cycle_raises():
     heads = np.array([1, 3, 1, 2])
     g = Graph(4, tails, heads, 0, 2)
     ok = shortest_path(g, np.array([1.0, -2.0, 2.5, 1.0]))  # cycle cost +0.5
-    assert region_contains(FlowPolytope(g), ok)
+    np.testing.assert_array_equal(ok, [1, 0, 0, 1])
     with pytest.raises(NegativeCycleError):
         shortest_path(g, np.array([1.0, -2.0, 1.0, 1.0]))  # cycle cost -1
+
+
+def test_flow_polytope_rejects_cyclic_graph():
+    # a 4-node graph with one two-way street 1 <-> 2
+    g = Graph(4, np.array([0, 1, 2, 1, 2]), np.array([1, 2, 1, 3, 3]), 0, 3)
+    assert g._topo_edge_order is None
+    with pytest.raises(UnsupportedRegionError):
+        FlowPolytope(g)
+    # the same streets one way only form a DAG, which stays supported
+    dag = Graph(4, np.array([0, 1, 1, 2]), np.array([1, 2, 3, 3]), 0, 3)
+    assert region_contains(FlowPolytope(dag), shortest_path(dag, np.ones(4)))
 
 
 def test_shortest_path_unreachable_raises():
@@ -204,7 +215,7 @@ def test_linear_argmax_box_dominates_feasible_points():
     region = Box.cube(4, -1.0, 2.0)
     for _ in range(50):
         hc = rng.standard_normal(4)
-        x = _linear_argmax(region, hc)
+        x = _linear_argmax_batch(region, hc[None])[0]
         assert region_contains(region, x)
         for _ in range(10):
             z = sample_region(region, 4, rng)
@@ -213,13 +224,13 @@ def test_linear_argmax_box_dominates_feasible_points():
 
 def test_linear_argmax_tie_breaks():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
-    np.testing.assert_array_equal(_linear_argmax(box, np.zeros(2)), [0.0, 2.0])
+    np.testing.assert_array_equal(_linear_argmax_batch(box, np.zeros((1, 2)))[0], [0.0, 2.0])
     ball = Ball(2.0)
-    np.testing.assert_array_equal(_linear_argmax(ball, np.zeros(3)), np.zeros(3))
+    np.testing.assert_array_equal(_linear_argmax_batch(ball, np.zeros((1, 3)))[0], np.zeros(3))
     capr = NonNegL1Cap(3.0)
-    np.testing.assert_array_equal(_linear_argmax(capr, np.array([-1.0, -2.0])), [0.0, 0.0])
+    np.testing.assert_array_equal(_linear_argmax_batch(capr, np.array([[-1.0, -2.0]]))[0], [0.0, 0.0])
     # ties in the cap argmax go to the lowest index
-    np.testing.assert_array_equal(_linear_argmax(capr, np.array([2.0, 2.0])), [3.0, 0.0])
+    np.testing.assert_array_equal(_linear_argmax_batch(capr, np.array([[2.0, 2.0]]))[0], [3.0, 0.0])
 
 
 def test_linear_argmax_ball_closed_form():
@@ -227,7 +238,7 @@ def test_linear_argmax_ball_closed_form():
     ball = Ball(1.5)
     for _ in range(50):
         hc = rng.standard_normal(5)
-        x = _linear_argmax(ball, hc)
+        x = _linear_argmax_batch(ball, hc[None])[0]
         np.testing.assert_allclose(x, 1.5 * hc / np.linalg.norm(hc), atol=1e-12)
 
 
@@ -236,7 +247,7 @@ def test_linear_argmax_flow_is_min_cost_path():
     for _ in range(20):
         g = random_dag(rng)
         hc = rng.standard_normal(g.num_edges)
-        x = _linear_argmax(FlowPolytope(g), hc)
+        x = _linear_argmax_batch(FlowPolytope(g), hc[None])[0]
         paths = enum_paths(g)
         assert abs(float(hc @ x) - float((paths @ hc).max())) < 1e-12
 
@@ -254,7 +265,7 @@ def test_linear_argmax_batch_matches_scalar():
         hcs[3] = 0.0  # exercise the tie row
         batch = _linear_argmax_batch(region, hcs)
         for i in range(25):
-            np.testing.assert_array_equal(batch[i], _linear_argmax(region, hcs[i]))
+            np.testing.assert_array_equal(batch[i], _linear_argmax_batch(region, hcs[i][None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,25 @@ def _smooth_dataset(n=40, seed=7):
     return Dataset(ctxs, ys)
 
 
+def test_fitters_reject_mismatched_dataset_widths():
+    fp, _, _ = build_example("C")
+    ds = generate("C", 40, Noiseless(), 5)
+    narrow = [
+        Dataset(ds.contexts[:, :1], ds.decisions),
+        Dataset(ds.contexts, ds.decisions[:, :1]),
+    ]
+    sgd = SgdConfig(max_iters=5)
+    for bad in narrow:
+        for fit, cfg in [
+            (fy_sgd_fit, sgd),
+            (subopt_fit, sgd),
+            (kka_fit, sgd),
+            (spa_fit, SpaConfig(inner=sgd)),
+        ]:
+            with pytest.raises(ValueError):
+                fit(fp, bad, cfg)
+
+
 def test_nw_denoise_interpolates_at_tiny_bandwidth():
     ds = _smooth_dataset()
     gaps = np.sum((ds.contexts[:, None, :] - ds.contexts[None, :, :]) ** 2, axis=2)
