@@ -81,10 +81,12 @@ def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
     if not isinstance(fp.region, FlowPolytope):
         raise ValueError("relative regret is defined for flow regions")
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    times = np.atleast_2d(np.asarray(times, dtype=float))
-    if times.shape[0] != ctxs.shape[0]:
-        raise ValueError("times and contexts disagree on record count")
     g = fp.region.graph
+    times = np.atleast_2d(np.asarray(times, dtype=float))
+    if times.shape != (ctxs.shape[0], g.num_edges):
+        raise ValueError(f"times must have shape ({ctxs.shape[0]}, {g.num_edges})")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     xs_hat = _exact_batch(fp, theta_hat, ctxs)
     realized = float(np.mean(np.einsum("ij,ij->i", times, xs_hat)))
     ys = shortest_path_batch(g, times)

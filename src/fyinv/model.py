@@ -201,6 +201,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have equal shape")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi")
 
@@ -216,8 +218,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,8 @@ class NonNegL1Cap:
     cap: float
 
     def __post_init__(self):
-        if not self.cap > 0:
-            raise ValueError("cap must be positive")
+        if not 0 < self.cap < np.inf:
+            raise ValueError("cap must be positive and finite")
 
 
 @dataclass(frozen=True)

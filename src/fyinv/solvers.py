@@ -235,7 +235,8 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     nb = targets.shape[0]
     x = shortest_path_batch(g, -targets)
     cap = 8
-    verts = np.zeros((nb, cap, targets.shape[1]))
+    # Vertices are 0/1 paths, stored exactly as bytes.
+    verts = np.zeros((nb, cap, targets.shape[1]), dtype=np.uint8)
     verts[:, 0] = x
     counts = np.ones(nb, dtype=np.int64)
     weights = np.zeros((nb, cap))
@@ -267,6 +268,7 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
             cap *= 2
             verts = np.concatenate([verts, np.zeros_like(verts)], axis=1)
             weights = np.concatenate([weights, np.zeros_like(weights)], axis=1)
+        s = s.astype(np.uint8)  # from here on only matched and stored, as bytes
         sub = verts[rows, :kmax]
         hit = (sub == s[:, None, :]).all(axis=2)
         hit &= np.arange(kmax)[None, :] < counts[rows, None]
@@ -305,7 +307,7 @@ def _correct_rows(verts, counts, weights, x, targets, rows) -> None:
         if k == 1:
             continue
         grp = rows[counts[rows] == k]
-        P = verts[grp, :k]
+        P = verts[grp, :k].astype(float)
         t = targets[grp]
         w = _simplex_lsq_batch(P, t)
         x_new = (w[:, None, :] @ P)[:, 0]

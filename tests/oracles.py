@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed and shares no code with the
 package: alternating projections (Dykstra), Newton/bisection on scalar
-water-level equations, exhaustive path enumeration, and plain or
+water-level equations, exhaustive path enumeration, a plain-Python
+shortest-path sweep under the documented tie rule, and plain or
 accelerated projected gradient.  Where two oracles cover the same object
 (Newton vs Dykstra for the capped orthant) the tests also cross-check them
 against each other.
@@ -228,6 +229,65 @@ def vi_gap(P: np.ndarray, x: np.ndarray, t: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the documented shortest-path tie-break, in plain Python
+
+
+def tie_broken_paths(g: Graph, costs: np.ndarray) -> np.ndarray:
+    """Row-by-row shortest paths under the documented scan-order tie rule.
+
+    DAGs: node positions from Kahn's algorithm with a FIFO queue (seeded
+    with the in-degree-0 nodes in index order, out-edges released in edge
+    index order), then one sweep over the edges sorted by (tail position,
+    edge index).  Cyclic graphs: Bellman-Ford passes in edge index order
+    until nothing changes.  Either way a node's predecessor changes only on
+    strict improvement, and the path is read back from the sink.
+    """
+    n, m = g.num_nodes, g.num_edges
+    tails = [int(t) for t in g.tails]
+    heads = [int(h) for h in g.heads]
+    indeg = [0] * n
+    out_edges: list[list[int]] = [[] for _ in range(n)]
+    for e in range(m):
+        indeg[heads[e]] += 1
+        out_edges[tails[e]].append(e)
+    queue = [v for v in range(n) if indeg[v] == 0]
+    pos: dict[int, int] = {}
+    while len(pos) < len(queue):
+        v = queue[len(pos)]
+        pos[v] = len(pos)
+        for e in out_edges[v]:
+            indeg[heads[e]] -= 1
+            if indeg[heads[e]] == 0:
+                queue.append(heads[e])
+    acyclic = len(pos) == n
+    order = sorted(range(m), key=lambda e: (pos[tails[e]], e)) if acyclic else list(range(m))
+
+    rows = []
+    for c in np.asarray(costs, dtype=float).tolist():
+        dist = [float("inf")] * n
+        dist[g.source] = 0.0
+        pred = [-1] * n
+        changed = True
+        while changed:
+            changed = False
+            for e in order:
+                cand = dist[tails[e]] + c[e]
+                if cand < dist[heads[e]]:
+                    dist[heads[e]] = cand
+                    pred[heads[e]] = e
+                    changed = True
+            if acyclic:
+                break
+        x = np.zeros(m)
+        v = g.sink
+        while v != g.source:
+            x[pred[v]] = 1.0
+            v = tails[pred[v]]
+        rows.append(x)
+    return np.array(rows).reshape(len(rows), m)
+
+
+# ---------------------------------------------------------------------------
 # random graphs
 
 
@@ -258,6 +318,12 @@ def random_cyclic(rng: np.random.Generator, max_nodes: int = 7) -> Graph:
         tails.append(j)
         heads.append(i)
     return Graph(g.num_nodes, np.array(tails), np.array(heads), 0, g.num_nodes - 1)
+
+
+def relabel_nodes(g: Graph, rng: np.random.Generator) -> Graph:
+    """The same graph under a random permutation of the node ids."""
+    perm = rng.permutation(g.num_nodes)
+    return Graph(g.num_nodes, perm[g.tails], perm[g.heads], int(perm[g.source]), int(perm[g.sink]))
 
 
 # ---------------------------------------------------------------------------

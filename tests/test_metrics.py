@@ -118,6 +118,18 @@ def test_relative_regret_ratio_validates_record_count():
         relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times[:-1])
 
 
+def test_relative_regret_ratio_rejects_bad_times():
+    sp = synth_graph_instance(num_nodes=6, num_edges=7, m=3, n=20, sigma=0.0, seed=8)
+    fp = _flow_problem(sp)
+    with pytest.raises(ValueError, match="times must have shape"):
+        relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times[:, :-1])
+    for bad in (np.nan, np.inf):
+        times = sp.times.copy()
+        times[4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            relative_regret_ratio(fp, sp.theta_star, sp.contexts, times)
+
+
 def test_calibration_holds_at_truth():
     rng = rng_stream(102)
     fp, theta_star, law = build_example(ExampleSpec("C", p=5))

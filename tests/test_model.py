@@ -149,6 +149,19 @@ def test_region_validation():
         NonNegL1Cap(-1.0)
 
 
+def test_regions_reject_non_finite_bounds():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Box(np.array([bad, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Box(np.array([0.0, 0.0]), np.array([1.0, bad]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Ball(bad)
+        with pytest.raises(ValueError):
+            NonNegL1Cap(bad)
+
+
 def test_region_contains():
     box = Box.cube(3, -1, 1)
     assert region_contains(box, np.zeros(3))

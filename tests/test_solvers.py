@@ -19,6 +19,7 @@ from fyinv import (
     UnreachableError,
     UnsupportedRegionError,
     fw_project,
+    grid_graph,
     project_ball,
     project_box,
     project_nonneg_l1cap,
@@ -28,7 +29,7 @@ from fyinv import (
     solve_exact,
     solve_regularized,
 )
-from fyinv.graphs import shortest_path_batch
+from fyinv.graphs import _backtrack, shortest_path_batch
 from fyinv.solvers import (
     _fw_project_batch,
     _linear_argmax_batch,
@@ -43,9 +44,11 @@ from oracles import (
     pg_argmax,
     random_cyclic,
     random_dag,
+    relabel_nodes,
     rescale_ball,
     sample_region,
     simplex_project,
+    tie_broken_paths,
     vi_gap,
 )
 
@@ -115,6 +118,9 @@ def test_shortest_path_unreachable_raises():
     g = Graph(3, np.array([0]), np.array([1]), 0, 2)
     with pytest.raises(UnreachableError):
         shortest_path(g, np.array([1.0]))
+    edgeless = Graph(3, np.array([], dtype=int), np.array([], dtype=int), 0, 2)
+    with pytest.raises(UnreachableError):
+        shortest_path(edgeless, np.zeros(0))
 
 
 def test_shortest_path_deterministic_under_ties():
@@ -126,6 +132,59 @@ def test_shortest_path_deterministic_under_ties():
         b = shortest_path(g, zero)
         np.testing.assert_array_equal(a, b)
         assert region_contains(FlowPolytope(g), a)
+
+
+def _tie_costs(rng, nb, ne, nonneg=False):
+    lo = 0 if nonneg else -2
+    return {
+        "zero": np.zeros((nb, ne)),
+        "small-int": rng.integers(lo, 3, (nb, ne)).astype(float),
+        "zero-or-tenth": rng.choice([0.0, 0.1], (nb, ne)),
+    }
+
+
+def test_shortest_path_tie_break_matches_scan_order_reference():
+    # Tie-heavy costs pin the documented rule bitwise, on random DAGs (with
+    # relabelled nodes, so Kahn order differs from node index), cyclic
+    # graphs under Bellman-Ford, and the 45-node grid.
+    rng = rng_stream(15)
+    graphs = [grid_graph(45, 93)]
+    for _ in range(12):
+        graphs.append(random_dag(rng))
+        graphs.append(relabel_nodes(random_dag(rng), rng))
+        graphs.append(random_cyclic(rng))
+    for g in graphs:
+        cyclic = g._topo_edge_order is None
+        for nb in (1, 7, 96, 300):
+            for name, costs in _tie_costs(rng, nb, g.num_edges, nonneg=cyclic).items():
+                got = shortest_path_batch(g, costs)
+                np.testing.assert_array_equal(got, tie_broken_paths(g, costs), err_msg=name)
+
+
+def test_shortest_path_rejects_non_finite_costs():
+    g = grid_graph(6, 7)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            shortest_path(g, np.full(7, bad))
+        costs = np.ones((4, 7))
+        costs[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shortest_path_batch(g, costs)
+    with pytest.raises(ValueError, match="finite"):
+        fw_project(g, np.full(7, np.nan))
+
+
+def test_backtrack_raises_typed_errors_on_bad_predecessors():
+    g = Graph(3, np.array([0, 1]), np.array([1, 2]), 0, 2)
+    ok = np.array([[-1], [0], [1]])
+    np.testing.assert_array_equal(_backtrack(g, ok), [[1.0, 1.0]])
+    broken = np.array([[-1], [-1], [1]])
+    with pytest.raises(UnreachableError):
+        _backtrack(g, broken)
+    # node 1's predecessor is edge 2 (2 -> 1), node 2's is edge 1 (1 -> 2)
+    g = Graph(3, np.array([0, 1, 2]), np.array([1, 2, 1]), 0, 2)
+    with pytest.raises(NegativeCycleError):
+        _backtrack(g, np.array([[-1], [2], [1]]))
 
 
 def test_shortest_path_batch_matches_scalar():
