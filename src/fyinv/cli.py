@@ -102,8 +102,10 @@ class RunConfig:
             raise ValueError("replications must be >= 1")
         if any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 1")
-        if any(l < 0 for l in self.lambdas):
+        if not all(l >= 0 for l in self.lambdas):
             raise ValueError("lambdas must be >= 0")
+        if not (self.sigma >= 0 and self.sp_sigma >= 0):
+            raise ValueError("sigma and sp_sigma must be >= 0")
 
 
 def load_config(path) -> RunConfig:
@@ -151,11 +153,11 @@ def _synth_cell(desc: dict) -> dict:
     ds = generate(kind, desc["n"], noise, seed)
 
     t0 = time.perf_counter()
-    if method == "FY" and lam is not None and lam <= 0:
+    if method == "FY" and lam <= 0:
         # lam = 0 turns the FY objective into the plain suboptimality loss
         method = "SUBOPT"
     cfg = _with_seed(_SYNTH_CFG[method], seed)
-    if method == "FY" and lam is not None:
+    if method == "FY":
         cfg = dataclasses.replace(cfg, lam=float(lam))
     fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "KKA": kka_fit, "SPA": spa_fit}
     fit = fitters[method](fp, ds, cfg)

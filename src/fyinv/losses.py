@@ -149,8 +149,13 @@ def kka_dual_dim(fp: ForwardProblem) -> int:
     )
 
 
-def _kka_residuals(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
-    """Stationarity and complementary-slackness residual blocks, batched."""
+def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
+    """KKT objective and its (theta, duals) gradient from one residual pass.
+
+    The objective sums the squared stationarity residuals, then each
+    complementary-slackness block in turn.  ``duals`` must already have
+    shape (len(ds), kka_dual_dim(fp)).
+    """
     theta = as_parameter(theta, fp.cost_map)
     hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ds.contexts)
     ys = ds.decisions
@@ -159,15 +164,22 @@ def _kka_residuals(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
         d = fp.cost_map.d
         lam_hi, lam_lo = duals[:, :d], duals[:, d:]
         stat = lam_hi - lam_lo - hcs
-        comp_hi = lam_hi * (ys - r.hi)
-        comp_lo = lam_lo * (r.lo - ys)
-        return hcs, stat, (comp_hi, comp_lo)
-    d = fp.cost_map.d
-    mu, nu = duals[:, :1], duals[:, 1:]
-    stat = mu - nu - hcs
-    comp_cap = mu[:, 0] * (ys.sum(axis=1) - r.cap)
-    comp_neg = nu * (-ys)
-    return hcs, stat, (comp_cap, comp_neg)
+        comp_a = lam_hi * (ys - r.hi)
+        comp_b = lam_lo * (r.lo - ys)
+        g_a = 2.0 * stat + 2.0 * comp_a * (ys - r.hi)
+        g_b = -2.0 * stat + 2.0 * comp_b * (r.lo - ys)
+    else:
+        mu, nu = duals[:, :1], duals[:, 1:]
+        stat = mu - nu - hcs
+        slack = ys.sum(axis=1) - r.cap
+        comp_a = mu[:, 0] * slack
+        comp_b = nu * (-ys)
+        g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
+        g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
+    total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
+    # d stat / d theta = -sign * J, so chain through the batched adjoint.
+    g_theta = -2.0 * len(ds) * fp.canonical_sign * _jac_t_mean(fp.cost_map, ds.contexts, stat)
+    return total, g_theta, np.concatenate([g_a, g_b], axis=1)
 
 
 def _check_duals(fp: ForwardProblem, duals, n: int) -> np.ndarray:
@@ -185,33 +197,14 @@ def kka_objective(fp: ForwardProblem, theta, duals, ds: Dataset) -> float:
     linear forward problem at theta.  Noisy observations keep it bounded
     away from zero for any theta.
     """
-    duals = _check_duals(fp, duals, len(ds))
-    _, stat, comps = _kka_residuals(fp, theta, duals, ds)
-    total = float(np.sum(stat**2))
-    for c in comps:
-        total += float(np.sum(c**2))
+    total, _, _ = _kka_batch(fp, theta, _check_duals(fp, duals, len(ds)), ds)
     return total
 
 
 def kka_grad(fp: ForwardProblem, theta, duals, ds: Dataset):
     """Gradient of kka_objective in (theta, duals)."""
-    duals = _check_duals(fp, duals, len(ds))
-    theta = as_parameter(theta, fp.cost_map)
-    _, stat, comps = _kka_residuals(fp, theta, duals, ds)
-    n = len(ds)
-    # d stat / d theta = -sign * J, so chain through the batched adjoint.
-    g_theta = -2.0 * n * fp.canonical_sign * _jac_t_mean(fp.cost_map, ds.contexts, stat)
-    r = fp.region
-    ys = ds.decisions
-    if isinstance(r, Box):
-        comp_hi, comp_lo = comps
-        g_hi = 2.0 * stat + 2.0 * comp_hi * (ys - r.hi)
-        g_lo = -2.0 * stat + 2.0 * comp_lo * (r.lo - ys)
-        return g_theta, np.concatenate([g_hi, g_lo], axis=1)
-    comp_cap, comp_neg = comps
-    g_mu = 2.0 * stat.sum(axis=1) + 2.0 * comp_cap * (ys.sum(axis=1) - r.cap)
-    g_nu = -2.0 * stat + 2.0 * comp_neg * (-ys)
-    return g_theta, np.concatenate([g_mu[:, None], g_nu], axis=1)
+    _, g_theta, g_duals = _kka_batch(fp, theta, _check_duals(fp, duals, len(ds)), ds)
+    return g_theta, g_duals
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ class FwConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.gap_tol <= 0:
+        if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
 
 

@@ -61,7 +61,9 @@ class SpDataset:
     shortest path under those times, the proxy for the decision a
     cost-aware traveler would have taken.  All three are validated once and
     stored as read-only copies.  ``theta_star`` is only set by the synthetic
-    generator; it stays None for ingested data.
+    generator; it stays None for ingested data.  The fit runs on the
+    graph's ``FlowPolytope``, so a cyclic graph raises
+    UnsupportedRegionError here, when the records are loaded.
     """
 
     graph: Graph
@@ -81,6 +83,7 @@ class SpDataset:
             raise ValueError("contexts must end with an intercept equal to 1")
         if not np.all(t > 0):
             raise ValueError("realized edge times must be strictly positive")
+        FlowPolytope(self.graph)
         object.__setattr__(self, "contexts", u)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "observations", ys)

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
-from .losses import _fy_batch, _subopt_batch, kka_dual_dim, kka_grad, kka_objective
+from .losses import _fy_batch, _kka_batch, _subopt_batch, kka_dual_dim
 from .model import Dataset, ForwardProblem, Parameter, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
@@ -66,7 +66,7 @@ class SgdConfig:
     fw: FwConfig | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.max_iters < 0:
             raise ValueError("batch_size must be >= 1 and max_iters >= 0")
@@ -238,7 +238,8 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     ``eval_every`` are not read.  Stepping uses the per-point mean so the
     step size does not have to shrink with the sample count; reported trace
     values are on the same mean scale.  The best-objective duals are
-    returned in ``meta["duals"]``.
+    returned in ``meta["duals"]``.  A non-finite objective or gradient,
+    such as from diverging duals, raises DivergedError.
     """
     cfg = cfg or SgdConfig()
     n = len(ds)
@@ -246,16 +247,20 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     duals = np.zeros((n, kka_dual_dim(fp)))
 
     start = time.perf_counter()
-    best = (kka_objective(fp, theta, duals, ds) / n, theta.copy(), duals.copy())
+    best = (np.inf, theta, duals)
     trace: list[float] = []
     grad_norm = np.inf
     t = 0
-    while t < cfg.max_iters:
-        obj = kka_objective(fp, theta, duals, ds) / n
-        trace.append(obj)
+    while True:
+        total, g_theta, g_duals = _kka_batch(fp, theta, duals, ds)
+        if not (np.isfinite(total) and np.isfinite(g_theta).all() and np.isfinite(g_duals).all()):
+            raise DivergedError("KKT objective or gradient is not finite")
+        obj = total / n
         if obj < best[0]:
-            best = (obj, theta.copy(), duals.copy())
-        g_theta, g_duals = kka_grad(fp, theta, duals, ds)
+            best = (obj, theta, duals)
+        if t == cfg.max_iters:
+            break
+        trace.append(obj)
         g_theta = g_theta / n
         g_duals = g_duals / n
         grad_norm = float(np.sqrt(np.sum(g_theta**2) + np.sum(g_duals**2)))
@@ -268,9 +273,6 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         duals = np.maximum(duals - step * g_duals, 0.0)
         t += 1
 
-    obj = kka_objective(fp, theta, duals, ds) / n
-    if obj < best[0]:
-        best = (obj, theta.copy(), duals.copy())
     return FitResult(
         theta=as_parameter(best[1], fp.cost_map),
         iterations=t,
@@ -285,11 +287,14 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
 # kernel denoising and the two-stage SPA baseline
 
 
-def _nw_weights(train_ctxs: np.ndarray, eval_ctxs: np.ndarray, bandwidth: float) -> np.ndarray:
-    if not bandwidth > 0:
+def _nw_weights(train_ctxs: np.ndarray, eval_ctxs: np.ndarray, bandwidth) -> np.ndarray:
+    """Gaussian kernel weights (eval x train); a 1-D array of bandwidths
+    stacks one block per bandwidth on a single distance computation."""
+    bw = np.asarray(bandwidth, dtype=float)
+    if not np.all(bw > 0):
         raise ValueError("bandwidth must be positive")
     d2 = np.sum((eval_ctxs[:, None, :] - train_ctxs[None, :, :]) ** 2, axis=2)
-    return np.exp(-d2 / (2.0 * bandwidth**2))
+    return np.exp(-d2 / (2.0 * bw[..., None, None] ** 2))
 
 
 def nw_denoise(ds: Dataset, bandwidth: float) -> np.ndarray:
@@ -324,7 +329,7 @@ class SpaConfig:
     inner: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self):
-        if len(self.bandwidths) == 0 or any(b <= 0 for b in self.bandwidths):
+        if len(self.bandwidths) == 0 or not all(b > 0 for b in self.bandwidths):
             raise ValueError("bandwidths must be a nonempty tuple of positives")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
@@ -334,23 +339,23 @@ def _cv_bandwidth(ds: Dataset, cfg: SpaConfig) -> float:
     n = len(ds)
     folds = min(cfg.folds, n)
     assign = rng_stream(cfg.inner.seed, 7).permutation(n) % folds
-    scores = []
-    for bw in cfg.bandwidths:
-        sse, count = 0.0, 0
-        for f in range(folds):
-            hold = assign == f
-            if not np.any(hold) or np.all(hold):
-                continue
-            w = _nw_weights(ds.contexts[~hold], ds.contexts[hold], bw)
+    sse = np.zeros(len(cfg.bandwidths))
+    count = 0
+    for f in range(folds):
+        hold = assign == f
+        if not np.any(hold) or np.all(hold):
+            continue
+        ws = _nw_weights(ds.contexts[~hold], ds.contexts[hold], cfg.bandwidths)
+        for k, w in enumerate(ws):
             mass = w.sum(axis=1)
             if np.any(mass == 0.0):
-                sse = np.inf
-                break
+                sse[k] = np.inf
+                continue
             pred = (w @ ds.decisions[~hold]) / mass[:, None]
-            sse += float(np.sum((pred - ds.decisions[hold]) ** 2))
-            count += int(hold.sum())
-        scores.append(sse / max(count, 1))
-    if not np.isfinite(min(scores)):
+            sse[k] += float(np.sum((pred - ds.decisions[hold]) ** 2))
+        count += int(hold.sum())
+    scores = sse / max(count, 1)
+    if not np.isfinite(scores.min()):
         raise DegenerateKernelError("every candidate bandwidth isolated some fold")
     return cfg.bandwidths[int(np.argmin(scores))]
 

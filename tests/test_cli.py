@@ -45,6 +45,12 @@ def test_run_config_validation():
         RunConfig(sample_sizes=(50, 0))
     with pytest.raises(ValueError):
         RunConfig(lambdas=(-0.1,))
+    with pytest.raises(ValueError):
+        RunConfig(lambdas=(0.1, float("nan")))
+    for key in ("sigma", "sp_sigma"):
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                RunConfig(**{key: bad})
     assert RunConfig(experiment="spath").experiment == "spath"
     assert RunConfig(lambdas=(0.0,)).lambdas == (0.0,)  # lam 0 = plain subopt
 

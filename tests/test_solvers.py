@@ -463,6 +463,8 @@ def test_fw_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(ValueError):
         FwConfig(gap_tol=0.0)
+    with pytest.raises(ValueError):
+        FwConfig(gap_tol=float("nan"))
 
 
 def test_simplex_lsq_batch_matches_projection_oracle():

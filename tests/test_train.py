@@ -31,6 +31,7 @@ from fyinv import (
 )
 from fyinv.losses import _fy_batch, _subopt_batch
 from fyinv.train import _apply_space, _cv_bandwidth
+from oracles import cv_bandwidth_scores
 
 
 def _noiseless_b(n=60, seed=3, p=4):
@@ -53,6 +54,8 @@ def test_sgd_config_validation():
     with pytest.raises(ValueError):
         SgdConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
+        SgdConfig(learning_rate=float("nan"))
+    with pytest.raises(ValueError):
         SgdConfig(batch_size=0)
     with pytest.raises(ValueError):
         SgdConfig(max_iters=-1)
@@ -67,6 +70,8 @@ def test_spa_config_validation():
         SpaConfig(bandwidths=())
     with pytest.raises(ValueError):
         SpaConfig(bandwidths=(0.5, -1.0))
+    with pytest.raises(ValueError):
+        SpaConfig(bandwidths=(0.5, float("nan")))
     with pytest.raises(ValueError):
         SpaConfig(folds=1)
 
@@ -230,6 +235,15 @@ def test_kka_fit_raises_on_nan_iterate():
         kka_fit(fp, ds, SgdConfig(theta0=np.full(3, np.nan), max_iters=5))
 
 
+def test_kka_fit_raises_when_duals_diverge():
+    # the theta box keeps the iterate bounded, so only the duals blow up
+    fp, _, _ = build_example("C")
+    ds = generate("C", 50, NoisyDecision(1.0), 0)
+    cfg = SgdConfig(learning_rate=30, max_iters=2000, param_space=ThetaBox(-1, 1))
+    with pytest.raises(DivergedError):
+        kka_fit(fp, ds, cfg)
+
+
 # ---------------------------------------------------------------------------
 # kernel denoising
 
@@ -306,11 +320,50 @@ def test_cv_bandwidth_deterministic_member_of_grid():
     assert bw < max(cfg.bandwidths)
 
 
+def _reference_choice(ds, cfg):
+    scores = cv_bandwidth_scores(ds.contexts, ds.decisions, cfg.bandwidths, cfg.folds, cfg.inner.seed)
+    return cfg.bandwidths[int(np.argmin(scores))], scores
+
+
+def test_cv_bandwidth_matches_loop_reference():
+    chosen = set()
+    for seed in (0, 2):
+        rng = rng_stream(20 + seed)
+        ctxs = rng.uniform(-1, 1, (60, 2))
+        signal = np.stack([np.sin(2 * ctxs[:, 0]), ctxs[:, 1] ** 2]).T
+        cfg = SpaConfig(inner=SgdConfig(seed=seed))
+        for ys in (
+            signal + 0.3 * rng.standard_normal((60, 2)),
+            signal + 1.0 * rng.standard_normal((60, 2)),
+            rng.standard_normal((60, 2)),
+        ):
+            ds = Dataset(ctxs, ys)
+            want, _ = _reference_choice(ds, cfg)
+            assert _cv_bandwidth(ds, cfg) == want
+            chosen.add(want)
+    assert len(chosen) >= 3  # noise levels move the choice across the grid
+
+    # 0.25 wins on this data until one context moves far away: then every
+    # fold holding it is isolated below bandwidth ~26, and both small
+    # bandwidths must score inf rather than win
+    base = _smooth_dataset(n=40, seed=3)
+    cfg = SpaConfig(bandwidths=(0.25, 1.0, 100.0), inner=SgdConfig(seed=1))
+    assert _cv_bandwidth(base, cfg) == _reference_choice(base, cfg)[0] == 0.25
+    ctxs = base.contexts.copy()
+    ctxs[0] = 1000.0
+    far = Dataset(ctxs, base.decisions)
+    want, scores = _reference_choice(far, cfg)
+    assert scores[:2] == [np.inf, np.inf]
+    assert _cv_bandwidth(far, cfg) == want == 100.0
+
+
 def test_cv_bandwidth_degenerate_grid_raises():
     ctxs = np.array([[0.0], [500.0], [1000.0], [1500.0]])
     ds = Dataset(ctxs, np.ones((4, 1)))
+    cfg = SpaConfig(bandwidths=(1e-4, 1e-3), folds=2)
+    assert _reference_choice(ds, cfg)[1] == [np.inf, np.inf]
     with pytest.raises(DegenerateKernelError):
-        _cv_bandwidth(ds, SpaConfig(bandwidths=(1e-4, 1e-3), folds=2))
+        _cv_bandwidth(ds, cfg)
 
 
 def test_spa_fit_end_to_end():
