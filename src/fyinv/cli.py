@@ -69,6 +69,10 @@ CSV_COLUMNS = (
 )
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Declarative description of one experiment grid."""
@@ -98,10 +102,11 @@ class RunConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 1")
+        for name in ("replications", "n_eval", "sp_n", "sp_m"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not all(_is_count(n) for n in self.sample_sizes):
+            raise ValueError("sample sizes must be integers >= 1")
         if not all(l >= 0 for l in self.lambdas):
             raise ValueError("lambdas must be >= 0")
         if not (self.sigma >= 0 and self.sp_sigma >= 0):

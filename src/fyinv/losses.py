@@ -176,7 +176,9 @@ def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
         comp_b = nu * (-ys)
         g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
         g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
-    total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
+    # Diverging duals overflow here; the caller's DivergedError reports it.
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
     # d stat / d theta = -sign * J, so chain through the batched adjoint.
     g_theta = -2.0 * len(ds) * fp.canonical_sign * _jac_t_mean(fp.cost_map, ds.contexts, stat)
     return total, g_theta, np.concatenate([g_a, g_b], axis=1)

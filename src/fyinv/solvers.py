@@ -188,10 +188,10 @@ class FwConfig:
     The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
     a face, so every ``correct_every`` iterations each row's weights over the
-    vertices it has visited are re-solved exactly, as one batched active-set
-    solve per vertex count (_correct_rows).  With the optimal face's vertices
-    in hand that snaps the iterate onto the true projection and the gap
-    collapses to roundoff.
+    vertices it has visited are re-solved exactly, as one active-set solve
+    over all those rows padded to their largest vertex count
+    (_correct_rows).  With the optimal face's vertices in hand that snaps
+    the iterate onto the true projection and the gap collapses to roundoff.
     """
 
     max_iters: int = 2000
@@ -297,57 +297,63 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
 def _correct_rows(verts, counts, weights, x, targets, rows) -> None:
     """Exact projection onto each row's visited-vertex hull, in place.
 
-    Rows sharing a vertex count form one stack for _simplex_lsq_batch.  A
-    candidate only replaces the iterate when it does not worsen the
+    Every row with more than one vertex joins one _simplex_lsq_batch stack,
+    padded to the largest vertex count; slots past a row's count (which may
+    still hold vertices left behind by earlier compactions) are masked out.
+    A candidate only replaces the iterate when it does not worsen the
     objective, so a garbage solve from a near-singular system can never
     hurt.  Vertices whose weight drops to zero leave the row, and only the
     vertices behind them are moved.
     """
-    for k in np.unique(counts[rows]):
-        if k == 1:
-            continue
-        grp = rows[counts[rows] == k]
-        P = verts[grp, :k].astype(float)
-        t = targets[grp]
-        w = _simplex_lsq_batch(P, t)
-        x_new = (w[:, None, :] @ P)[:, 0]
-        f_new = 0.5 * np.sum((x_new - t) ** 2, axis=1)
-        ok = f_new <= 0.5 * np.sum((x[grp] - t) ** 2, axis=1) + 1e-15
-        grp, w = grp[ok], w[ok]
-        x[grp] = x_new[ok]
-        keep = w > 1e-14
-        keep[np.arange(grp.size), w.argmax(axis=1)] = True  # never an empty row
-        # Stable compaction: a kept vertex moves to the slot numbered by the
-        # kept vertices before it, so only those behind a dropped one move.
-        dst = np.cumsum(keep, axis=1) - 1
-        i, j = np.nonzero(keep & (dst != np.arange(k)))
-        verts[grp[i], dst[i, j]] = verts[grp[i], j]
-        weights[grp, :k] = 0.0
-        i, j = np.nonzero(keep)
-        weights[grp[i], dst[i, j]] = w[i, j]
-        counts[grp] = dst[:, -1] + 1
+    grp = rows[counts[rows] > 1]
+    if grp.size == 0:
+        return
+    k = int(counts[grp].max())
+    valid = np.arange(k) < counts[grp, None]
+    P = verts[grp, :k].astype(float)
+    t = targets[grp]
+    w = _simplex_lsq_batch(P, t, valid)
+    x_new = (w[:, None, :] @ P)[:, 0]
+    f_new = 0.5 * np.sum((x_new - t) ** 2, axis=1)
+    ok = f_new <= 0.5 * np.sum((x[grp] - t) ** 2, axis=1) + 1e-15
+    grp, w = grp[ok], w[ok]
+    x[grp] = x_new[ok]
+    keep = (w > 1e-14) & valid[ok]
+    keep[np.arange(grp.size), w.argmax(axis=1)] = True  # never an empty row
+    # Stable compaction: a kept vertex moves to the slot numbered by the
+    # kept vertices before it, so only those behind a dropped one move.
+    dst = np.cumsum(keep, axis=1) - 1
+    i, j = np.nonzero(keep & (dst != np.arange(k)))
+    verts[grp[i], dst[i, j]] = verts[grp[i], j]
+    weights[grp, :k] = 0.0
+    i, j = np.nonzero(keep)
+    weights[grp[i], dst[i, j]] = w[i, j]
+    counts[grp] = dst[:, -1] + 1
 
 
-def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Minimize ||P[i]^T w[i] - t[i]||^2 over the probability simplex, per row.
 
-    P stacks m rows of k vertices, shape (m, k, e); t is (m, e).  Active-set
-    scheme in the style of NNLS, run on all rows at once.  Each row's
-    equality-constrained least squares on its current support is one
+    P stacks m rows of k vertex slots, shape (m, k, e); t is (m, e); the
+    boolean (m, k) mask ``valid`` marks each row's real vertices, and the
+    other slots (padding, whatever they hold) get weight exactly zero.
+    Active-set scheme in the style of NNLS, run on all rows at once.  Each
+    row's equality-constrained least squares on its current support is one
     (k+1)-square KKT system whose off-support weights are pinned to zero,
-    so rows with different supports share one stacked solve.  The first pass
-    uses every vertex.  A row whose candidate goes negative steps from its
-    feasible weights (the centroid at first) toward the candidate until a
-    weight hits zero and drops that vertex; a row whose candidate is
-    feasible admits its most violating vertex, and is done once none
-    violates dual feasibility.  When a stack is exactly singular (affinely
-    dependent paths) it is solved with the pseudo-inverse instead.
+    so rows with different supports or vertex counts share one stacked
+    solve.  The first pass uses every valid vertex.  A row whose candidate
+    goes negative steps from its feasible weights (the centroid of its
+    valid vertices at first) toward the candidate until a weight hits zero
+    and drops that vertex; a row whose candidate is feasible admits its
+    most violating valid vertex, and is done once none violates dual
+    feasibility.  Exactly singular systems (affinely dependent paths) are
+    solved with the pseudo-inverse instead (see _kkt_solve).
     """
     m, k, _ = P.shape
     G = P @ P.transpose(0, 2, 1)
     c = np.einsum("mke,me->mk", P, t)
-    w = np.full((m, k), 1.0 / k)
-    support = np.ones((m, k), dtype=bool)
+    w = valid / valid.sum(axis=1, keepdims=True)
+    support = valid.copy()
     idx = np.arange(m)
     out = np.empty((m, k))
     d = np.arange(k)
@@ -364,10 +370,7 @@ def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray) -> np.ndarray:
         kkt[:, :k, k] = support
         kkt[:, k, :k] = support
         rhs = np.concatenate([np.where(support, c, 0.0), np.ones((n, 1))], axis=1)[:, :, None]
-        try:
-            sol = np.linalg.solve(kkt, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            sol = (np.linalg.pinv(kkt) @ rhs)[:, :, 0]
+        sol = _kkt_solve(kkt, rhs)[:, :, 0]
         cand = np.where(support, sol[:, :k], 0.0)
 
         # Step from w toward an infeasible candidate until a weight hits zero.
@@ -381,10 +384,10 @@ def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray) -> np.ndarray:
         support &= ~drop
 
         # Dual feasibility: on the support the gradient equals -mu (the KKT
-        # multiplier); no vertex off it may undercut that.
+        # multiplier); no valid vertex off it may undercut that.
         w[~back] = cand[~back]
         grad = np.einsum("mij,mj->mi", G, w) - c
-        viol = np.where(support, np.inf, grad + sol[:, k, None])
+        viol = np.where(support | ~valid, np.inf, grad + sol[:, k, None])
         j = viol.argmin(axis=1)
         enter = ~back & (viol[np.arange(n), j] < -1e-12)
         support[enter, j[enter]] = True
@@ -392,6 +395,26 @@ def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray) -> np.ndarray:
         if done.any():
             out[idx[done]] = w[done]
             live = ~done
-            idx, G, c, w, support = idx[live], G[live], c[live], w[live], support[live]
+            idx, G, c, w = idx[live], G[live], c[live], w[live]
+            support, valid = support[live], valid[live]
     out[idx] = w
     return np.maximum(out, 0.0)
+
+
+def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a stack of KKT systems, sending only exactly singular ones to pinv.
+
+    solve raises when any system's LU factorization meets an exact zero
+    pivot; det meets the same pivot and reads 0 there.  When det flags no
+    system, the whole stack goes through pinv, so this never raises.
+    """
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sing = np.linalg.det(kkt) == 0.0
+    if not sing.any():
+        return np.linalg.pinv(kkt) @ rhs
+    sol = np.empty_like(rhs)
+    sol[sing] = np.linalg.pinv(kkt[sing]) @ rhs[sing]
+    sol[~sing] = _kkt_solve(kkt[~sing], rhs[~sing])
+    return sol

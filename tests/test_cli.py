@@ -43,6 +43,13 @@ def test_run_config_validation():
         RunConfig(replications=0)
     with pytest.raises(ValueError):
         RunConfig(sample_sizes=(50, 0))
+    for key in ("replications", "n_eval", "sp_n", "sp_m"):
+        for bad in (0, 1.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                RunConfig(**{key: bad})
+    for bad in (2.5, float("nan")):
+        with pytest.raises(ValueError):
+            RunConfig(sample_sizes=(50, bad))
     with pytest.raises(ValueError):
         RunConfig(lambdas=(-0.1,))
     with pytest.raises(ValueError):
@@ -52,6 +59,7 @@ def test_run_config_validation():
             with pytest.raises(ValueError):
                 RunConfig(**{key: bad})
     assert RunConfig(experiment="spath").experiment == "spath"
+    assert RunConfig(n_eval=np.int64(5), sample_sizes=(np.int64(5),)).n_eval == 5
     assert RunConfig(lambdas=(0.0,)).lambdas == (0.0,)  # lam 0 = plain subopt
 
 

@@ -31,6 +31,7 @@ from fyinv import (
 )
 from fyinv.graphs import _backtrack, shortest_path_batch
 from fyinv.solvers import (
+    _correct_rows,
     _fw_project_batch,
     _linear_argmax_batch,
     _simplex_lsq_batch,
@@ -476,7 +477,7 @@ def test_simplex_lsq_batch_matches_projection_oracle():
     for k in sorted({P.shape[0] for P, _ in draws}):
         Ps = np.stack([P for P, _ in draws if P.shape[0] == k])
         ts = np.stack([t for P, t in draws if P.shape[0] == k])
-        ws = _simplex_lsq_batch(Ps, ts)
+        ws = _simplex_lsq_batch(Ps, ts, np.ones(Ps.shape[:2], dtype=bool))
         assert ws.shape == (Ps.shape[0], k)
         for P, t, w in zip(Ps, ts, ws):
             assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= -1e-12
@@ -501,10 +502,100 @@ def test_simplex_lsq_batch_singular_kkt_uses_pinv(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(a.shape) or pinv(a))
     for order in ([0, 3, 1, 2], [0, 1, 2, 3]):
         P = np.broadcast_to(paths[order], (12, 4, 8)).copy()
-        ws = _simplex_lsq_batch(P, ts)
+        ws = _simplex_lsq_batch(P, ts, np.ones((12, 4), dtype=bool))
         assert pinv_calls
         for t, w in zip(ts, ws):
             assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= 0.0
             want, certified = hull_project(paths, t)
             assert certified
             np.testing.assert_allclose(paths[order].T @ w, want, atol=1e-7)
+
+
+def test_simplex_lsq_batch_padded_stack_matches_projection_oracle():
+    # one stack of mixed vertex counts, padded with garbage vertices that
+    # must neither move the answer nor receive weight
+    rng = rng_stream(58)
+    counts = rng.integers(1, 7, 40)
+    counts[:2] = (1, 6)
+    k = int(counts.max())
+    Ps = rng.standard_normal((40, k, 5))
+    ts = rng.standard_normal((40, 5))
+    valid = np.arange(k) < counts[:, None]
+    ws = _simplex_lsq_batch(Ps, ts, valid)
+    assert ws.shape == (40, k)
+    assert np.all(ws[~valid] == 0.0)
+    for P, t, w, n in zip(Ps, ts, ws, counts):
+        assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= -1e-12
+        want, certified = hull_project(P[:n], t)
+        assert certified
+        np.testing.assert_allclose(P[:n].T @ w[:n], want, atol=1e-7)
+
+
+def test_simplex_lsq_batch_pinv_gets_only_singular_systems(monkeypatch):
+    # the two-diamonds rows (singular KKT, exact zero pivot) share a padded
+    # stack with nonsingular rows of another vertex count
+    tails = np.array([0, 0, 1, 2, 3, 3, 4, 5])
+    heads = np.array([1, 2, 3, 3, 4, 5, 6, 6])
+    paths = enum_paths(Graph(7, tails, heads, 0, 6))[[0, 3, 1, 2]]
+    rng = rng_stream(59)
+    Ps = rng.uniform(0.0, 1.0, (10, 6, 8))
+    Ps[:4, :4] = paths
+    valid = np.ones((10, 6), dtype=bool)
+    valid[:4, 4:] = False
+    ts = rng.uniform(-1.0, 2.0, (10, 8))
+    pinv_inputs = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_inputs.append(a) or pinv(a))
+    ws = _simplex_lsq_batch(Ps, ts, valid)
+    assert pinv_inputs
+    for a in pinv_inputs:
+        assert a.shape[0] <= 4 and np.all(np.linalg.det(a) == 0.0)
+    assert np.all(ws[~valid] == 0.0)
+    for P, t, w, ok in zip(Ps, ts, ws, valid):
+        assert abs(w.sum() - 1.0) < 1e-9 and w.min() >= 0.0
+        want, certified = hull_project(P[ok], t)
+        assert certified
+        np.testing.assert_allclose(P[ok].T @ w[ok], want, atol=1e-7)
+
+
+def test_correct_rows_ignores_stale_slots(monkeypatch):
+    # slots past a row's count may hold vertices left by earlier compactions
+    rng = rng_stream(60)
+    nb, cap, e = 8, 8, 10
+    counts = np.array([1, 2, 3, 4, 5, 3, 4, 2])
+    verts = rng.integers(0, 2, (nb, cap, e)).astype(np.uint8)
+    clean = verts.copy()
+    stale = np.arange(cap) >= counts[:, None]
+    clean[stale] = 0
+    weights = rng.uniform(0.1, 1.0, (nb, cap)) * ~stale
+    weights /= weights.sum(axis=1, keepdims=True)
+    x = np.einsum("nk,nke->ne", weights, verts.astype(float))
+    targets = rng.uniform(-1.0, 2.0, (nb, e))
+    rows = np.arange(nb)
+
+    def run():
+        outs = []
+        for v in (verts.copy(), clean.copy()):
+            c, w, xx = counts.copy(), weights.copy(), x.copy()
+            _correct_rows(v, c, w, xx, targets, rows)
+            live = np.arange(cap) < c[:, None]
+            outs.append((v[live], c, w, xx))
+        return outs
+
+    (v1, c1, w1, x1), (v2, c2, w2, x2) = run()
+    np.testing.assert_array_equal(c1, c2)
+    np.testing.assert_array_equal(w1, w2)
+    np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(v1, v2)
+    assert np.any(c1 < counts)  # the compaction did run
+
+    # Even a solver that leaks weight onto padded slots cannot revive them.
+    def leaky(P, t, valid):
+        return _simplex_lsq_batch(P, t, valid) + 1e-12 * ~valid
+
+    monkeypatch.setattr("fyinv.solvers._simplex_lsq_batch", leaky)
+    (v1, c1, w1, _), (v2, c2, w2, _) = run()
+    assert np.all(c1 <= counts)
+    np.testing.assert_array_equal(c1, c2)
+    np.testing.assert_array_equal(w1, w2)
+    np.testing.assert_array_equal(v1, v2)
