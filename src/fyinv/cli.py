@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from .metrics import _exact_batch, calibration_check, decision_error, parameter_error, regret
-from .model import Dataset, Noiseless, NoisyDecision, NoisyObjective, cost, rng_stream
+from .model import Dataset, Noiseless, NoisyDecision, NoisyObjective, _is_count, cost, rng_stream
 from .losses import fy_grad, fy_loss
 from .solvers import FwConfig, solve_exact, solve_regularized
 from .spath import sp_run, synth_graph_instance
@@ -67,10 +67,6 @@ CSV_COLUMNS = (
     "wall_time_mean",
     "error",
 )
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)

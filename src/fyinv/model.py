@@ -30,6 +30,11 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _is_count(v, least: int = 1) -> bool:
+    """True for an integer (not a bool) that is at least ``least``."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False

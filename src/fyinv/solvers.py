@@ -24,6 +24,7 @@ from .model import (
     ForwardProblem,
     NonNegL1Cap,
     Region,
+    _is_count,
 )
 
 __all__ = [
@@ -192,6 +193,9 @@ class FwConfig:
     over all those rows padded to their largest vertex count
     (_correct_rows).  With the optimal face's vertices in hand that snaps
     the iterate onto the true projection and the gap collapses to roundoff.
+    Bitwise-equal targets in one batch share one solve, and the output is
+    bitwise identical to solving every row.  ``max_iters`` and
+    ``correct_every`` are integers >= 1.
     """
 
     max_iters: int = 2000
@@ -199,8 +203,9 @@ class FwConfig:
     correct_every: int = 8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("max_iters", "correct_every"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
         if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
 
@@ -231,7 +236,17 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     padded arrays; rows whose duality gap certificate is met drop out of the
     working set.  The gap is checked before stepping, so a row whose very
     first vertex is optimal is returned untouched, same as the scalar story.
+
+    Bitwise-equal targets share one solve: only the distinct rows, in
+    first-appearance order, run, and the result is expanded back.  A row's
+    trajectory depends only on its own target and on batch-level values
+    (the vertex cap, the padded width of each correction) that are the same
+    for the distinct rows as for the whole batch, so the output is bitwise
+    identical to solving every row.
     """
+    first, inv = _distinct_rows(targets)
+    if first is not None:
+        targets = targets[first]
     nb = targets.shape[0]
     x = shortest_path_batch(g, -targets)
     cap = 8
@@ -246,7 +261,7 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     for it in range(cfg.max_iters):
         rows = np.flatnonzero(active)
         if rows.size == 0:
-            return x
+            break
         grad = x[rows] - targets[rows]
         s = shortest_path_batch(g, grad)
         gap = np.einsum("ij,ij->i", grad, x[rows] - s)
@@ -282,16 +297,34 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
 
         if (it + 1) % cfg.correct_every == 0:
             _correct_rows(verts, counts, weights, x, targets, rows)
+    else:
+        # Last chance: correct, then re-certify before giving up.
+        rows = np.flatnonzero(active)
+        _correct_rows(verts, counts, weights, x, targets, rows)
+        grad = x[rows] - targets[rows]
+        s = shortest_path_batch(g, grad)
+        gap = np.einsum("ij,ij->i", grad, x[rows] - s)
+        if np.any(gap > cfg.gap_tol):
+            raise NonConvergenceError(float(gap.max()), cfg.max_iters)
+    return x if inv is None else x[inv]
 
-    # Last chance: correct, then re-certify before giving up.
-    rows = np.flatnonzero(active)
-    _correct_rows(verts, counts, weights, x, targets, rows)
-    grad = x[rows] - targets[rows]
-    s = shortest_path_batch(g, grad)
-    gap = np.einsum("ij,ij->i", grad, x[rows] - s)
-    if np.any(gap > cfg.gap_tol):
-        raise NonConvergenceError(float(gap.max()), cfg.max_iters)
-    return x
+
+def _distinct_rows(a: np.ndarray):
+    """Bitwise-distinct rows of a: their indices in first-appearance order
+    and the inverse map that expands them back, or (None, None) when no row
+    repeats.  Rows are keyed by their bytes, far cheaper than
+    np.unique(axis=0).  Zero-width rows have no bytes to key by; they are
+    left ungrouped and the oracle rejects them.
+    """
+    nb, width = a.shape
+    if width == 0:
+        return None, None
+    keys = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * width)))[:, 0]
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == nb:
+        return None, None
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv]
 
 
 def _correct_rows(verts, counts, weights, x, targets, rows) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
 from .losses import _fy_batch, _kka_batch, _subopt_batch, kka_dual_dim
-from .model import Dataset, ForwardProblem, Parameter, as_parameter, rng_stream
+from .model import Dataset, ForwardProblem, Parameter, _is_count, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
 _DIVERGE_NORM = 1e6
@@ -68,12 +68,13 @@ class SgdConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.max_iters < 0:
-            raise ValueError("batch_size must be >= 1 and max_iters >= 0")
+        for name, least in (("batch_size", 1), ("max_iters", 0), ("eval_every", 1)):
+            if not _is_count(getattr(self, name), least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if np.isnan(self.tolerance):
+            raise ValueError("tolerance must not be NaN")
         if self.step_decay not in (None, "inv_sqrt"):
             raise ValueError(f"unknown step_decay {self.step_decay!r}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass(frozen=True)

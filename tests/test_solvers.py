@@ -447,10 +447,45 @@ def test_fw_project_nonconvergence_carries_gap():
     heads = np.array([1, 2, 3, 4, 4, 4])
     g = Graph(5, tails, heads, 0, 4)
     target = np.full(6, 1.0 / 3.0)
+    cfg = FwConfig(max_iters=1, gap_tol=1e-16, correct_every=5)
     with pytest.raises(NonConvergenceError) as err:
-        fw_project(g, target, FwConfig(max_iters=1, gap_tol=1e-16, correct_every=5))
+        fw_project(g, target, cfg)
     assert err.value.final_gap > 1e-16
     assert err.value.max_iters == 1
+    # repeats of the target share its solve, so they fail with its gap
+    with pytest.raises(NonConvergenceError) as many:
+        _fw_project_batch(g, np.tile(target, (5, 1)), cfg)
+    assert many.value.final_gap == err.value.final_gap
+    assert many.value.max_iters == 1
+
+
+def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
+    rng = rng_stream(56)
+    g = random_dag(rng, max_nodes=10)
+    distinct = rng.uniform(-1, 2, (6, g.num_edges))
+    targets = np.concatenate([distinct, distinct[[0, 0, 3, 5, 3]], np.zeros((4, g.num_edges))])
+    targets = targets[rng.permutation(targets.shape[0])]
+    uniq, inv = np.unique(targets, axis=0, return_inverse=True)
+    assert uniq.shape[0] == 7
+    cfg = FwConfig(max_iters=2000, gap_tol=1e-10)
+    want = _fw_project_batch(g, uniq, cfg)[inv.reshape(-1)]
+
+    oracle_rows = []
+
+    def counted(graph, costs):
+        oracle_rows.append(costs.shape[0])
+        return shortest_path_batch(graph, costs)
+
+    monkeypatch.setattr("fyinv.solvers.shortest_path_batch", counted)
+    got = _fw_project_batch(g, targets.copy(), cfg)
+    np.testing.assert_array_equal(got, want)
+    assert oracle_rows[0] == 7
+
+
+def test_fw_project_batch_zero_width_rows_raise():
+    g = Graph(2, [], [], 0, 1)
+    with pytest.raises(UnreachableError):
+        _fw_project_batch(g, np.zeros((3, 0)), FwConfig())
 
 
 def test_fw_project_shape_check():
@@ -466,6 +501,11 @@ def test_fw_config_validation():
         FwConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
         FwConfig(gap_tol=float("nan"))
+    for key in ("max_iters", "correct_every"):
+        for bad in (0, -1, 1.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                FwConfig(**{key: bad})
+    assert FwConfig(max_iters=np.int64(3), correct_every=np.int64(1)).correct_every == 1
 
 
 def test_simplex_lsq_batch_matches_projection_oracle():

@@ -63,6 +63,17 @@ def test_sgd_config_validation():
         SgdConfig(step_decay="linear")
     with pytest.raises(ValueError):
         SgdConfig(eval_every=0)
+    for key in ("batch_size", "eval_every"):
+        for bad in (0, -1, 1.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                SgdConfig(**{key: bad})
+    for bad in (-1, 2.5, float("nan"), True):
+        with pytest.raises(ValueError):
+            SgdConfig(max_iters=bad)
+    with pytest.raises(ValueError):
+        SgdConfig(tolerance=float("nan"))
+    cfg = SgdConfig(batch_size=np.int64(4), max_iters=0, eval_every=np.int64(2))
+    assert (cfg.batch_size, cfg.max_iters, cfg.eval_every) == (4, 0, 2)
 
 
 def test_spa_config_validation():
