@@ -23,14 +23,10 @@ import numpy as np
 from .errors import UnsupportedRegionError
 from .model import (
     Box,
-    CostKind,
     Dataset,
     ForwardProblem,
     NonNegL1Cap,
     _check_context,
-    _cost_batch,
-    _jac_t_mean,
-    as_parameter,
 )
 from .solvers import FwConfig, _linear_argmax_batch, _solve_reg_batch, solve_exact
 
@@ -76,15 +72,12 @@ def _fy_batch(
     """Mean FY loss, mean gradient, and the regularized decisions of a batch."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    theta = as_parameter(theta, fp.cost_map)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
+    hcs = fp._canonical_costs(theta, ctxs)
     xs = _solve_reg_batch(fp, hcs, lam, fw)
-    lam_eff = fp.base_quad + lam
-    val = lambda z: np.einsum("ij,ij->i", hcs, z) - 0.5 * lam_eff * np.einsum("ij,ij->i", z, z)
-    losses = val(xs) - val(ys)
+    losses = fp._canonical_value(hcs, xs, lam) - fp._canonical_value(hcs, ys, lam)
     grad = None
     if want_grad:
-        grad = fp.canonical_sign * _jac_t_mean(fp.cost_map, ctxs, xs - ys)
+        grad = fp._canonical_adjoint(ctxs, xs - ys)
     return float(losses.mean()), grad, xs
 
 
@@ -118,8 +111,7 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
     when observations are infeasible; points with positive or zero loss
     contribute their plain subgradient (a valid selection at the kink).
     """
-    theta = as_parameter(theta, fp.cost_map)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
+    hcs = fp._canonical_costs(theta, ctxs)
     xs = _linear_argmax_batch(fp.region, hcs)
     raw = np.einsum("ij,ij->i", hcs, xs - ys)
     if hinge:
@@ -129,7 +121,7 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
     else:
         losses = raw
         resid = xs - ys
-    grad = fp.canonical_sign * _jac_t_mean(fp.cost_map, ctxs, resid)
+    grad = fp._canonical_adjoint(ctxs, resid)
     return float(losses.mean()), grad, xs
 
 
@@ -156,8 +148,7 @@ def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
     complementary-slackness block in turn.  ``duals`` must already have
     shape (len(ds), kka_dual_dim(fp)).
     """
-    theta = as_parameter(theta, fp.cost_map)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ds.contexts)
+    hcs = fp._canonical_costs(theta, ds.contexts)
     ys = ds.decisions
     r = fp.region
     if isinstance(r, Box):
@@ -179,8 +170,8 @@ def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
     # Diverging duals overflow here; the caller's DivergedError reports it.
     with np.errstate(over="ignore"):
         total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
-    # d stat / d theta = -sign * J, so chain through the batched adjoint.
-    g_theta = -2.0 * len(ds) * fp.canonical_sign * _jac_t_mean(fp.cost_map, ds.contexts, stat)
+    # d stat / d theta = -J_c, so chain through the batched adjoint.
+    g_theta = -2.0 * len(ds) * fp._canonical_adjoint(ds.contexts, stat)
     return total, g_theta, np.concatenate([g_a, g_b], axis=1)
 
 

@@ -20,7 +20,6 @@ from .model import (
     ForwardProblem,
     Parameter,
     _check_contexts,
-    _cost_batch,
     as_parameter,
 )
 from .solvers import _solve_exact_batch, _solve_reg_batch
@@ -39,9 +38,7 @@ def parameter_error(theta_hat, theta_star) -> float:
 
 
 def _exact_batch(fp: ForwardProblem, theta, ctxs: np.ndarray) -> np.ndarray:
-    theta = as_parameter(theta, fp.cost_map)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
-    return _solve_exact_batch(fp, hcs)
+    return _solve_exact_batch(fp, fp._canonical_costs(theta, ctxs))
 
 
 def decision_error(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
@@ -59,17 +56,25 @@ def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     true parameter) than the optimal ones; zero iff they are equally good.
     """
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    theta_star = as_parameter(theta_star, fp.cost_map)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta_star, ctxs)
+    hcs = fp._canonical_costs(theta_star, ctxs)
     xs_hat = _exact_batch(fp, theta_hat, ctxs)
     xs_star = _solve_exact_batch(fp, hcs)
+    return float(np.mean(fp._canonical_value(hcs, xs_star) - fp._canonical_value(hcs, xs_hat)))
 
-    def value(z):
-        return np.einsum("ij,ij->i", hcs, z) - 0.5 * fp.base_quad * np.einsum(
-            "ij,ij->i", z, z
-        )
 
-    return float(np.mean(value(xs_star) - value(xs_hat)))
+def _path_regret(times: np.ndarray, xs_hat: np.ndarray, xs_clair: np.ndarray):
+    """Mean realized-cost excess of xs_hat over xs_clair, and that as a percent.
+
+    Row i of ``times`` prices row i of both decision stacks; the percent is
+    taken of the clairvoyant mean, which must be positive.
+    """
+    realized = np.einsum("ij,ij->i", times, xs_hat)
+    clair = np.einsum("ij,ij->i", times, xs_clair)
+    reg = float(np.mean(realized - clair))
+    clair_mean = float(np.mean(clair))
+    if clair_mean <= 0:
+        raise ValueError("clairvoyant cost must be positive")
+    return reg, 100.0 * reg / clair_mean
 
 
 def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
@@ -88,12 +93,8 @@ def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     xs_hat = _exact_batch(fp, theta_hat, ctxs)
-    realized = float(np.mean(np.einsum("ij,ij->i", times, xs_hat)))
-    ys = shortest_path_batch(g, times)
-    clair = float(np.mean(np.einsum("ij,ij->i", times, ys)))
-    if clair <= 0:
-        raise ValueError("clairvoyant cost must be positive")
-    return 100.0 * (realized - clair) / clair
+    _, ratio = _path_regret(times, xs_hat, shortest_path_batch(g, times))
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def calibration_check(
 
     lhs = decision_error(fp, theta, theta_star, ctxs)
 
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, theta, ctxs)
+    hcs = fp._canonical_costs(theta, ctxs)
     x_reg = _solve_reg_batch(fp, hcs, lam)
     x_exact = _solve_exact_batch(fp, hcs)
     reg_term = float(np.mean(np.sum((x_reg - x_exact) ** 2, axis=1)))
@@ -189,8 +190,7 @@ def regret_bound_check(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> Regre
     for linear objectives.
     """
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    theta_star = as_parameter(theta_star, fp.cost_map)
-    hcs = _cost_batch(fp.cost_map, theta_star, ctxs)
+    hcs = fp._canonical_costs(theta_star, ctxs)
     b_hat = float(np.mean(np.sum(hcs**2, axis=1)))
     d_hat = decision_error(fp, theta_hat, theta_star, ctxs)
     reg = regret(fp, theta_hat, theta_star, ctxs)

@@ -11,7 +11,7 @@ with a fixed curvature term.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -105,8 +105,8 @@ class CostMap:
     m: int
 
     def __post_init__(self):
-        if self.d <= 0 or self.m <= 0:
-            raise ValueError("dimensions must be positive")
+        if not (_is_count(self.d) and _is_count(self.m)):
+            raise ValueError("dimensions must be positive integers")
         if self.kind in (CostKind.ADDITIVE, CostKind.HADAMARD) and self.d != self.m:
             raise ValueError(f"{self.kind.value} cost map needs d == m")
 
@@ -154,16 +154,8 @@ def _check_contexts(cm: CostMap, ctxs) -> np.ndarray:
 
 def cost(cm: CostMap, theta, u) -> np.ndarray:
     """Evaluate h(theta; u)."""
-    theta = as_parameter(theta, cm)
     u = _check_context(cm, u)
-    t = theta.values
-    if cm.kind is CostKind.ADDITIVE:
-        return t + u
-    if cm.kind is CostKind.HADAMARD:
-        return t * u
-    if cm.kind is CostKind.MATRIX_PRODUCT:
-        return theta.as_matrix() @ u
-    return t.copy()
+    return _cost_batch(cm, as_parameter(theta, cm), u[None, :])[0]
 
 
 def _cost_batch(cm: CostMap, theta: Parameter, ctxs: np.ndarray) -> np.ndarray:
@@ -302,7 +294,10 @@ class ForwardProblem:
         max_{x in region}  h_c(theta; u)^T x - (base_quad / 2) ||x||^2
 
     with h_c = h for Max sense and h_c = -h for Min sense, so downstream
-    code never branches on the sense again.
+    code never branches on the sense again.  ``_canonical_costs`` (h_c),
+    ``_canonical_adjoint`` (J_c^T r) and ``_canonical_value`` (the
+    objective, plus an optional extra curvature ``lam``) are the one
+    place this form is evaluated.
     """
 
     cost_map: CostMap
@@ -311,8 +306,8 @@ class ForwardProblem:
     base_quad: float = 0.0
 
     def __post_init__(self):
-        if self.base_quad < 0:
-            raise ValueError("base_quad must be nonnegative")
+        if not 0 <= self.base_quad < np.inf:
+            raise ValueError("base_quad must be finite and nonnegative")
         d = self.cost_map.d
         r = self.region
         if isinstance(r, Box) and r.lo.size != d:
@@ -325,7 +320,23 @@ class ForwardProblem:
         return 1.0 if self.sense is Sense.MAX else -1.0
 
     def canonical_cost(self, theta, u) -> np.ndarray:
-        return self.canonical_sign * cost(self.cost_map, theta, u)
+        u = _check_context(self.cost_map, u)
+        return self._canonical_costs(theta, u[None, :])[0]
+
+    def _canonical_costs(self, theta, ctxs: np.ndarray) -> np.ndarray:
+        """h_c(theta; u_i) for every row of ctxs; returns an (n, d) array."""
+        theta = as_parameter(theta, self.cost_map)
+        return self.canonical_sign * _cost_batch(self.cost_map, theta, ctxs)
+
+    def _canonical_adjoint(self, ctxs: np.ndarray, resid: np.ndarray) -> np.ndarray:
+        """mean_i J_c(u_i)^T resid_i, the theta-gradient of mean_i resid_i . h_c."""
+        return self.canonical_sign * _jac_t_mean(self.cost_map, ctxs, resid)
+
+    def _canonical_value(self, hcs: np.ndarray, xs: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """Row-wise hc . x - ((base_quad + lam) / 2) ||x||^2."""
+        return np.einsum("ij,ij->i", hcs, xs) - 0.5 * (self.base_quad + lam) * np.einsum(
+            "ij,ij->i", xs, xs
+        )
 
 
 # ---------------------------------------------------------------------------

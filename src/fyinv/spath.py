@@ -34,12 +34,11 @@ from .model import (
     ForwardProblem,
     Parameter,
     Sense,
-    _cost_batch,
     _frozen,
     rng_stream,
 )
 from .solvers import FwConfig, _solve_exact_batch
-from .metrics import MetricsReport, parameter_error
+from .metrics import MetricsReport, _path_regret, parameter_error
 from .train import (
     METHODS,
     FitResult,
@@ -355,11 +354,8 @@ def sp_fit(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> FitResult:
     fp = _flow_problem(sp)
     ds = Dataset(sp.contexts, sp.observations)
     cfg = _with_seed(_DEFAULT_CFG[method] if cfg is None else cfg, seed)
-    if method == "FY":
-        return fy_sgd_fit(fp, ds, cfg)
-    if method == "SUBOPT":
-        return subopt_fit(fp, ds, cfg)
-    return spa_fit(fp, ds, cfg)
+    fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "SPA": spa_fit}
+    return fitters[method](fp, ds, cfg)
 
 
 def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> MetricsReport:
@@ -377,14 +373,10 @@ def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> MetricsReport
 
     test = sp.subset(te_idx)
     fp = _flow_problem(sp)
-    hcs = fp.canonical_sign * _cost_batch(fp.cost_map, fit.theta, test.contexts)
-    xs_hat = _solve_exact_batch(fp, hcs)
+    xs_hat = _solve_exact_batch(fp, fp._canonical_costs(fit.theta, test.contexts))
     ys = test.observations
     dec_err = float(np.mean(np.sum((xs_hat - ys) ** 2, axis=1)))
-    realized = np.einsum("ij,ij->i", test.times, xs_hat)
-    clair = np.einsum("ij,ij->i", test.times, ys)
-    reg = float(np.mean(realized - clair))
-    ratio = 100.0 * reg / float(np.mean(clair))
+    reg, ratio = _path_regret(test.times, xs_hat, ys)
     if sp.theta_star is not None:
         p_err = parameter_error(fit.theta, sp.theta_star)
     else:

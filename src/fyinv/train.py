@@ -332,8 +332,8 @@ class SpaConfig:
     def __post_init__(self):
         if len(self.bandwidths) == 0 or not all(b > 0 for b in self.bandwidths):
             raise ValueError("bandwidths must be a nonempty tuple of positives")
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+        if not _is_count(self.folds, 2):
+            raise ValueError("folds must be an integer >= 2")
 
 
 def _cv_bandwidth(ds: Dataset, cfg: SpaConfig) -> float:

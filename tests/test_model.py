@@ -1,8 +1,12 @@
 """Parameters, cost maps, regions, and dataset sampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fyinv
 from fyinv import (
     Ball,
     Box,
@@ -74,6 +78,12 @@ def test_cost_map_validation_and_p():
         CostMap(CostKind.HADAMARD, 2, 5)
     with pytest.raises(ValueError):
         CostMap(CostKind.IDENTITY, 0, 1)
+    # non-integer widths used to construct; this one had p == 2.5
+    with pytest.raises(ValueError):
+        CostMap(CostKind.ADDITIVE, 2.5, 2.5)
+    for d, m in ((3, 1.0), (True, 1), (2, np.nan)):
+        with pytest.raises(ValueError):
+            CostMap(CostKind.MATRIX_PRODUCT, d, m)
     cm = CostMap(CostKind.MATRIX_PRODUCT, 4, 3)
     assert cm.p == 12
     assert cm.param_shape == (4, 3)
@@ -138,6 +148,66 @@ def test_jac_t_mean_is_mean_of_transposes():
     np.testing.assert_allclose(_jac_t_mean(cm, ctxs, resid), want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind,d,m",
+    [
+        (CostKind.ADDITIVE, 3, 3),
+        (CostKind.HADAMARD, 3, 3),
+        (CostKind.MATRIX_PRODUCT, 3, 4),
+        (CostKind.IDENTITY, 3, 2),
+    ],
+)
+def test_canonical_methods_evaluate_one_form(kind, d, m):
+    rng = rng_stream(0, 6)
+    cm = CostMap(kind, d, m)
+    theta = rng.standard_normal(cm.p)
+    theta_hat = theta + 0.5 * rng.standard_normal(cm.p)
+    ctxs = rng.standard_normal((20, m))
+    resid = rng.standard_normal((20, d))
+    xs = rng.standard_normal((20, d))
+    plain = np.stack([cost(cm, theta, u) for u in ctxs])
+    signed = {}
+    for sense, sign in ((Sense.MIN, -1.0), (Sense.MAX, 1.0)):
+        fp = ForwardProblem(cm, Box.cube(d, -1, 1), sense, base_quad=0.7)
+        hcs = signed[sense] = fp._canonical_costs(theta, ctxs)
+        np.testing.assert_allclose(hcs, sign * plain, atol=1e-12)
+
+        # h_c is affine in theta, so a unit central difference is exact up to roundoff
+        def f(t):
+            return np.mean(np.sum(resid * fp._canonical_costs(t, ctxs), axis=1))
+
+        fd = np.array([(f(theta + e) - f(theta - e)) / 2.0 for e in np.eye(cm.p)])
+        np.testing.assert_allclose(fp._canonical_adjoint(ctxs, resid), fd, atol=1e-12)
+
+        for lam in (0.0, 0.3):
+            want = [h @ x - 0.5 * (0.7 + lam) * (x @ x) for h, x in zip(hcs, xs)]
+            np.testing.assert_allclose(fp._canonical_value(hcs, xs, lam), want, atol=1e-12)
+        x_star = np.stack([solve_exact(fp, theta, u) for u in ctxs])
+        x_hat = np.stack([solve_exact(fp, theta_hat, u) for u in ctxs])
+        gap = fp._canonical_value(hcs, x_star) - fp._canonical_value(hcs, x_hat)
+        assert regret(fp, theta_hat, theta, ctxs) == pytest.approx(gap.mean(), abs=1e-12)
+    np.testing.assert_array_equal(signed[Sense.MAX], -signed[Sense.MIN])
+
+
+def test_only_model_evaluates_the_canonical_form():
+    """The sense fold and the cost-map adjoint are read in model.py alone."""
+    private = {"canonical_sign", "_cost_batch", "_jac_t_mean"}
+    offenders = []
+    for path in sorted(Path(fyinv.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{path.name}:{node.lineno} reads {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                offenders += [
+                    f"{path.name}:{node.lineno} imports {a.name}"
+                    for a in node.names
+                    if a.name in private
+                ]
+    assert offenders == []
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         Box([0.0, 1.0], [1.0])
@@ -188,8 +258,10 @@ def test_forward_problem_validation_and_canonical_sign():
     cm = CostMap(CostKind.ADDITIVE, 3, 3)
     with pytest.raises(ValueError):
         ForwardProblem(cm, Box.cube(4, 0, 1), Sense.MIN)
-    with pytest.raises(ValueError):
-        ForwardProblem(cm, Box.cube(3, 0, 1), Sense.MIN, base_quad=-1.0)
+    # NaN curvature used to solve as linear and score NaN regret; inf scored NaN too
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ForwardProblem(cm, Box.cube(3, 0, 1), Sense.MIN, base_quad=bad)
     fp_min = ForwardProblem(cm, Box.cube(3, 0, 1), Sense.MIN)
     fp_max = ForwardProblem(cm, Box.cube(3, 0, 1), Sense.MAX)
     assert fp_min.canonical_sign == -1.0

@@ -83,8 +83,10 @@ def test_spa_config_validation():
         SpaConfig(bandwidths=(0.5, -1.0))
     with pytest.raises(ValueError):
         SpaConfig(bandwidths=(0.5, float("nan")))
-    with pytest.raises(ValueError):
-        SpaConfig(folds=1)
+    for bad in (1, 2.5, float("nan"), True):
+        with pytest.raises(ValueError):
+            SpaConfig(folds=bad)
+    assert SpaConfig(folds=np.int64(3)).folds == 3
 
 
 def test_apply_space_unit_sphere():
