@@ -8,11 +8,14 @@ Four subcommands:
   calib-check calibration-inequality and ball-exactness suites
 
 Runs are described by a YAML config (all keys optional, see RunConfig);
-``--seed``, ``--reps``, ``--out`` and ``--parallel`` override it.  Every
-(method, n, lambda) cell is replicated with a seed derived from the cell's
-position, so a rerun with the same config and seed writes byte-identical
-metric columns.  A failing replication is recorded in its row's error
-column and the exit code, never aborting sibling cells.
+``--seed``, ``--reps``, ``--out`` and ``--parallel`` override it.  The
+config's ``experiment`` alone picks the pipeline: ``spath`` (which the
+``spath`` subcommand sets) runs the shortest-path pipeline at n = sp_n with
+no lambda expansion, whatever the subcommand; A-E run a benchmark family.
+Every (method, n, lambda) cell is replicated with a seed derived from the
+cell's position, so a rerun with the same config and seed writes
+byte-identical metric columns.  A failing replication is recorded in its
+row's error column and the exit code, never aborting sibling cells.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -144,27 +148,22 @@ _SYNTH_CFG = {
 }
 
 
-def _synth_cell(desc: dict) -> dict:
-    kind = desc["experiment"]
-    method = desc["method"]
-    lam = desc["lam"]
-    seed = desc["seed"]
-    fp, theta_star, law = build_example(kind)
-    noise = _noise_model(desc["noise"], desc["sigma"])
-    ds = generate(kind, desc["n"], noise, seed)
+def _synth_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
+    fp, theta_star, law = build_example(cfg.experiment)
+    ds = generate(cfg.experiment, n, _noise_model(cfg.noise, cfg.sigma), seed)
 
     t0 = time.perf_counter()
     if method == "FY" and lam <= 0:
         # lam = 0 turns the FY objective into the plain suboptimality loss
         method = "SUBOPT"
-    cfg = _with_seed(_SYNTH_CFG[method], seed)
+    fit_cfg = _with_seed(_SYNTH_CFG[method], seed)
     if method == "FY":
-        cfg = dataclasses.replace(cfg, lam=float(lam))
+        fit_cfg = dataclasses.replace(fit_cfg, lam=float(lam))
     fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "KKA": kka_fit, "SPA": spa_fit}
-    fit = fitters[method](fp, ds, cfg)
+    fit = fitters[method](fp, ds, fit_cfg)
     wall = time.perf_counter() - t0
 
-    eval_ctxs = law.sample(rng_stream(seed, 99), desc["n_eval"])
+    eval_ctxs = law.sample(rng_stream(seed, 99), cfg.n_eval)
     return {
         "parameter_error": parameter_error(fit.theta, theta_star),
         "decision_error": decision_error(fp, fit.theta, theta_star, eval_ctxs),
@@ -174,17 +173,9 @@ def _synth_cell(desc: dict) -> dict:
     }
 
 
-def _spath_cell(desc: dict) -> dict:
-    sp = synth_graph_instance(
-        desc["sp_nodes"],
-        desc["sp_edges"],
-        desc["sp_m"],
-        None,
-        desc["n"],
-        desc["sp_sigma"],
-        desc["seed"],
-    )
-    rep = sp_run(sp, desc["method"], None, desc["seed"])
+def _spath_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
+    sp = synth_graph_instance(cfg.sp_nodes, cfg.sp_edges, cfg.sp_m, None, n, cfg.sp_sigma, seed)
+    rep = sp_run(sp, method, None, seed)
     return {
         "parameter_error": rep.parameter_error,
         "decision_error": rep.decision_error,
@@ -194,43 +185,31 @@ def _spath_cell(desc: dict) -> dict:
     }
 
 
-def _run_cell(desc: dict) -> dict:
+def _run_cell(cfg: RunConfig, cell: tuple) -> dict:
+    """Run one (method, n, lam, seed) replication of the grid ``cfg`` describes."""
     try:
-        fn = _spath_cell if desc["experiment"] == "spath" else _synth_cell
-        return {"ok": True, **fn(desc)}
+        fn = _spath_cell if cfg.experiment == "spath" else _synth_cell
+        return {"ok": True, **fn(cfg, *cell)}
     except Exception as exc:  # recorded per cell, siblings keep running
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _build_cells(cfg: RunConfig, spath: bool):
-    """Expand the grid to (group_key, [cell descriptors]) in a stable order."""
-    groups = []
+def _build_cells(cfg: RunConfig):
+    """Expand the grid to (group_key, [(method, n, lam, seed)]) in a stable order.
+
+    The shortest-path pipeline runs at n = sp_n with its own FY config, so
+    it ignores sample_sizes and lambdas.
+    """
+    spath = cfg.experiment == "spath"
     sizes = (cfg.sp_n,) if spath else cfg.sample_sizes
-    idx = 0
+    groups = []
     for method in cfg.methods:
         lams = cfg.lambdas if (method == "FY" and not spath) else (None,)
         for n in sizes:
             for lam in lams:
-                cells = []
-                for _ in range(cfg.replications):
-                    cells.append(
-                        {
-                            "experiment": "spath" if spath else cfg.experiment,
-                            "method": method,
-                            "n": int(n),
-                            "lam": lam,
-                            "seed": cfg.seed * 1_000_003 + idx,
-                            "noise": cfg.noise,
-                            "sigma": cfg.sigma,
-                            "n_eval": cfg.n_eval,
-                            "sp_nodes": cfg.sp_nodes,
-                            "sp_edges": cfg.sp_edges,
-                            "sp_m": cfg.sp_m,
-                            "sp_sigma": cfg.sp_sigma,
-                        }
-                    )
-                    idx += 1
-                groups.append(((cfg.experiment if not spath else "spath", method, n, lam), cells))
+                base = cfg.seed * 1_000_003 + len(groups) * cfg.replications
+                cells = [(method, int(n), lam, base + r) for r in range(cfg.replications)]
+                groups.append(((cfg.experiment, method, int(n), lam), cells))
     return groups
 
 
@@ -274,24 +253,20 @@ def _aggregate(key, results):
     return row
 
 
-def _execute(cfg: RunConfig, spath: bool, parallel: int, out_dir: Path) -> int:
+def _execute(cfg: RunConfig, parallel: int, out_dir: Path) -> int:
     t0 = time.perf_counter()
-    groups = _build_cells(cfg, spath)
-    descs = [d for _, cells in groups for d in cells]
+    groups = _build_cells(cfg)
+    cells = [c for _, group in groups for c in group]
+    run = functools.partial(_run_cell, cfg)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            flat = list(pool.map(_run_cell, descs))
+            flat = list(pool.map(run, cells))
     else:
-        flat = [_run_cell(d) for d in descs]
+        flat = [run(c) for c in cells]
 
-    rows = []
-    pos = 0
-    failed = 0
-    for key, cells in groups:
-        chunk = flat[pos : pos + len(cells)]
-        pos += len(cells)
-        failed += sum(1 for r in chunk if not r["ok"])
-        rows.append(_aggregate(key, chunk))
+    reps = cfg.replications  # every group holds one cell per replication
+    rows = [_aggregate(key, flat[i * reps : (i + 1) * reps]) for i, (key, _) in enumerate(groups)]
+    failed = sum(1 for r in flat if not r["ok"])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
@@ -301,7 +276,7 @@ def _execute(cfg: RunConfig, spath: bool, parallel: int, out_dir: Path) -> int:
     summary = {
         "config": dataclasses.asdict(cfg),
         "rows": rows,
-        "cells_total": len(descs),
+        "cells_total": len(cells),
         "cells_failed": failed,
         "wall_time_seconds": round(time.perf_counter() - t0, 3),
     }
@@ -341,7 +316,10 @@ def _grad_flow_problem():
     return _flow_problem(sp), sp.theta_star
 
 
-def grad_check(kind: str, trials: int, seed: int = 0, fd_step: float = 1e-6):
+_FD_STEP = 1e-6
+
+
+def grad_check(kind: str, trials: int, seed: int = 0):
     """Compare fy_grad against a central finite difference along random directions.
 
     Returns (max relative error, pass flag).  Accepts example kinds A-E
@@ -370,9 +348,9 @@ def grad_check(kind: str, trials: int, seed: int = 0, fd_step: float = 1e-6):
         g = fy_grad(fp, theta, u, y, lam, fw=fw)
         v = rng.standard_normal(p)
         v /= np.linalg.norm(v)
-        up = fy_loss(fp, theta + fd_step * v, u, y, lam, fw=fw)
-        dn = fy_loss(fp, theta - fd_step * v, u, y, lam, fw=fw)
-        fd = (up - dn) / (2 * fd_step)
+        up = fy_loss(fp, theta + _FD_STEP * v, u, y, lam, fw=fw)
+        dn = fy_loss(fp, theta - _FD_STEP * v, u, y, lam, fw=fw)
+        fd = (up - dn) / (2 * _FD_STEP)
         rel = abs(float(v @ g) - fd) / max(1.0, abs(fd))
         worst = max(worst, rel)
     return worst, worst <= 1e-5
@@ -405,10 +383,11 @@ def _ball_exactness(samples: int, seed: int):
     return worst, worst <= 1e-12
 
 
-def calib_suite(lam: float, samples: int, seed: int, n_ctx: int = 200):
-    """Calibration-bound hold rate on example C plus ball exactness on E."""
+def calib_suite(lam: float, samples: int, seed: int):
+    """Calibration-bound hold rate on example C (200 contexts) plus ball
+    exactness on E."""
     fp, theta_star, law = build_example("C")
-    ctxs = law.sample(rng_stream(seed, 31), n_ctx)
+    ctxs = law.sample(rng_stream(seed, 31), 200)
     surrogate = _exact_batch(fp, theta_star, ctxs)
     fit = fy_sgd_fit(
         fp,
@@ -463,6 +442,8 @@ def _resolve_config(args) -> tuple[RunConfig, Path]:
         updates["seed"] = args.seed
     if args.reps is not None:
         updates["replications"] = args.reps
+    if args.command == "spath":
+        updates["experiment"] = "spath"
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     out_dir = args.out if args.out is not None else Path(cfg.out)
@@ -477,7 +458,7 @@ def main(argv=None) -> int:
         except (ValueError, OSError, yaml.YAMLError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        return _execute(cfg, args.command == "spath", max(1, args.parallel), out_dir)
+        return _execute(cfg, max(1, args.parallel), out_dir)
     if args.command == "grad-check":
         if args.trials < 1:
             print("trials must be >= 1", file=sys.stderr)

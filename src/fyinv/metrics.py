@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import shortest_path_batch
+from .losses import _fy_batch
 from .model import (
     FlowPolytope,
     ForwardProblem,
@@ -137,8 +138,6 @@ def calibration_check(
     (theta_star is always included), which only shrinks the right-hand side,
     so the check is conservative and reported as a soft holds flag.
     """
-    from .losses import _fy_batch
-
     ctxs = _check_contexts(fp.cost_map, ctxs)
     theta = as_parameter(theta, fp.cost_map)
     theta_star = as_parameter(theta_star, fp.cost_map)

@@ -374,10 +374,12 @@ class UniformContexts:
     dim: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.low) and np.isfinite(self.high)):
+            raise ValueError("low and high must be finite")
         if self.low > self.high:
             raise ValueError("low must not exceed high")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
+        if not _is_count(self.dim):
+            raise ValueError("dim must be an integer >= 1")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=(n, self.dim))
@@ -436,8 +438,8 @@ def sample_dataset(
     """
     from .solvers import _solve_exact_batch  # late import: solvers builds on model
 
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not _is_count(n):
+        raise ValueError("n must be an integer >= 1")
     cm = fp.cost_map
     if contexts.dim != cm.m:
         raise ValueError(f"context dim {contexts.dim} does not match cost map m={cm.m}")

@@ -188,11 +188,12 @@ class FwConfig:
 
     The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
-    a face, so every ``correct_every`` iterations each row's weights over the
-    vertices it has visited are re-solved exactly, as one active-set solve
-    over all those rows padded to their largest vertex count
-    (_correct_rows).  With the optimal face's vertices in hand that snaps
-    the iterate onto the true projection and the gap collapses to roundoff.
+    a face, so every ``correct_every`` iterations each row's iterate is
+    replaced by the exact projection onto the hull of the vertices it has
+    visited, as one active-set solve (from the centroid) over all those rows
+    padded to their largest vertex count (_correct_rows).  With the optimal
+    face's vertices in hand that snaps the iterate onto the true projection
+    and the gap collapses to roundoff.
     Bitwise-equal targets in one batch share one solve, and the output is
     bitwise identical to solving every row.  ``max_iters`` and
     ``correct_every`` are integers >= 1.
@@ -232,8 +233,8 @@ def fw_project(g: Graph, target, cfg: FwConfig | None = None) -> np.ndarray:
 def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarray:
     """fw_project across a batch, sharing each relaxation sweep.
 
-    Per-row state (visited vertices, their weights, the iterate) lives in
-    padded arrays; rows whose duality gap certificate is met drop out of the
+    Per-row state (visited vertices and the iterate) lives in padded
+    arrays; rows whose duality gap certificate is met drop out of the
     working set.  The gap is checked before stepping, so a row whose very
     first vertex is optimal is returned untouched, same as the scalar story.
 
@@ -254,8 +255,6 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     verts = np.zeros((nb, cap, targets.shape[1]), dtype=np.uint8)
     verts[:, 0] = x
     counts = np.ones(nb, dtype=np.int64)
-    weights = np.zeros((nb, cap))
-    weights[:, 0] = 1.0
     active = np.ones(nb, dtype=bool)
 
     for it in range(cfg.max_iters):
@@ -271,7 +270,7 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
             keep = ~done
             if not keep.any():
                 continue
-            rows, grad, s, gap = rows[keep], grad[keep], s[keep], gap[keep]
+            rows, s, gap = rows[keep], s[keep], gap[keep]
 
         d = s - x[rows]
         denom = np.einsum("ij,ij->i", d, d)
@@ -282,25 +281,21 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
         if kmax == cap:
             cap *= 2
             verts = np.concatenate([verts, np.zeros_like(verts)], axis=1)
-            weights = np.concatenate([weights, np.zeros_like(weights)], axis=1)
         s = s.astype(np.uint8)  # from here on only matched and stored, as bytes
         sub = verts[rows, :kmax]
         hit = (sub == s[:, None, :]).all(axis=2)
         hit &= np.arange(kmax)[None, :] < counts[rows, None]
         found = hit.any(axis=1)
-        slot = np.where(found, hit.argmax(axis=1), counts[rows])
         fresh = rows[~found]
         verts[fresh, counts[fresh]] = s[~found]
         counts[fresh] += 1
-        weights[rows] *= (1.0 - gamma)[:, None]
-        weights[rows, slot] += gamma
 
         if (it + 1) % cfg.correct_every == 0:
-            _correct_rows(verts, counts, weights, x, targets, rows)
+            _correct_rows(verts, counts, x, targets, rows=rows)
     else:
         # Last chance: correct, then re-certify before giving up.
         rows = np.flatnonzero(active)
-        _correct_rows(verts, counts, weights, x, targets, rows)
+        _correct_rows(verts, counts, x, targets, rows=rows)
         grad = x[rows] - targets[rows]
         s = shortest_path_batch(g, grad)
         gap = np.einsum("ij,ij->i", grad, x[rows] - s)
@@ -327,7 +322,7 @@ def _distinct_rows(a: np.ndarray):
     return first[order], np.argsort(order)[inv]
 
 
-def _correct_rows(verts, counts, weights, x, targets, rows) -> None:
+def _correct_rows(verts, counts, x, targets, rows) -> None:
     """Exact projection onto each row's visited-vertex hull, in place.
 
     Every row with more than one vertex joins one _simplex_lsq_batch stack,
@@ -358,9 +353,6 @@ def _correct_rows(verts, counts, weights, x, targets, rows) -> None:
     dst = np.cumsum(keep, axis=1) - 1
     i, j = np.nonzero(keep & (dst != np.arange(k)))
     verts[grp[i], dst[i, j]] = verts[grp[i], j]
-    weights[grp, :k] = 0.0
-    i, j = np.nonzero(keep)
-    weights[grp[i], dst[i, j]] = w[i, j]
     counts[grp] = dst[:, -1] + 1
 
 

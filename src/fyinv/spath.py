@@ -332,12 +332,10 @@ _DEFAULT_CFG = {
 }
 
 
-def train_test_split(n: int, seed: int, train_frac: float = 0.6):
-    """Deterministic shuffled index split."""
-    if not 0 < train_frac < 1:
-        raise ValueError("train_frac must be in (0, 1)")
+def train_test_split(n: int, seed: int):
+    """Deterministic shuffled index split, 60% train."""
     perm = rng_stream(seed, 43).permutation(n)
-    k = int(round(train_frac * n))
+    k = int(round(0.6 * n))
     if k == 0 or k == n:
         raise ValueError("split leaves an empty side")
     return perm[:k], perm[k:]

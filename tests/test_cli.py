@@ -100,21 +100,22 @@ def test_build_cells_lambda_expansion_fy_only():
     cfg = RunConfig(
         methods=("FY", "SUBOPT"), sample_sizes=(50,), lambdas=(0.1, 1.0), replications=2
     )
-    groups = _build_cells(cfg, spath=False)
+    groups = _build_cells(cfg)
     keys = [k for k, _ in groups]
     assert keys == [
         ("C", "FY", 50, 0.1),
         ("C", "FY", 50, 1.0),
         ("C", "SUBOPT", 50, None),
     ]
-    for _, cells in groups:
+    for key, cells in groups:
         assert len(cells) == 2
+        assert all(c[:3] == key[1:] for c in cells)
 
 
 def test_build_cells_seed_derivation():
     cfg = RunConfig(sample_sizes=(50, 100), replications=3, seed=2)
-    groups = _build_cells(cfg, spath=False)
-    seeds = [c["seed"] for _, cells in groups for c in cells]
+    groups = _build_cells(cfg)
+    seeds = [seed for _, cells in groups for (_, _, _, seed) in cells]
     assert seeds == [2 * 1_000_003 + i for i in range(6)]
     assert len(set(seeds)) == len(seeds)
 
@@ -124,11 +125,11 @@ def test_build_cells_spath_ignores_sample_sizes_and_lambdas():
         experiment="spath", methods=("FY",), sample_sizes=(50, 100), lambdas=(0.1, 1.0),
         replications=2, sp_n=77,
     )
-    groups = _build_cells(cfg, spath=True)
+    groups = _build_cells(cfg)
     assert len(groups) == 1
     key, cells = groups[0]
     assert key == ("spath", "FY", 77, None)
-    assert all(c["n"] == 77 for c in cells)
+    assert all(n == 77 for _, n, _, _ in cells)
 
 
 def test_synth_cell_dispatches_method_lam_and_seed(monkeypatch):
@@ -153,13 +154,13 @@ def test_synth_cell_dispatches_method_lam_and_seed(monkeypatch):
         ("SPA", None): "spa_fit",
     }
     seen = []
-    for (_, method, _, lam), (desc,) in _build_cells(cfg, spath=False):
+    for (_, method, _, lam), (cell,) in _build_cells(cfg):
         calls.clear()
-        _synth_cell(desc)
+        _synth_cell(cfg, *cell)
         [(name, fit_cfg)] = calls
         assert name == expected[method, lam]
         seed = fit_cfg.inner.seed if name == "spa_fit" else fit_cfg.seed
-        assert seed == desc["seed"] != 0
+        assert seed == cell[3] != 0
         if name == "fy_sgd_fit":
             assert fit_cfg.lam == lam
         seen.append((method, lam))
@@ -289,6 +290,63 @@ def test_main_spath_small_grid(tmp_path):
     assert row["experiment"] == "spath"
     assert float(row["relative_regret_ratio_mean"]) >= 0.0
     assert float(row["parameter_error_mean"]) > 0.0
+
+
+def _report_rows(out):
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_synth_with_spath_experiment_runs_the_spath_grid(tmp_path):
+    # the config's experiment alone picks the pipeline, whatever the subcommand
+    cfg = _cfg_file(
+        tmp_path,
+        "experiment: spath\nmethods: [FY, SUBOPT]\nsample_sizes: [30, 40]\n"
+        "lambdas: [0.1, 5.0]\nreplications: 1\nsp_n: 24\n"
+        "sp_nodes: 12\nsp_edges: 20\nsp_m: 3\n",
+    )
+    by_cmd = {}
+    for command in ("synth", "spath"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        rows = _report_rows(out)
+        assert [(r["experiment"], r["method"], r["n"], r["lam"]) for r in rows] == [
+            ("spath", "FY", "24", ""),
+            ("spath", "SUBOPT", "24", ""),
+        ]
+        by_cmd[command] = [{k: v for k, v in r.items() if k != "wall_time_mean"} for r in rows]
+    assert by_cmd["synth"] == by_cmd["spath"]
+
+
+def test_spath_subcommand_records_spath_experiment(tmp_path):
+    cfg = _cfg_file(
+        tmp_path,
+        "methods: [SUBOPT]\nreplications: 1\nsp_n: 24\nsp_nodes: 12\nsp_edges: 20\nsp_m: 3\n",
+    )
+    out = tmp_path / "res"
+    assert main(["spath", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["experiment"] == "spath"
+    assert [r["experiment"] for r in summary["rows"]] == ["spath"]
+
+
+def test_parallel_pool_matches_in_process(tmp_path):
+    cfg = _cfg_file(
+        tmp_path,
+        "experiment: C\nmethods: [FY, SUBOPT]\nsample_sizes: [20]\nlambdas: [0.1, 1.0]\n"
+        "replications: 2\nn_eval: 30\nseed: 4\n",
+    )
+    reports = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"p{parallel}"
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 0
+        reports.append(_report_rows(out))
+    a, b = reports
+    assert len(a) == 3
+    for ra, rb in zip(a, b):
+        ra.pop("wall_time_mean")
+        rb.pop("wall_time_mean")
+        assert ra == rb
 
 
 def test_grad_check_function_small():

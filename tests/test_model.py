@@ -301,6 +301,12 @@ def test_uniform_contexts_validation_and_range():
         UniformContexts(1.0, 0.0, 3)
     with pytest.raises(ValueError):
         UniformContexts(0.0, 1.0, 0)
+    for dim in (2.5, True, np.nan):
+        with pytest.raises(ValueError):
+            UniformContexts(0.0, 1.0, dim)
+    for low, high in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            UniformContexts(low, high, 2)
     law = UniformContexts(-1.0, 1.0, 4)
     draw = law.sample(rng_stream(3), 100)
     assert draw.shape == (100, 4)
@@ -350,6 +356,9 @@ def test_sample_dataset_validation():
     fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), Box.cube(4, -1, 1), Sense.MIN)
     with pytest.raises(ValueError):
         sample_dataset(fp, np.zeros(4), 0, Noiseless(), UniformContexts(-1, 1, 4), 0)
+    for n in (2.5, True, np.nan):
+        with pytest.raises(ValueError):
+            sample_dataset(fp, np.zeros(4), n, Noiseless(), UniformContexts(-1, 1, 4), 0)
     with pytest.raises(ValueError):
         sample_dataset(fp, np.zeros(4), 5, Noiseless(), UniformContexts(-1, 1, 3), 0)
 

@@ -607,24 +607,23 @@ def test_correct_rows_ignores_stale_slots(monkeypatch):
     clean = verts.copy()
     stale = np.arange(cap) >= counts[:, None]
     clean[stale] = 0
-    weights = rng.uniform(0.1, 1.0, (nb, cap)) * ~stale
-    weights /= weights.sum(axis=1, keepdims=True)
-    x = np.einsum("nk,nke->ne", weights, verts.astype(float))
+    mix = rng.uniform(0.1, 1.0, (nb, cap)) * ~stale
+    mix /= mix.sum(axis=1, keepdims=True)
+    x = np.einsum("nk,nke->ne", mix, verts.astype(float))  # a point of each live hull
     targets = rng.uniform(-1.0, 2.0, (nb, e))
     rows = np.arange(nb)
 
     def run():
         outs = []
         for v in (verts.copy(), clean.copy()):
-            c, w, xx = counts.copy(), weights.copy(), x.copy()
-            _correct_rows(v, c, w, xx, targets, rows)
+            c, xx = counts.copy(), x.copy()
+            _correct_rows(v, c, xx, targets, rows=rows)
             live = np.arange(cap) < c[:, None]
-            outs.append((v[live], c, w, xx))
+            outs.append((v[live], c, xx))
         return outs
 
-    (v1, c1, w1, x1), (v2, c2, w2, x2) = run()
+    (v1, c1, x1), (v2, c2, x2) = run()
     np.testing.assert_array_equal(c1, c2)
-    np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(v1, v2)
     assert np.any(c1 < counts)  # the compaction did run
@@ -634,8 +633,7 @@ def test_correct_rows_ignores_stale_slots(monkeypatch):
         return _simplex_lsq_batch(P, t, valid) + 1e-12 * ~valid
 
     monkeypatch.setattr("fyinv.solvers._simplex_lsq_batch", leaky)
-    (v1, c1, w1, _), (v2, c2, w2, _) = run()
+    (v1, c1, _), (v2, c2, _) = run()
     assert np.all(c1 <= counts)
     np.testing.assert_array_equal(c1, c2)
-    np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(v1, v2)

@@ -241,8 +241,6 @@ def test_train_test_split_contract():
     np.testing.assert_array_equal(te, te2)
     assert not np.array_equal(train_test_split(10, seed=1)[0], tr)
     with pytest.raises(ValueError):
-        train_test_split(10, seed=0, train_frac=0.0)
-    with pytest.raises(ValueError):
         train_test_split(1, seed=0)
 
 
