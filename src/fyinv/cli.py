@@ -105,6 +105,8 @@ class RunConfig:
         for name in ("replications", "n_eval", "sp_n", "sp_m"):
             if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
+        if not _is_count(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
         if not all(_is_count(n) for n in self.sample_sizes):
             raise ValueError("sample sizes must be integers >= 1")
         if not all(l >= 0 for l in self.lambdas):
@@ -137,7 +139,9 @@ def _noise_model(noise: str, sigma: float):
 
 
 # baseline budgets: the subgradient objectives need longer decayed-step
-# schedules than the smooth FY risk to reach a comparable plateau
+# schedules than the smooth FY risk to reach a comparable plateau.  KKA runs
+# full-batch descent on its convex dual-reduced objective and stops on the
+# gradient tolerance, in about 350 steps on family A; max_iters only caps it.
 _SYNTH_CFG = {
     "FY": SgdConfig(learning_rate=0.1, batch_size=32, max_iters=2000, lam=0.1, eval_every=200),
     "SUBOPT": SgdConfig(

@@ -13,7 +13,8 @@ The suboptimality loss drops the quadratic part and compares y against the
 best linear objective value; it is the classic duality-gap objective and is
 degenerate at theta = 0 for purely multiplicative cost maps.  The KKT
 objective measures squared stationarity and complementary-slackness
-residuals with per-point dual variables.
+residuals with per-point dual variables; for fixed theta the minimizing
+duals have a closed form, which leaves a convex objective in theta alone.
 """
 
 from __future__ import annotations
@@ -167,12 +168,59 @@ def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
         comp_b = nu * (-ys)
         g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
         g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
-    # Diverging duals overflow here; the caller's DivergedError reports it.
+    # Huge duals overflow to inf here instead of warning; kka_fit turns a
+    # non-finite objective into DivergedError.
     with np.errstate(over="ignore"):
         total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
     # d stat / d theta = -J_c, so chain through the batched adjoint.
     g_theta = -2.0 * len(ds) * fp._canonical_adjoint(ds.contexts, stat)
     return total, g_theta, np.concatenate([g_a, g_b], axis=1)
+
+
+def _kka_duals_batch(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
+    """Duals minimizing the KKT objective at theta, in closed form per point.
+
+    For fixed theta the objective separates per point and per region block;
+    fp.region must be a Box or NonNegL1Cap (see ``kka_dual_dim``).
+
+    Box, per coordinate: at most one of lam_hi, lam_lo is positive, with
+    lam_hi = h / (1 + (y - hi)^2) if h > 0 and lam_lo = -h / (1 + (lo - y)^2)
+    if h < 0.
+
+    NonNegL1Cap: for fixed mu each nu_j = v_j max(0, mu - h_j) with
+    v_j = 1 / (1 + y_j^2), which leaves the reduced objective in mu >= 0
+
+        g(mu) = sum_j (1 - v_j [mu > h_j]) (mu - h_j)^2 + s^2 mu^2,
+
+    with s = sum(y) - cap.  g is C^1 with breakpoints at the h_j, and
+    strictly convex: its curvature can only vanish with every y_j = 0 and
+    s = 0, which cap > 0 rules out.  Past the k smallest h_j,
+    g'/2 = a_k mu - b_k with a_k = d + s^2 - (sum of their v) and
+    b_k = sum(h) - (sum of their v h), so one sort and two cumulative sums
+    give every segment.  mu is the root on the segment where g' changes
+    sign, clipped at 0.
+    """
+    hcs = fp._canonical_costs(theta, ds.contexts)
+    ys = ds.decisions
+    r = fp.region
+    if isinstance(r, Box):
+        lam_hi = np.maximum(hcs, 0.0) / (1.0 + (ys - r.hi) ** 2)
+        lam_lo = np.maximum(-hcs, 0.0) / (1.0 + (r.lo - ys) ** 2)
+        return np.concatenate([lam_hi, lam_lo], axis=1)
+    n, d = hcs.shape
+    v = 1.0 / (1.0 + ys**2)
+    rows = np.arange(n)[:, None]
+    order = np.argsort(hcs, axis=1)
+    hs, vs = hcs[rows, order], v[rows, order]
+    s2 = (ys.sum(axis=1, keepdims=True) - r.cap) ** 2
+    zero = np.zeros((n, 1))
+    a = d + s2 - np.concatenate([zero, np.cumsum(vs, axis=1)], axis=1)
+    b = hs.sum(axis=1, keepdims=True) - np.concatenate([zero, np.cumsum(vs * hs, axis=1)], axis=1)
+    # g' is nondecreasing, so the breakpoints where it is negative form a
+    # prefix of the sorted h; their count k names the root's segment
+    k = np.count_nonzero(a[:, 1:] * hs < b[:, 1:], axis=1)[:, None]
+    mu = np.maximum(b[rows, k] / a[rows, k], 0.0)
+    return np.concatenate([mu, np.maximum(mu - hcs, 0.0) * v], axis=1)
 
 
 def _check_duals(fp: ForwardProblem, duals, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
-from .losses import _fy_batch, _kka_batch, _subopt_batch, kka_dual_dim
+from .losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch, kka_dual_dim
 from .model import Dataset, ForwardProblem, Parameter, _is_count, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
@@ -148,7 +148,7 @@ def _run_sgd(
     trace: list[float] = []
     grad_norm = np.inf
     t = 0
-    last_eval = -1
+    last_eval = 0  # the start risk is checkpoint 0
     while t < cfg.max_iters:
         if pos + b > n:
             order = rng.permutation(n)
@@ -231,57 +231,39 @@ def subopt_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) ->
 
 
 def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
-    """Projected gradient descent on the mean KKT-residual objective.
+    """Gradient descent on the mean KKT-residual objective, duals minimized out.
 
-    Joint descent over (theta, per-point duals) with the duals clamped to
-    stay nonnegative after every step.  Every step is full-batch and the
-    objective is checkpointed at every iteration, so ``batch_size`` and
-    ``eval_every`` are not read.  Stepping uses the per-point mean so the
-    step size does not have to shrink with the sample count; reported trace
-    values are on the same mean scale.  The best-objective duals are
-    returned in ``meta["duals"]``.  A non-finite objective or gradient,
-    such as from diverging duals, raises DivergedError.
+    For fixed theta the per-point duals have a closed form
+    (``_kka_duals_batch``), and by Danskin's rule the theta-gradient of the
+    objective minimized over them is the KKT objective's theta-gradient at
+    those duals.  That reduced objective is convex in theta, so the shared
+    driver runs plain full-batch descent on it and stops on ``tolerance``.
+    Every step reads the whole dataset in its stored order, so
+    ``batch_size`` and ``seed`` do not change the fit.  Values and steps are
+    per-point means, so the step size does not have to shrink with the
+    sample count.  ``meta["duals"]`` holds the closed-form duals at the
+    returned theta.  A non-finite objective or gradient raises
+    DivergedError.
     """
     cfg = cfg or SgdConfig()
+    kka_dual_dim(fp)  # rejects regions without a KKT form
     n = len(ds)
-    theta = _start_theta(fp, ds, cfg)
-    duals = np.zeros((n, kka_dual_dim(fp)))
 
-    start = time.perf_counter()
-    best = (np.inf, theta, duals)
-    trace: list[float] = []
-    grad_norm = np.inf
-    t = 0
-    while True:
-        total, g_theta, g_duals = _kka_batch(fp, theta, duals, ds)
-        if not (np.isfinite(total) and np.isfinite(g_theta).all() and np.isfinite(g_duals).all()):
+    def reduced(theta):
+        total, g_theta, _ = _kka_batch(fp, theta, _kka_duals_batch(fp, theta, ds), ds)
+        if not (np.isfinite(total) and np.isfinite(g_theta).all()):
             raise DivergedError("KKT objective or gradient is not finite")
-        obj = total / n
-        if obj < best[0]:
-            best = (obj, theta, duals)
-        if t == cfg.max_iters:
-            break
-        trace.append(obj)
-        g_theta = g_theta / n
-        g_duals = g_duals / n
-        grad_norm = float(np.sqrt(np.sum(g_theta**2) + np.sum(g_duals**2)))
-        if grad_norm <= cfg.tolerance:
-            break
-        step = cfg.learning_rate
-        if cfg.step_decay == "inv_sqrt":
-            step /= np.sqrt(t + 1.0)
-        theta = _guard(_apply_space(theta - step * g_theta, cfg.param_space))
-        duals = np.maximum(duals - step * g_duals, 0.0)
-        t += 1
+        return total / n, g_theta / n
 
-    return FitResult(
-        theta=as_parameter(best[1], fp.cost_map),
-        iterations=t,
-        grad_norm=grad_norm,
-        loss_trace=np.asarray(trace),
-        wall_time=time.perf_counter() - start,
-        meta={"risk": best[0], "duals": best[2]},
-    )
+    def batch_step(theta, idx):
+        return reduced(theta)  # idx holds every row: the step is full-batch
+
+    def full_risk(theta):
+        return reduced(theta)[0]
+
+    result = _run_sgd(fp, ds, dataclasses.replace(cfg, batch_size=n), batch_step, full_risk)
+    duals = _kka_duals_batch(fp, result.theta, ds)
+    return dataclasses.replace(result, meta={**result.meta, "duals": duals})
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Everything here favors obviousness over speed and shares no code with the
 package: alternating projections (Dykstra), Newton/bisection on scalar
 water-level equations, exhaustive path enumeration, a plain-Python
 shortest-path sweep under the documented tie rule, plain or
-accelerated projected gradient, and a plain-loop kernel bandwidth
-cross-validation.  Where two oracles cover the same object
-(Newton vs Dykstra for the capped orthant) the tests also cross-check them
-against each other.
+accelerated projected gradient, a plain-loop kernel bandwidth
+cross-validation, and support enumeration for the KKT-residual duals.
+Where two oracles cover the same object (Newton vs Dykstra for the capped
+orthant) the tests also cross-check them against each other.
 """
 
 from __future__ import annotations
@@ -372,6 +372,68 @@ def cv_bandwidth_scores(contexts, decisions, bandwidths, folds: int, seed: int) 
             count += len(held)
         scores.append(sse / max(count, 1))
     return scores
+
+
+# ---------------------------------------------------------------------------
+# KKT-residual duals
+
+
+def _kkt_system(region, hc: np.ndarray, y: np.ndarray):
+    """(M, c) with the squared KKT residual of one observation = ||M z - c||^2.
+
+    Rows are stationarity, then the two complementary-slackness blocks.
+    Box duals are z = (lam_hi, lam_lo): lam_hi - lam_lo = hc,
+    lam_hi (y - hi) = 0 and lam_lo (lo - y) = 0.  Capped-orthant duals are
+    z = (mu, nu): mu - nu = hc, mu (sum y - cap) = 0 and nu y = 0.
+    """
+    d = hc.size
+    eye = np.eye(d)
+    zeros = np.zeros((d, d))
+    if isinstance(region, Box):
+        m = np.block([
+            [eye, -eye],
+            [np.diag(y - region.hi), zeros],
+            [zeros, np.diag(region.lo - y)],
+        ])
+        return m, np.concatenate([hc, np.zeros(2 * d)])
+    col = np.ones((d, 1))
+    m = np.block([
+        [col, -eye],
+        [np.array([[y.sum() - region.cap]]), np.zeros((1, d))],
+        [np.zeros((d, 1)), -np.diag(y)],
+    ])
+    return m, np.concatenate([hc, np.zeros(d + 1)])
+
+
+def kkt_residual(region, hc, y, z) -> float:
+    """Squared KKT residual of one observation at duals z."""
+    m, c = _kkt_system(region, np.asarray(hc, dtype=float), np.asarray(y, dtype=float))
+    r = m @ np.asarray(z, dtype=float) - c
+    return float(r @ r)
+
+
+def kkt_duals(region, hc, y) -> np.ndarray:
+    """Nonnegative duals minimizing the squared KKT residual of one observation.
+
+    A nonnegative least-squares problem solved by enumerating every support
+    set: least squares on the support, kept when nonnegative, best residual
+    wins.  The optimum's own support reproduces it, so this is exact up to
+    the least-squares solve; it costs 2^(#duals) solves, so keep d small.
+    """
+    m, c = _kkt_system(region, np.asarray(hc, dtype=float), np.asarray(y, dtype=float))
+    q = m.shape[1]
+    best, best_z = math.inf, None
+    for mask in range(1 << q):
+        support = [i for i in range(q) if mask >> i & 1]
+        z = np.zeros(q)
+        if support:
+            z[support] = np.linalg.lstsq(m[:, support], c, rcond=None)[0]
+        if np.any(z < 0.0):
+            continue
+        r = m @ z - c
+        if r @ r < best:
+            best, best_z = float(r @ r), z
+    return best_z
 
 
 # ---------------------------------------------------------------------------

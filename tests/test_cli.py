@@ -50,6 +50,9 @@ def test_run_config_validation():
     for bad in (2.5, float("nan")):
         with pytest.raises(ValueError):
             RunConfig(sample_sizes=(50, bad))
+    for bad in (-1, 1.5, float("nan"), True):
+        with pytest.raises(ValueError):
+            RunConfig(seed=bad)
     with pytest.raises(ValueError):
         RunConfig(lambdas=(-0.1,))
     with pytest.raises(ValueError):
@@ -60,6 +63,7 @@ def test_run_config_validation():
                 RunConfig(**{key: bad})
     assert RunConfig(experiment="spath").experiment == "spath"
     assert RunConfig(n_eval=np.int64(5), sample_sizes=(np.int64(5),)).n_eval == 5
+    assert RunConfig(seed=np.int64(0)).seed == 0
     assert RunConfig(lambdas=(0.0,)).lambdas == (0.0,)  # lam 0 = plain subopt
 
 
@@ -200,6 +204,15 @@ def test_main_config_error_exits_2(tmp_path):
     bad = _cfg_file(tmp_path, "experiment: Q\n")
     assert main(["synth", "--config", str(bad)]) == 2
     assert main(["synth", "--config", str(tmp_path / "missing.yaml")]) == 2
+    # a bad seed is a config error, not a grid of failed (or relabelled) cells
+    small = "sample_sizes: [5]\nreplications: 1\nn_eval: 5\n"
+    out = tmp_path / "never"
+    ok = _cfg_file(tmp_path, small)
+    assert main(["synth", "--config", str(ok), "--seed", "-1", "--out", str(out)]) == 2
+    for seed in ("1.5", "true"):
+        bad = _cfg_file(tmp_path, f"seed: {seed}\n" + small)
+        assert main(["synth", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_main_synth_writes_report(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Fenchel-Young, suboptimality, and KKT-residual losses."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,10 @@ from fyinv import (
     subopt_loss,
     subopt_subgrad,
 )
-from fyinv.losses import _fy_batch, _subopt_batch
+from fyinv.losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch
 from fyinv.solvers import _linear_argmax_batch
 
-from oracles import enum_paths, fd_grad, sample_region
+from oracles import enum_paths, fd_grad, kkt_duals, kkt_residual, sample_region
 
 TIGHT_FW = FwConfig(max_iters=3000, gap_tol=1e-12)
 
@@ -319,6 +321,77 @@ def test_kka_grad_matches_finite_differences():
         want = fd_grad(f, joint)
         np.testing.assert_allclose(g_theta, want[: theta.size], atol=1e-5)
         np.testing.assert_allclose(g_duals.ravel(), want[theta.size:], atol=1e-5)
+
+
+def _oracle_duals(fp, theta, ds):
+    return np.stack([
+        kkt_duals(fp.region, fp.canonical_cost(theta, u), y)
+        for u, y in zip(ds.contexts, ds.decisions)
+    ])
+
+
+def _noisy_region_data(region, m, n, rng):
+    ys = np.stack([sample_region(region, 3, rng) for _ in range(n)])
+    return Dataset(rng.uniform(-1, 1, (n, m)), ys + 0.5 * rng.standard_normal((n, 3)))
+
+
+def test_kka_closed_form_duals_match_support_enumeration():
+    rng = rng_stream(84)
+    regions = (
+        Box.cube(3, -1, 1),
+        Box(np.array([-2.0, 0.0, 0.5]), np.array([1.0, 0.5, 3.0])),
+        NonNegL1Cap(2.0),
+    )
+    for region in regions:
+        for kind, m, sense in (
+            (CostKind.MATRIX_PRODUCT, 2, Sense.MIN),
+            (CostKind.ADDITIVE, 3, Sense.MAX),
+        ):
+            fp = ForwardProblem(CostMap(kind, 3, m), region, sense)
+            ds = _noisy_region_data(region, m, 12, rng)
+            for _ in range(3):
+                theta = 2.0 * rng.standard_normal(fp.cost_map.p)
+                got = _kka_duals_batch(fp, theta, ds)
+                np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-9)
+
+
+def test_kka_closed_form_duals_on_vertex_data_with_tied_breakpoints():
+    # Cap vertices: y = 0 (slack -cap) or cap * e_k (slack 0, other y_j 0).
+    # Zero contexts and a constant theta make every breakpoint h_j tie, so
+    # the root of the mu problem sits on a tied breakpoint.
+    cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(2.0), Sense.MAX)
+    cap_ds = Dataset(np.zeros((5, 4)), np.vstack([np.zeros(4), 2.0 * np.eye(4)]))
+    box = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), Box.cube(3, -1, 1), Sense.MAX)
+    box_ds = Dataset(np.zeros((8, 3)), np.array(list(itertools.product((-1.0, 1.0), repeat=3))))
+    cap_thetas = (np.full(4, -1.0), np.zeros(4), np.full(4, 0.5), np.array([0.5, 0.5, -1.0, 0.5]))
+    box_thetas = (np.zeros(3), np.array([0.5, 0.0, -0.5]), np.full(3, 0.25))
+    cases = ((cap, cap_ds, cap_thetas), (box, box_ds, box_thetas))
+    for fp, ds, thetas in cases:
+        for theta in thetas:
+            got = _kka_duals_batch(fp, theta, ds)
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, _kka_duals_batch(fp, theta, ds))
+            np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-12)
+
+
+def test_kka_reduced_gradient_matches_finite_differences():
+    # Danskin: the KKT objective's theta-gradient at the closed-form duals
+    # is the gradient of the objective minimized over the duals.
+    rng = rng_stream(85)
+    for region in (Box.cube(3, -1, 1), NonNegL1Cap(2.0)):
+        fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 3, 2), region, Sense.MIN)
+        ds = _noisy_region_data(region, 2, 5, rng)
+        theta = rng.standard_normal(fp.cost_map.p)
+
+        def reduced(t):
+            return sum(
+                kkt_residual(region, fp.canonical_cost(t, u), y, z)
+                for u, y, z in zip(ds.contexts, ds.decisions, _oracle_duals(fp, t, ds))
+            )
+
+        total, g_theta, _ = _kka_batch(fp, theta, _kka_duals_batch(fp, theta, ds), ds)
+        assert total == pytest.approx(reduced(theta), rel=1e-12)
+        np.testing.assert_allclose(g_theta, fd_grad(reduced, theta), atol=1e-5)
 
 
 def test_kka_rejects_bad_dual_shape():

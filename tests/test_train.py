@@ -29,9 +29,10 @@ from fyinv import (
     spa_fit,
     subopt_fit,
 )
+from fyinv.cli import _SYNTH_CFG
 from fyinv.losses import _fy_batch, _subopt_batch
-from fyinv.train import _apply_space, _cv_bandwidth
-from oracles import cv_bandwidth_scores
+from fyinv.train import _apply_space, _cv_bandwidth, _run_sgd
+from oracles import cv_bandwidth_scores, kkt_duals, kkt_residual
 
 
 def _noiseless_b(n=60, seed=3, p=4):
@@ -147,6 +148,33 @@ def test_fy_fit_huge_tolerance_stops_immediately():
     np.testing.assert_array_equal(res.theta.values, np.zeros(fp.cost_map.p))
 
 
+def test_driver_evaluates_each_checkpoint_once():
+    # The start risk is checkpoint 0, so a run that ends before its first
+    # step does not evaluate the same theta a second time.
+    fp, _, ds = _noisy_c()
+    evals = []
+
+    def full_risk(theta):
+        evals.append(theta.copy())
+        return float(np.sum((theta - 1.0) ** 2))
+
+    def stationary(theta, idx):
+        return 0.0, np.zeros_like(theta)
+
+    def descend(theta, idx):
+        return 0.0, theta - 1.0
+
+    for step, cfg, want in (
+        (stationary, SgdConfig(max_iters=0), 1),
+        (stationary, SgdConfig(max_iters=500), 1),
+        (descend, SgdConfig(max_iters=100, eval_every=50), 3),  # start, 50, 100
+        (descend, SgdConfig(max_iters=120, eval_every=50), 4),  # ... and 120
+    ):
+        evals.clear()
+        _run_sgd(fp, ds, cfg, step, full_risk)
+        assert len(evals) == want
+
+
 def test_fy_fit_rejects_bad_theta0():
     fp, _, ds = _noisy_c()
     with pytest.raises(ValueError):
@@ -217,16 +245,29 @@ def test_subopt_fit_risk_contract_under_noise():
 # KKT-residual fitter
 
 
+def _kkt_oracle(fp, theta, ds):
+    """Per-point optimal duals at theta and the mean KKT objective at them."""
+    hcs = [fp.canonical_cost(theta, u) for u in ds.contexts]
+    duals = np.stack([kkt_duals(fp.region, hc, y) for hc, y in zip(hcs, ds.decisions)])
+    objs = [kkt_residual(fp.region, hc, y, z) for hc, y, z in zip(hcs, ds.decisions, duals)]
+    return duals, float(np.mean(objs))
+
+
 def test_kka_fit_decreases_objective():
     fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), Box.cube(3, -1, 1), Sense.MIN)
     ds = generate(ExampleSpec("C", p=3), 30, NoisyDecision(0.3), 5)
     cfg = SgdConfig(learning_rate=0.05, max_iters=600, eval_every=100)
     res = kka_fit(fp, ds, cfg)
-    init = kka_objective(fp, np.zeros(3), np.zeros((30, 6)), ds) / 30
-    assert res.loss_trace[0] == pytest.approx(init)
+    init = kka_objective(fp, np.zeros(3), np.zeros((30, 6)), ds) / 30  # zero duals
+    _, start = _kkt_oracle(fp, np.zeros(3), ds)
+    assert res.loss_trace[0] == pytest.approx(start)
+    assert start <= init
     assert res.meta["risk"] < 0.5 * init
     assert res.meta["duals"].shape == (30, 6)
     assert res.meta["duals"].min() >= 0.0
+    want, risk = _kkt_oracle(fp, res.theta, ds)
+    np.testing.assert_allclose(res.meta["duals"], want, atol=1e-9)
+    assert res.meta["risk"] == pytest.approx(risk)
 
 
 def test_kka_fit_deterministic_and_validates_theta0():
@@ -248,13 +289,25 @@ def test_kka_fit_raises_on_nan_iterate():
         kka_fit(fp, ds, SgdConfig(theta0=np.full(3, np.nan), max_iters=5))
 
 
-def test_kka_fit_raises_when_duals_diverge():
-    # the theta box keeps the iterate bounded, so only the duals blow up
+def test_kka_fit_raises_when_iterate_diverges():
+    # no theta box: a step far past 2 / curvature makes the iterate oscillate
+    # with growing amplitude until the norm guard trips
     fp, _, _ = build_example("C")
     ds = generate("C", 50, NoisyDecision(1.0), 0)
-    cfg = SgdConfig(learning_rate=30, max_iters=2000, param_space=ThetaBox(-1, 1))
     with pytest.raises(DivergedError):
-        kka_fit(fp, ds, cfg)
+        kka_fit(fp, ds, SgdConfig(learning_rate=30, max_iters=2000))
+
+
+def test_kka_fit_reaches_tolerance_on_family_a():
+    # 4,000 joint projected-gradient steps over (theta, duals) at the same
+    # step size stopped at a mean objective of 2.4263 on this draw
+    fp, _, _ = build_example("A")
+    ds = generate("A", 1000, NoisyDecision(1.0), 0)
+    cfg = _SYNTH_CFG["KKA"]
+    res = kka_fit(fp, ds, cfg)
+    assert res.iterations < 1000
+    assert res.grad_norm <= cfg.tolerance
+    assert res.meta["risk"] < 2.4263
 
 
 # ---------------------------------------------------------------------------
