@@ -439,6 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_args(args) -> str | None:
+    """Why the grad-check or calib-check arguments are invalid, or None."""
+    counts = {"grad-check": ("trials", 1), "calib-check": ("samples", 1)}[args.command]
+    for name, least in (counts, ("seed", 0)):
+        if not _is_count(getattr(args, name), least):
+            return f"{name} must be an integer >= {least}"
+    if args.command == "calib-check" and not (np.isfinite(args.lam) and args.lam > 0):
+        return "lam must be finite and > 0"
+    return None
+
+
 def _resolve_config(args) -> tuple[RunConfig, Path]:
     cfg = load_config(args.config) if args.config else RunConfig()
     updates = {}
@@ -463,10 +474,11 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         return _execute(cfg, max(1, args.parallel), out_dir)
+    problem = _check_args(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     if args.command == "grad-check":
-        if args.trials < 1:
-            print("trials must be >= 1", file=sys.stderr)
-            return 2
         worst, ok = grad_check(args.example, args.trials, args.seed)
         print(
             f"grad-check {args.example}: max relative error {worst:.3e} "

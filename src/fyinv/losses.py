@@ -142,14 +142,17 @@ def kka_dual_dim(fp: ForwardProblem) -> int:
     )
 
 
-def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
+def _kka_batch(
+    fp: ForwardProblem, hcs: np.ndarray, duals: np.ndarray, ds: Dataset, *, want_dual_grad: bool = True
+):
     """KKT objective and its (theta, duals) gradient from one residual pass.
 
-    The objective sums the squared stationarity residuals, then each
+    ``hcs`` holds the canonical costs of ds.contexts at theta.  The
+    objective sums the squared stationarity residuals, then each
     complementary-slackness block in turn.  ``duals`` must already have
-    shape (len(ds), kka_dual_dim(fp)).
+    shape (len(ds), kka_dual_dim(fp)).  The dual gradient is None unless
+    ``want_dual_grad``.
     """
-    hcs = fp._canonical_costs(theta, ds.contexts)
     ys = ds.decisions
     r = fp.region
     if isinstance(r, Box):
@@ -158,29 +161,34 @@ def _kka_batch(fp: ForwardProblem, theta, duals: np.ndarray, ds: Dataset):
         stat = lam_hi - lam_lo - hcs
         comp_a = lam_hi * (ys - r.hi)
         comp_b = lam_lo * (r.lo - ys)
-        g_a = 2.0 * stat + 2.0 * comp_a * (ys - r.hi)
-        g_b = -2.0 * stat + 2.0 * comp_b * (r.lo - ys)
     else:
         mu, nu = duals[:, :1], duals[:, 1:]
         stat = mu - nu - hcs
         slack = ys.sum(axis=1) - r.cap
         comp_a = mu[:, 0] * slack
         comp_b = nu * (-ys)
-        g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
-        g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
     # Huge duals overflow to inf here instead of warning; kka_fit turns a
     # non-finite objective into DivergedError.
     with np.errstate(over="ignore"):
         total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
     # d stat / d theta = -J_c, so chain through the batched adjoint.
     g_theta = -2.0 * len(ds) * fp._canonical_adjoint(ds.contexts, stat)
+    if not want_dual_grad:
+        return total, g_theta, None
+    if isinstance(r, Box):
+        g_a = 2.0 * stat + 2.0 * comp_a * (ys - r.hi)
+        g_b = -2.0 * stat + 2.0 * comp_b * (r.lo - ys)
+    else:
+        g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
+        g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
     return total, g_theta, np.concatenate([g_a, g_b], axis=1)
 
 
-def _kka_duals_batch(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
+def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.ndarray:
     """Duals minimizing the KKT objective at theta, in closed form per point.
 
-    For fixed theta the objective separates per point and per region block;
+    ``hcs`` holds the canonical costs of ds.contexts at theta.  For fixed
+    theta the objective separates per point and per region block;
     fp.region must be a Box or NonNegL1Cap (see ``kka_dual_dim``).
 
     Box, per coordinate: at most one of lam_hi, lam_lo is positive, with
@@ -200,7 +208,6 @@ def _kka_duals_batch(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
     give every segment.  mu is the root on the segment where g' changes
     sign, clipped at 0.
     """
-    hcs = fp._canonical_costs(theta, ds.contexts)
     ys = ds.decisions
     r = fp.region
     if isinstance(r, Box):
@@ -238,13 +245,15 @@ def kka_objective(fp: ForwardProblem, theta, duals, ds: Dataset) -> float:
     linear forward problem at theta.  Noisy observations keep it bounded
     away from zero for any theta.
     """
-    total, _, _ = _kka_batch(fp, theta, _check_duals(fp, duals, len(ds)), ds)
+    hcs = fp._canonical_costs(theta, ds.contexts)
+    total, _, _ = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds, want_dual_grad=False)
     return total
 
 
 def kka_grad(fp: ForwardProblem, theta, duals, ds: Dataset):
     """Gradient of kka_objective in (theta, duals)."""
-    _, g_theta, g_duals = _kka_batch(fp, theta, _check_duals(fp, duals, len(ds)), ds)
+    hcs = fp._canonical_costs(theta, ds.contexts)
+    _, g_theta, g_duals = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds)
     return g_theta, g_duals
 
 

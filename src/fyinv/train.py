@@ -248,12 +248,22 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     cfg = cfg or SgdConfig()
     kka_dual_dim(fp)  # rejects regions without a KKT form
     n = len(ds)
+    last: dict[bytes, tuple[float, np.ndarray]] = {}
 
     def reduced(theta):
-        total, g_theta, _ = _kka_batch(fp, theta, _kka_duals_batch(fp, theta, ds), ds)
-        if not (np.isfinite(total) and np.isfinite(g_theta).all()):
-            raise DivergedError("KKT objective or gradient is not finite")
-        return total / n, g_theta / n
+        # The driver asks again for each checkpoint's theta (start and end
+        # included) in the step that follows or precedes it: answer from the
+        # last evaluation instead of redoing it.
+        key = theta.tobytes()
+        if key not in last:
+            hcs = fp._canonical_costs(theta, ds.contexts)
+            duals = _kka_duals_batch(fp, hcs, ds)
+            total, g_theta, _ = _kka_batch(fp, hcs, duals, ds, want_dual_grad=False)
+            if not (np.isfinite(total) and np.isfinite(g_theta).all()):
+                raise DivergedError("KKT objective or gradient is not finite")
+            last.clear()
+            last[key] = (total / n, g_theta / n)
+        return last[key]
 
     def batch_step(theta, idx):
         return reduced(theta)  # idx holds every row: the step is full-batch
@@ -262,7 +272,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         return reduced(theta)[0]
 
     result = _run_sgd(fp, ds, dataclasses.replace(cfg, batch_size=n), batch_step, full_risk)
-    duals = _kka_duals_batch(fp, result.theta, ds)
+    duals = _kka_duals_batch(fp, fp._canonical_costs(result.theta, ds.contexts), ds)
     return dataclasses.replace(result, meta={**result.meta, "duals": duals})
 
 
@@ -270,14 +280,48 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
 # kernel denoising and the two-stage SPA baseline
 
 
+# Float64 elements in the (rows x train x m) difference block that
+# _sq_distances reduces at a time: about 2 MB.
+_NW_BLOCK_ELEMS = 2**18
+
+
+def _sq_distances(train_ctxs: np.ndarray, eval_ctxs: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, eval x train, summed over m for a block
+    of evaluation rows at a time in one reused buffer of about
+    _NW_BLOCK_ELEMS floats.
+
+    Row blocks give the same bits as one (eval x train x m) reduction;
+    blocks over m would not, because the reduction over m is pairwise.
+    """
+    n_eval, (n_train, m) = len(eval_ctxs), train_ctxs.shape
+    d2 = np.empty((n_eval, n_train))
+    rows = max(1, min(n_eval, _NW_BLOCK_ELEMS // max(1, n_train * m)))
+    block = np.empty((rows, n_train, m))
+    for i in range(0, n_eval, rows):
+        diff = block[: min(rows, n_eval - i)]
+        np.subtract(eval_ctxs[i : i + rows, None, :], train_ctxs, out=diff)
+        np.sum(np.square(diff, out=diff), axis=2, out=d2[i : i + rows])
+    return d2
+
+
 def _nw_weights(train_ctxs: np.ndarray, eval_ctxs: np.ndarray, bandwidth) -> np.ndarray:
-    """Gaussian kernel weights (eval x train); a 1-D array of bandwidths
-    stacks one block per bandwidth on a single distance computation."""
+    """Gaussian kernel weights exp(-||u_i - v_j||^2 / (2 bw^2)), eval x train.
+
+    A 1-D array of K bandwidths stacks one block per bandwidth on a single
+    distance computation, giving K x eval x train.  Peak memory is the
+    weights, the eval x train distances (reused as the weights for a
+    scalar bandwidth) and one difference block of about 2 MB: never an
+    (eval x train x m) temporary.
+    """
     bw = np.asarray(bandwidth, dtype=float)
     if not np.all(bw > 0):
         raise ValueError("bandwidth must be positive")
-    d2 = np.sum((eval_ctxs[:, None, :] - train_ctxs[None, :, :]) ** 2, axis=2)
-    return np.exp(-d2 / (2.0 * bw[..., None, None] ** 2))
+    d2 = _sq_distances(train_ctxs, eval_ctxs)
+    w = d2 if bw.ndim == 0 else np.empty(bw.shape + d2.shape)
+    # d2 / -(2 bw^2) has the bits of -d2 / (2 bw^2): IEEE division is
+    # sign-symmetric
+    np.divide(d2, -(2.0 * bw[..., None, None] ** 2), out=w)
+    return np.exp(w, out=w)
 
 
 def nw_denoise(ds: Dataset, bandwidth: float) -> np.ndarray:
@@ -287,7 +331,9 @@ def nw_denoise(ds: Dataset, bandwidth: float) -> np.ndarray:
     as bandwidth -> 0 and tends to the sample mean as bandwidth -> infinity.
     Raises DegenerateKernelError when the bandwidth is so small that no
     point receives any neighbor mass at all (the kernel carries no
-    information beyond the identity).
+    information beyond the identity).  Memory is O(n^2): the n x n weight
+    matrix plus a difference block of about 2 MB, whatever the context
+    width.
     """
     w = _nw_weights(ds.contexts, ds.contexts, bandwidth)
     off_mass = w.sum(axis=1) - np.diag(w)

@@ -330,7 +330,16 @@ def relabel_nodes(g: Graph, rng: np.random.Generator) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# kernel bandwidth cross-validation
+# kernel weights and bandwidth cross-validation
+
+
+def nw_weights_direct(train_ctxs, eval_ctxs, bandwidth) -> np.ndarray:
+    """Gaussian weights exp(-||u_i - v_j||^2 / (2 bw^2)), eval x train, from
+    one (eval x train x m) difference tensor.  A 1-D array of bandwidths
+    stacks one eval x train block per bandwidth."""
+    bw = np.asarray(bandwidth, dtype=float)
+    d2 = np.sum((eval_ctxs[:, None, :] - train_ctxs[None, :, :]) ** 2, axis=2)
+    return np.exp(-d2 / (2.0 * bw[..., None, None] ** 2))
 
 
 def cv_bandwidth_scores(contexts, decisions, bandwidths, folds: int, seed: int) -> list:

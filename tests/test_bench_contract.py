@@ -1,0 +1,34 @@
+"""Names and parameter lists that the benchmark harness under bench/ patches.
+
+The harness wraps internal functions in every fyinv namespace that holds
+them, and captures fitter results where the CLI and the shortest-path
+pipeline look the fitters up.  A rename or a changed parameter list does
+not fail there: the trace only reports the layer as 0.  These tests fail
+instead.
+"""
+
+import inspect
+
+import fyinv.cli
+import fyinv.solvers
+import fyinv.spath
+import fyinv.train
+
+
+def _params(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_wrapped_internals_keep_their_names_and_parameters():
+    assert _params(fyinv.train._nw_weights) == ["train_ctxs", "eval_ctxs", "bandwidth"]
+    assert _params(fyinv.train._run_sgd) == ["fp", "ds", "cfg", "batch_step", "full_risk"]
+
+
+def test_captured_callees_are_module_globals_of_their_callers():
+    for name in ("fy_sgd_fit", "subopt_fit", "kka_fit", "spa_fit"):
+        assert getattr(fyinv.cli, name) is getattr(fyinv.train, name)
+        assert name in fyinv.cli._synth_cell.__code__.co_names
+    assert fyinv.spath._solve_exact_batch is fyinv.solvers._solve_exact_batch
+    for name in ("sp_fit", "_solve_exact_batch"):
+        assert callable(getattr(fyinv.spath, name))
+        assert name in fyinv.spath.sp_run.__code__.co_names

@@ -377,6 +377,21 @@ def test_main_grad_check_exit_zero(capsys):
     assert main(["grad-check", "--trials", "0"]) == 2
 
 
+def test_main_diagnostics_reject_bad_arguments_with_exit_2(capsys):
+    for argv in (
+        ["grad-check", "--seed", "-1", "--trials", "1"],
+        ["calib-check", "--seed", "-1", "--samples", "1"],
+        ["calib-check", "--samples", "0"],
+        ["calib-check", "--lam", "-1"],
+        ["calib-check", "--lam", "nan"],
+        ["calib-check", "--lam", "inf"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+
+
 def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["mystery"])

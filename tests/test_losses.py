@@ -351,7 +351,7 @@ def test_kka_closed_form_duals_match_support_enumeration():
             ds = _noisy_region_data(region, m, 12, rng)
             for _ in range(3):
                 theta = 2.0 * rng.standard_normal(fp.cost_map.p)
-                got = _kka_duals_batch(fp, theta, ds)
+                got = _kka_duals_batch(fp, fp._canonical_costs(theta, ds.contexts), ds)
                 np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-9)
 
 
@@ -368,9 +368,10 @@ def test_kka_closed_form_duals_on_vertex_data_with_tied_breakpoints():
     cases = ((cap, cap_ds, cap_thetas), (box, box_ds, box_thetas))
     for fp, ds, thetas in cases:
         for theta in thetas:
-            got = _kka_duals_batch(fp, theta, ds)
+            hcs = fp._canonical_costs(theta, ds.contexts)
+            got = _kka_duals_batch(fp, hcs, ds)
             assert np.isfinite(got).all()
-            np.testing.assert_array_equal(got, _kka_duals_batch(fp, theta, ds))
+            np.testing.assert_array_equal(got, _kka_duals_batch(fp, hcs, ds))
             np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-12)
 
 
@@ -389,7 +390,8 @@ def test_kka_reduced_gradient_matches_finite_differences():
                 for u, y, z in zip(ds.contexts, ds.decisions, _oracle_duals(fp, t, ds))
             )
 
-        total, g_theta, _ = _kka_batch(fp, theta, _kka_duals_batch(fp, theta, ds), ds)
+        hcs = fp._canonical_costs(theta, ds.contexts)
+        total, g_theta, _ = _kka_batch(fp, hcs, _kka_duals_batch(fp, hcs, ds), ds)
         assert total == pytest.approx(reduced(theta), rel=1e-12)
         np.testing.assert_allclose(g_theta, fd_grad(reduced, theta), atol=1e-5)
 

@@ -1,5 +1,8 @@
 """SGD drivers, the KKT fitter, kernel denoising, and the two-stage baseline."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,8 @@ from fyinv import (
 )
 from fyinv.cli import _SYNTH_CFG
 from fyinv.losses import _fy_batch, _subopt_batch
-from fyinv.train import _apply_space, _cv_bandwidth, _run_sgd
-from oracles import cv_bandwidth_scores, kkt_duals, kkt_residual
+from fyinv.train import _NW_BLOCK_ELEMS, _apply_space, _cv_bandwidth, _nw_weights, _run_sgd
+from oracles import cv_bandwidth_scores, kkt_duals, kkt_residual, nw_weights_direct
 
 
 def _noiseless_b(n=60, seed=3, p=4):
@@ -310,6 +313,51 @@ def test_kka_fit_reaches_tolerance_on_family_a():
     assert res.meta["risk"] < 2.4263
 
 
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+# (family, n, seed) -> iterations, grad_norm.hex(), risk.hex(), then the
+# first 16 hex digits of the sha256 of theta's, loss_trace's and the duals'
+# float64 bytes.  Recorded from a fit that evaluated the costs twice per
+# step and recomputed each checkpoint: sharing that work must not move a bit.
+_KKA_SNAPSHOT = {
+    ("A", 60, 3): (355, "0x1.065365eba01b2p-20", "0x1.9c83ac278ae24p+0",
+                   "4ebe3cb5ad9ccf44", "efbb7f8011fa8f47", "9b84e1ed751a3f1a"),
+    ("C", 40, 5): (328, "0x1.03df1891ff13bp-20", "0x1.3a1f7a8bd10abp+0",
+                   "70ba1a353495cfb2", "40a399f467f69fd2", "e7d510abbff26a15"),
+}
+
+
+def test_kka_fit_matches_snapshot_and_evaluates_each_iterate_once(monkeypatch):
+    # capped simplex (A) and box (C): one cost evaluation per iterate the
+    # driver visits, checkpoints included, plus one for the returned duals
+    calls = []
+    costs = ForwardProblem._canonical_costs
+
+    def counted(self, theta, ctxs):
+        calls.append(1)
+        return costs(self, theta, ctxs)
+
+    monkeypatch.setattr(ForwardProblem, "_canonical_costs", counted)
+    for (kind, n, seed), want in _KKA_SNAPSHOT.items():
+        fp, _, _ = build_example(kind)
+        ds = generate(kind, n, NoisyDecision(1.0), seed)
+        calls.clear()
+        res = kka_fit(fp, ds, SgdConfig(learning_rate=0.05, max_iters=4000, eval_every=50))
+        got = (
+            res.iterations,
+            res.grad_norm.hex(),
+            float(res.meta["risk"]).hex(),
+            _digest(res.theta.values),
+            _digest(res.loss_trace),
+            _digest(res.meta["duals"]),
+        )
+        assert got == want, kind
+        assert sorted(res.meta) == ["duals", "risk"]
+        assert len(calls) == len(res.loss_trace) + 1, kind
+
+
 # ---------------------------------------------------------------------------
 # kernel denoising
 
@@ -374,6 +422,38 @@ def test_nw_denoise_degenerate_bandwidth_raises():
         nw_denoise(ds, 1e-3)
     with pytest.raises(ValueError):
         nw_denoise(ds, 0.0)
+
+
+def test_nw_weights_blocks_match_direct_formula_bitwise():
+    rng = rng_stream(40)
+    n_train, m = 300, 10
+    train = rng.uniform(-1, 1, (n_train, m))
+    block = _NW_BLOCK_ELEMS // (n_train * m)
+    assert block > 1
+    for rows in (1, block - 1, block, block + 1, 3 * block + 5):
+        evl = rng.uniform(-1, 1, (rows, m))
+        evl[-1] = train[rows]  # a self-distance row: d2 = 0, weight 1
+        for bw in (0.5, (0.1, 0.25, 0.5, 1.0, 2.0)):
+            got = _nw_weights(train, evl, bw)
+            want = nw_weights_direct(train, evl, bw)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (rows, bw)
+            assert np.all(got[..., -1, rows] == 1.0)
+
+
+def test_nw_denoise_memory_stays_near_the_weight_matrix():
+    # the n x n weights take n^2 x 8 B; an (n x n x m) distance temporary
+    # would take m times that
+    n, m = 1000, 10
+    rng = rng_stream(41)
+    ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
+    tracemalloc.start()
+    try:
+        nw_denoise(ds, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 def test_cv_bandwidth_deterministic_member_of_grid():
