@@ -392,7 +392,7 @@ def calib_suite(lam: float, samples: int, seed: int):
     exactness on E."""
     fp, theta_star, law = build_example("C")
     ctxs = law.sample(rng_stream(seed, 31), 200)
-    surrogate = _exact_batch(fp, theta_star, ctxs)
+    surrogate = _exact_batch(fp, theta_star.values, ctxs)
     fit = fy_sgd_fit(
         fp,
         Dataset(ctxs, surrogate),

@@ -15,6 +15,11 @@ degenerate at theta = 0 for purely multiplicative cost maps.  The KKT
 objective measures squared stationarity and complementary-slackness
 residuals with per-point dual variables; for fixed theta the minimizing
 duals have a closed form, which leaves a convex objective in theta alone.
+
+Theta is checked once, by the public function that receives it: non-finite
+values or a wrong size raise ValueError there.  The ``_``-prefixed batch
+functions take that checked flat (p,) array and do arithmetic only, so a
+fitter's steps repeat no check.
 """
 
 from __future__ import annotations
@@ -28,18 +33,20 @@ from .model import (
     ForwardProblem,
     NonNegL1Cap,
     _check_context,
+    as_parameter,
 )
-from .solvers import FwConfig, _linear_argmax_batch, _solve_reg_batch, solve_exact
+from .solvers import FwConfig, _linear_argmax_batch, _solve_exact_batch, _solve_reg_batch
 
 
-def _check_pair(fp: ForwardProblem, u, y):
+def _check_one(fp: ForwardProblem, theta, u, y):
+    """Checked flat theta, context row and decision row of one observation."""
     u = _check_context(fp.cost_map, u)
     y = np.asarray(y, dtype=float)
     if y.shape != (fp.cost_map.d,):
         raise ValueError(f"decision must have shape ({fp.cost_map.d},)")
     if not np.isfinite(y).all():
         raise ValueError("decision must be finite")
-    return u, y
+    return as_parameter(theta, fp.cost_map).values, u[None, :], y[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +55,13 @@ def _check_pair(fp: ForwardProblem, u, y):
 
 def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> float:
     """Fenchel-Young loss at one observation; lam must be positive."""
-    u, y = _check_pair(fp, u, y)
-    loss, _, _ = _fy_batch(fp, theta, u[None, :], y[None, :], lam, fw=fw, want_grad=False)
+    loss, _, _ = _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw, want_grad=False)
     return float(loss)
 
 
 def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
-    u, y = _check_pair(fp, u, y)
-    _, grad, _ = _fy_batch(fp, theta, u[None, :], y[None, :], lam, fw=fw)
+    _, grad, _ = _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)
     return grad
 
 
@@ -70,7 +75,10 @@ def _fy_batch(
     fw: FwConfig | None = None,
     want_grad: bool = True,
 ):
-    """Mean FY loss, mean gradient, and the regularized decisions of a batch."""
+    """Mean FY loss, mean gradient, and the regularized decisions of a batch.
+
+    ``theta`` is checked flat values (see the module docstring).
+    """
     if not lam > 0:
         raise ValueError("lam must be positive")
     hcs = fp._canonical_costs(theta, ctxs)
@@ -79,7 +87,8 @@ def _fy_batch(
     grad = None
     if want_grad:
         grad = fp._canonical_adjoint(ctxs, xs - ys)
-    return float(losses.mean()), grad, xs
+    # the bits of losses.mean(), without its Python wrapper
+    return float(np.add.reduce(losses) / losses.shape[0]), grad, xs
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +102,13 @@ def subopt_loss(fp: ForwardProblem, theta, u, y) -> float:
     leave the region.  Ignores base_quad: this is the linear-objective
     baseline, not a regularized quantity.
     """
-    u, y = _check_pair(fp, u, y)
-    loss, _, _ = _subopt_batch(fp, theta, u[None, :], y[None, :], hinge=False)
+    loss, _, _ = _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)
     return loss
 
 
 def subopt_subgrad(fp: ForwardProblem, theta, u, y) -> np.ndarray:
     """A subgradient of subopt_loss via the tie-broken exact maximizer."""
-    u, y = _check_pair(fp, u, y)
-    _, grad, _ = _subopt_batch(fp, theta, u[None, :], y[None, :], hinge=False)
+    _, grad, _ = _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)
     return grad
 
 
@@ -111,19 +118,21 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
     The hinge clamps per-point losses at zero, which restores boundedness
     when observations are infeasible; points with positive or zero loss
     contribute their plain subgradient (a valid selection at the kink).
+    ``theta`` is checked flat values (see the module docstring).
     """
     hcs = fp._canonical_costs(theta, ctxs)
     xs = _linear_argmax_batch(fp.region, hcs)
-    raw = np.einsum("ij,ij->i", hcs, xs - ys)
+    resid = xs - ys
+    raw = np.einsum("ij,ij->i", hcs, resid)
     if hinge:
         active = raw >= 0.0
         losses = np.where(active, raw, 0.0)
-        resid = (xs - ys) * active[:, None]
+        resid *= active[:, None]
     else:
         losses = raw
-        resid = xs - ys
     grad = fp._canonical_adjoint(ctxs, resid)
-    return float(losses.mean()), grad, xs
+    # the bits of losses.mean(), without its Python wrapper
+    return float(np.add.reduce(losses) / losses.shape[0]), grad, xs
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +254,14 @@ def kka_objective(fp: ForwardProblem, theta, duals, ds: Dataset) -> float:
     linear forward problem at theta.  Noisy observations keep it bounded
     away from zero for any theta.
     """
-    hcs = fp._canonical_costs(theta, ds.contexts)
+    hcs = fp._canonical_costs(as_parameter(theta, fp.cost_map).values, ds.contexts)
     total, _, _ = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds, want_dual_grad=False)
     return total
 
 
 def kka_grad(fp: ForwardProblem, theta, duals, ds: Dataset):
     """Gradient of kka_objective in (theta, duals)."""
-    hcs = fp._canonical_costs(theta, ds.contexts)
+    hcs = fp._canonical_costs(as_parameter(theta, fp.cost_map).values, ds.contexts)
     _, g_theta, g_duals = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds)
     return g_theta, g_duals
 
@@ -268,6 +277,6 @@ def dist_loss_oracle(fp: ForwardProblem, theta, u, y) -> float:
     on it, but grid enumeration over low-dimensional parameters gives an
     independent consistency target for the fitters.
     """
-    u, y = _check_pair(fp, u, y)
-    x = solve_exact(fp, theta, u)
-    return float(np.sum((y - x) ** 2))
+    t, us, ys = _check_one(fp, theta, u, y)
+    x = _solve_exact_batch(fp, fp._canonical_costs(t, us))
+    return float(np.sum((ys - x) ** 2))

@@ -38,16 +38,30 @@ def parameter_error(theta_hat, theta_star) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _exact_batch(fp: ForwardProblem, theta, ctxs: np.ndarray) -> np.ndarray:
-    return _solve_exact_batch(fp, fp._canonical_costs(theta, ctxs))
+def _values(fp: ForwardProblem, theta) -> np.ndarray:
+    """theta checked against fp's cost map, as flat values."""
+    return as_parameter(theta, fp.cost_map).values
+
+
+def _exact_batch(fp: ForwardProblem, t: np.ndarray, ctxs: np.ndarray) -> np.ndarray:
+    return _solve_exact_batch(fp, fp._canonical_costs(t, ctxs))
+
+
+def _mean_sq_dist(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Mean over rows of ||x_i - y_i||^2."""
+    return float(np.mean(np.sum((xs - ys) ** 2, axis=1)))
+
+
+def _regret(fp: ForwardProblem, hcs: np.ndarray, xs_hat: np.ndarray, xs_star: np.ndarray) -> float:
+    """Mean canonical-objective gap of xs_hat below xs_star under costs hcs."""
+    return float(np.mean(fp._canonical_value(hcs, xs_star) - fp._canonical_value(hcs, xs_hat)))
 
 
 def decision_error(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     """Mean squared distance between estimated and true exact decisions."""
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    xs_hat = _exact_batch(fp, theta_hat, ctxs)
-    xs_star = _exact_batch(fp, theta_star, ctxs)
-    return float(np.mean(np.sum((xs_hat - xs_star) ** 2, axis=1)))
+    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
+    return _mean_sq_dist(xs_hat, _exact_batch(fp, _values(fp, theta_star), ctxs))
 
 
 def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
@@ -57,10 +71,9 @@ def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     true parameter) than the optimal ones; zero iff they are equally good.
     """
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    hcs = fp._canonical_costs(theta_star, ctxs)
-    xs_hat = _exact_batch(fp, theta_hat, ctxs)
-    xs_star = _solve_exact_batch(fp, hcs)
-    return float(np.mean(fp._canonical_value(hcs, xs_star) - fp._canonical_value(hcs, xs_hat)))
+    hcs = fp._canonical_costs(_values(fp, theta_star), ctxs)
+    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
+    return _regret(fp, hcs, xs_hat, _solve_exact_batch(fp, hcs))
 
 
 def _path_regret(times: np.ndarray, xs_hat: np.ndarray, xs_clair: np.ndarray):
@@ -93,7 +106,7 @@ def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
         raise ValueError(f"times must have shape ({ctxs.shape[0]}, {g.num_edges})")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    xs_hat = _exact_batch(fp, theta_hat, ctxs)
+    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
     _, ratio = _path_regret(times, xs_hat, shortest_path_batch(g, times))
     return ratio
 
@@ -139,23 +152,20 @@ def calibration_check(
     so the check is conservative and reported as a soft holds flag.
     """
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    theta = as_parameter(theta, fp.cost_map)
-    theta_star = as_parameter(theta_star, fp.cost_map)
-
-    lhs = decision_error(fp, theta, theta_star, ctxs)
+    theta = _values(fp, theta)
+    theta_star = _values(fp, theta_star)
 
     hcs = fp._canonical_costs(theta, ctxs)
-    x_reg = _solve_reg_batch(fp, hcs, lam)
     x_exact = _solve_exact_batch(fp, hcs)
-    reg_term = float(np.mean(np.sum((x_reg - x_exact) ** 2, axis=1)))
-
     surrogate = _exact_batch(fp, theta_star, ctxs)
+    lhs = _mean_sq_dist(x_exact, surrogate)
+    reg_term = _mean_sq_dist(_solve_reg_batch(fp, hcs, lam), x_exact)
 
     def risk(t):
         loss, _, _ = _fy_batch(fp, t, ctxs, surrogate, lam, want_grad=False)
         return loss
 
-    pool = [theta_star] + [as_parameter(c, fp.cost_map) for c in candidates]
+    pool = [theta_star] + [_values(fp, c) for c in candidates]
     best = min(risk(t) for t in pool)
     excess = risk(theta) - best
     rhs = 2.0 * reg_term + (4.0 / lam) * max(excess, 0.0)
@@ -189,10 +199,12 @@ def regret_bound_check(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> Regre
     for linear objectives.
     """
     ctxs = _check_contexts(fp.cost_map, ctxs)
-    hcs = fp._canonical_costs(theta_star, ctxs)
+    hcs = fp._canonical_costs(_values(fp, theta_star), ctxs)
+    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
+    xs_star = _solve_exact_batch(fp, hcs)
     b_hat = float(np.mean(np.sum(hcs**2, axis=1)))
-    d_hat = decision_error(fp, theta_hat, theta_star, ctxs)
-    reg = regret(fp, theta_hat, theta_star, ctxs)
+    d_hat = _mean_sq_dist(xs_hat, xs_star)
+    reg = _regret(fp, hcs, xs_hat, xs_star)
     bound = float(np.sqrt(b_hat * d_hat))
     return RegretBoundReport(
         regret=reg,

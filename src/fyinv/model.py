@@ -155,29 +155,35 @@ def _check_contexts(cm: CostMap, ctxs) -> np.ndarray:
 def cost(cm: CostMap, theta, u) -> np.ndarray:
     """Evaluate h(theta; u)."""
     u = _check_context(cm, u)
-    return _cost_batch(cm, as_parameter(theta, cm), u[None, :])[0]
+    return _cost_batch(cm, as_parameter(theta, cm).values, u[None, :])[0]
 
 
-def _cost_batch(cm: CostMap, theta: Parameter, ctxs: np.ndarray) -> np.ndarray:
-    """h(theta; u_i) for every row of ctxs; returns an (n, d) array."""
-    t = theta.values
+def _cost_batch(cm: CostMap, t: np.ndarray, ctxs: np.ndarray) -> np.ndarray:
+    """h(t; u_i) for every row of ctxs; returns an (n, d) array.
+
+    ``t`` is checked flat parameter values, laid out as ``Parameter.values``.
+    """
     if cm.kind is CostKind.ADDITIVE:
         return ctxs + t
     if cm.kind is CostKind.HADAMARD:
         return ctxs * t
     if cm.kind is CostKind.MATRIX_PRODUCT:
-        return ctxs @ theta.as_matrix().T
+        return ctxs @ t.reshape(cm.d, cm.m).T
     return np.broadcast_to(t, (ctxs.shape[0], cm.d)).copy()
 
 
 def _jac_t_mean(cm: CostMap, ctxs: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """mean_i J(u_i)^T resid_i over the batch; returns a (p,) vector."""
+    """mean_i J(u_i)^T resid_i over the batch; returns a (p,) vector.
+
+    ``np.add.reduce(x, axis=0) / n`` is the reduction and division that
+    ``x.mean(axis=0)`` makes, with the same bits, minus its Python wrapper.
+    """
+    n = ctxs.shape[0]
     if cm.kind is CostKind.HADAMARD:
-        return (ctxs * resid).mean(axis=0)
+        return np.add.reduce(ctxs * resid, axis=0) / n
     if cm.kind is CostKind.MATRIX_PRODUCT:
-        n = ctxs.shape[0]
         return (resid.T @ ctxs / n).ravel()
-    return resid.mean(axis=0)
+    return np.add.reduce(resid, axis=0) / n
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +304,11 @@ class ForwardProblem:
     ``_canonical_adjoint`` (J_c^T r) and ``_canonical_value`` (the
     objective, plus an optional extra curvature ``lam``) are the one
     place this form is evaluated.
+
+    Theta is checked once, by the public entry point that receives it
+    (``as_parameter(theta, cost_map).values``): non-finite values or a
+    wrong size raise ValueError there.  The ``_``-prefixed batch functions
+    take that checked flat (p,) array and do arithmetic only.
     """
 
     cost_map: CostMap
@@ -321,12 +332,12 @@ class ForwardProblem:
 
     def canonical_cost(self, theta, u) -> np.ndarray:
         u = _check_context(self.cost_map, u)
-        return self._canonical_costs(theta, u[None, :])[0]
+        t = as_parameter(theta, self.cost_map).values
+        return self._canonical_costs(t, u[None, :])[0]
 
-    def _canonical_costs(self, theta, ctxs: np.ndarray) -> np.ndarray:
-        """h_c(theta; u_i) for every row of ctxs; returns an (n, d) array."""
-        theta = as_parameter(theta, self.cost_map)
-        return self.canonical_sign * _cost_batch(self.cost_map, theta, ctxs)
+    def _canonical_costs(self, t: np.ndarray, ctxs: np.ndarray) -> np.ndarray:
+        """h_c(t; u_i) for every row of ctxs from checked flat values t; (n, d)."""
+        return self.canonical_sign * _cost_batch(self.cost_map, t, ctxs)
 
     def _canonical_adjoint(self, ctxs: np.ndarray, resid: np.ndarray) -> np.ndarray:
         """mean_i J_c(u_i)^T resid_i, the theta-gradient of mean_i resid_i . h_c."""
@@ -447,7 +458,7 @@ def sample_dataset(
 
     rng = rng_stream(seed)
     ctxs = contexts.sample(rng, n)
-    hs = _cost_batch(cm, theta_star, ctxs)
+    hs = _cost_batch(cm, theta_star.values, ctxs)
     if isinstance(noise, NoisyObjective):
         hs = hs + noise.sigma * rng.standard_normal((n, cm.d))
     decisions = _solve_exact_batch(fp, fp.canonical_sign * hs)

@@ -81,7 +81,7 @@ def _project_nonneg_l1cap_batch(vs: np.ndarray, cap: float) -> np.ndarray:
     sums = clipped.sum(axis=1)
     out = clipped
     over = sums > cap
-    if np.any(over):
+    if over.any():
         out = clipped.copy()
         v = vs[over]
         d = v.shape[1]
@@ -127,10 +127,10 @@ def _linear_argmax_batch(region: Region, hcs: np.ndarray) -> np.ndarray:
         safe = np.where(nrm > 0, nrm, 1.0)
         return np.where(nrm[:, None] > 0, (region.radius / safe)[:, None] * hcs, 0.0)
     if isinstance(region, NonNegL1Cap):
-        k = np.argmax(hcs, axis=1)  # lowest index on ties
-        x = np.zeros_like(hcs)
+        k = hcs.argmax(axis=1)  # lowest index on ties
+        x = np.zeros(hcs.shape)
         rows = np.arange(hcs.shape[0])
-        x[rows, k] = np.where(hcs[rows, k] > 0, region.cap, 0.0)
+        x[rows, k] = region.cap * (hcs[rows, k] > 0)  # cap, or 0.0 (cap > 0)
         return x
     return shortest_path_batch(region.graph, -hcs)
 

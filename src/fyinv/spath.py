@@ -38,7 +38,7 @@ from .model import (
     rng_stream,
 )
 from .solvers import FwConfig, _solve_exact_batch
-from .metrics import MetricsReport, _path_regret, parameter_error
+from .metrics import MetricsReport, _mean_sq_dist, _path_regret, parameter_error
 from .train import (
     METHODS,
     FitResult,
@@ -371,9 +371,9 @@ def sp_run(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> MetricsReport
 
     test = sp.subset(te_idx)
     fp = _flow_problem(sp)
-    xs_hat = _solve_exact_batch(fp, fp._canonical_costs(fit.theta, test.contexts))
+    xs_hat = _solve_exact_batch(fp, fp._canonical_costs(fit.theta.values, test.contexts))
     ys = test.observations
-    dec_err = float(np.mean(np.sum((xs_hat - ys) ** 2, axis=1)))
+    dec_err = _mean_sq_dist(xs_hat, ys)
     reg, ratio = _path_regret(test.times, xs_hat, ys)
     if sp.theta_star is not None:
         p_err = parameter_error(fit.theta, sp.theta_star)

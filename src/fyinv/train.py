@@ -12,6 +12,7 @@ hold by construction even for nonsmooth objectives.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -100,9 +101,15 @@ def _apply_space(theta: np.ndarray, space: ParamSpace | None) -> np.ndarray:
     return np.clip(theta, space.lo, space.hi)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array: the bits of np.linalg.norm, which
+    computes sqrt(v . v) the same way, minus its Python wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def _guard(theta: np.ndarray) -> np.ndarray:
     """The iterate itself, unless its norm is past _DIVERGE_NORM or NaN."""
-    if not np.linalg.norm(theta) <= _DIVERGE_NORM:
+    if not _norm(theta) <= _DIVERGE_NORM:
         raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g} or is not finite")
     return theta
 
@@ -158,13 +165,13 @@ def _run_sgd(
 
         loss, grad = batch_step(theta, idx)
         trace.append(loss)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if grad_norm <= cfg.tolerance:
             break
 
         step = cfg.learning_rate
         if cfg.step_decay == "inv_sqrt":
-            step /= np.sqrt(t + 1.0)
+            step /= math.sqrt(t + 1.0)
         theta = _guard(_apply_space(theta - step * grad, cfg.param_space))
         t += 1
         if t % cfg.eval_every == 0:
@@ -190,10 +197,11 @@ def _run_sgd(
 def fy_sgd_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
     """Minimize the empirical Fenchel-Young risk by minibatch SGD."""
     cfg = cfg or SgdConfig()
+    ctxs, ys = ds.contexts, ds.decisions
 
     def batch_step(theta, idx):
         loss, grad, _ = _fy_batch(
-            fp, theta, ds.contexts[idx], ds.decisions[idx], cfg.lam, fw=cfg.fw
+            fp, theta, ctxs.take(idx, axis=0), ys.take(idx, axis=0), cfg.lam, fw=cfg.fw
         )
         return loss, grad
 
@@ -216,10 +224,11 @@ def subopt_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) ->
     multiplicative cost maps admit the trivial minimizer theta = 0).
     """
     cfg = cfg or SgdConfig()
+    ctxs, ys = ds.contexts, ds.decisions
 
     def batch_step(theta, idx):
         loss, grad, _ = _subopt_batch(
-            fp, theta, ds.contexts[idx], ds.decisions[idx], hinge=True
+            fp, theta, ctxs.take(idx, axis=0), ys.take(idx, axis=0), hinge=True
         )
         return loss, grad
 
@@ -272,7 +281,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         return reduced(theta)[0]
 
     result = _run_sgd(fp, ds, dataclasses.replace(cfg, batch_size=n), batch_step, full_risk)
-    duals = _kka_duals_batch(fp, fp._canonical_costs(result.theta, ds.contexts), ds)
+    duals = _kka_duals_batch(fp, fp._canonical_costs(result.theta.values, ds.contexts), ds)
     return dataclasses.replace(result, meta={**result.meta, "duals": duals})
 
 
@@ -382,6 +391,8 @@ def _cv_bandwidth(ds: Dataset, cfg: SpaConfig) -> float:
                 continue
             pred = (w @ ds.decisions[~hold]) / mass[:, None]
             sse[k] += float(np.sum((pred - ds.decisions[hold]) ** 2))
+        # free this fold's stack before _nw_weights builds the next one
+        del ws, w
         count += int(hold.sum())
     scores = sse / max(count, 1)
     if not np.isfinite(scores.min()):

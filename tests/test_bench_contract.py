@@ -10,6 +10,7 @@ instead.
 import inspect
 
 import fyinv.cli
+import fyinv.losses
 import fyinv.solvers
 import fyinv.spath
 import fyinv.train
@@ -22,6 +23,9 @@ def _params(fn) -> list[str]:
 def test_wrapped_internals_keep_their_names_and_parameters():
     assert _params(fyinv.train._nw_weights) == ["train_ctxs", "eval_ctxs", "bandwidth"]
     assert _params(fyinv.train._run_sgd) == ["fp", "ds", "cfg", "batch_step", "full_risk"]
+    # the tracer reads the batch's row count from the third argument
+    assert _params(fyinv.losses._fy_batch)[:4] == ["fp", "theta", "ctxs", "ys"]
+    assert _params(fyinv.losses._subopt_batch) == ["fp", "theta", "ctxs", "ys", "hinge"]
 
 
 def test_captured_callees_are_module_globals_of_their_callers():

@@ -19,6 +19,9 @@ from fyinv import (
     Sense,
     UnsupportedRegionError,
     build_example,
+    calibration_check,
+    cost,
+    decision_error,
     dist_loss_oracle,
     fy_grad,
     fy_loss,
@@ -26,6 +29,9 @@ from fyinv import (
     kka_dual_dim,
     kka_grad,
     kka_objective,
+    regret,
+    regret_bound_check,
+    relative_regret_ratio,
     rng_stream,
     solve_exact,
     solve_regularized,
@@ -189,6 +195,94 @@ def test_single_sample_entry_points_reject_non_finite_context():
     y[0] = np.inf
     with pytest.raises(ValueError):
         subopt_loss(fp, theta, np.full(fp.cost_map.m, 0.5), y)
+
+
+def _spoiled(theta: np.ndarray, how: str) -> np.ndarray:
+    if how == "size":
+        return np.zeros(theta.size + 1)
+    bad = theta.copy()
+    bad[0] = np.nan if how == "nan" else np.inf
+    return bad
+
+
+@pytest.mark.parametrize("how", ["nan", "inf", "size"])
+def test_public_entry_points_reject_bad_theta(how):
+    # Theta is checked by the public function that receives it and by
+    # nothing after it: each call below would go on with NaNs, or fail in
+    # numpy, if its own check were gone.
+    fp, theta_star, law = build_example("C")
+    good = theta_star.values
+    ctxs = law.sample(rng_stream(5), 6)
+    u = ctxs[0]
+    y = solve_exact(fp, good, u)
+    ds = Dataset(ctxs, np.stack([solve_exact(fp, good, c) for c in ctxs]))
+    duals = np.zeros((len(ds), kka_dual_dim(fp)))
+    calls = {
+        "cost": lambda t: cost(fp.cost_map, t, u),
+        "canonical_cost": lambda t: fp.canonical_cost(t, u),
+        "solve_exact": lambda t: solve_exact(fp, t, u),
+        "solve_regularized": lambda t: solve_regularized(fp, t, u, 0.5),
+        "fy_loss": lambda t: fy_loss(fp, t, u, y, 0.5),
+        "fy_grad": lambda t: fy_grad(fp, t, u, y, 0.5),
+        "subopt_loss": lambda t: subopt_loss(fp, t, u, y),
+        "subopt_subgrad": lambda t: subopt_subgrad(fp, t, u, y),
+        "kka_objective": lambda t: kka_objective(fp, t, duals, ds),
+        "kka_grad": lambda t: kka_grad(fp, t, duals, ds),
+        "dist_loss_oracle": lambda t: dist_loss_oracle(fp, t, u, y),
+        "decision_error/hat": lambda t: decision_error(fp, t, good, ctxs),
+        "decision_error/star": lambda t: decision_error(fp, good, t, ctxs),
+        "regret/hat": lambda t: regret(fp, t, good, ctxs),
+        "regret/star": lambda t: regret(fp, good, t, ctxs),
+        "calibration_check/theta": lambda t: calibration_check(fp, t, good, 0.5, ctxs),
+        "calibration_check/star": lambda t: calibration_check(fp, good, t, 0.5, ctxs),
+        "calibration_check/candidate": lambda t: calibration_check(fp, good, good, 0.5, ctxs, [t]),
+        "regret_bound_check/hat": lambda t: regret_bound_check(fp, t, good, ctxs),
+        "regret_bound_check/star": lambda t: regret_bound_check(fp, good, t, ctxs),
+    }
+    for name, call in calls.items():
+        call(good)
+        with pytest.raises(ValueError, match="parameter"):
+            call(_spoiled(good, how))
+    # relative regret needs a flow region
+    flow = _flow_problem()
+    flow_good = np.ones(flow.cost_map.p)
+    flow_ctxs = rng_stream(6).uniform(0, 1, (4, flow.cost_map.m))
+    times = np.ones((4, flow.cost_map.d))
+    relative_regret_ratio(flow, flow_good, flow_ctxs, times)
+    with pytest.raises(ValueError, match="parameter"):
+        relative_regret_ratio(flow, _spoiled(flow_good, how), flow_ctxs, times)
+
+
+@pytest.mark.parametrize(
+    "kind,d,m",
+    [
+        (CostKind.ADDITIVE, 7, 7),
+        (CostKind.HADAMARD, 7, 7),
+        (CostKind.MATRIX_PRODUCT, 5, 6),
+        (CostKind.IDENTITY, 7, 3),
+    ],
+)
+def test_batch_losses_keep_the_bits_of_the_numpy_mean(kind, d, m):
+    # _fy_batch and _subopt_batch skip the np.mean wrapper; their loss must
+    # stay float(np.mean(per_row)) to the bit
+    rng = rng_stream(0, 9)
+    for region in (NonNegL1Cap(2.0), Box.cube(d, -1, 1)):
+        fp = ForwardProblem(CostMap(kind, d, m), region, Sense.MIN)
+        theta = rng.standard_normal(fp.cost_map.p)
+        ctxs = rng.uniform(-1, 1, (37, m))
+        ys = np.stack([sample_region(region, d, rng) for _ in range(37)])
+        ys += 0.3 * rng.standard_normal(ys.shape)  # some rows leave the region
+        hcs = fp._canonical_costs(theta, ctxs)
+
+        loss, _, xs = _fy_batch(fp, theta, ctxs, ys, 0.3)
+        per_row = fp._canonical_value(hcs, xs, 0.3) - fp._canonical_value(hcs, ys, 0.3)
+        assert np.array_equal(loss, float(np.mean(per_row)))
+
+        for hinge in (False, True):
+            loss, _, xs = _subopt_batch(fp, theta, ctxs, ys, hinge=hinge)
+            raw = np.einsum("ij,ij->i", hcs, xs - ys)
+            per_row = np.where(raw >= 0.0, raw, 0.0) if hinge else raw
+            assert np.array_equal(loss, float(np.mean(per_row)))
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_cost_batch_matches_scalar_loop():
         cm = CostMap(kind, d, m)
         theta = as_parameter(rng.standard_normal(cm.p), cm)
         ctxs = rng.standard_normal((40, m))
-        batch = _cost_batch(cm, theta, ctxs)
+        batch = _cost_batch(cm, theta.values, ctxs)
         single = np.stack([cost(cm, theta, u) for u in ctxs])
         np.testing.assert_allclose(batch, single, atol=1e-14)
 
@@ -146,6 +146,32 @@ def test_jac_t_mean_is_mean_of_transposes():
     # J(u)^T r for the matrix-product map is the row-major outer product r u^T
     want = np.mean([np.outer(r, u).ravel() for u, r in zip(ctxs, resid)], axis=0)
     np.testing.assert_allclose(_jac_t_mean(cm, ctxs, resid), want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,d,m",
+    [
+        (CostKind.ADDITIVE, 7, 7),
+        (CostKind.HADAMARD, 7, 7),
+        (CostKind.MATRIX_PRODUCT, 5, 6),
+        (CostKind.IDENTITY, 7, 3),
+    ],
+)
+def test_jac_t_mean_keeps_the_bits_of_the_numpy_mean(kind, d, m):
+    # _jac_t_mean skips the np.mean wrapper; its bits must stay those of
+    # the wrapper's reduction, over an odd row count where summation order
+    # shows in the last digit
+    rng = rng_stream(0, 8)
+    cm = CostMap(kind, d, m)
+    ctxs = rng.standard_normal((37, m))
+    resid = rng.standard_normal((37, d))
+    if kind is CostKind.HADAMARD:
+        want = np.mean(ctxs * resid, axis=0)
+    elif kind is CostKind.MATRIX_PRODUCT:
+        want = (resid.T @ ctxs / 37).ravel()
+    else:
+        want = np.mean(resid, axis=0)
+    assert np.array_equal(_jac_t_mean(cm, ctxs, resid), want)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from fyinv import (
     ForwardProblem,
     Noiseless,
     NoisyDecision,
+    Parameter,
     Sense,
     SgdConfig,
     SpaConfig,
@@ -244,6 +245,29 @@ def test_subopt_fit_risk_contract_under_noise():
     assert res.meta["risk"] <= loss0 + 1e-15
 
 
+def test_sgd_fits_check_theta_once_not_per_step(monkeypatch):
+    # Theta is checked (a Parameter built) at the fit's boundary only, so
+    # the count of Parameters a fit builds does not grow with its steps.
+    built = []
+    post_init = Parameter.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    fp, _, _ = build_example("A")
+    ds = generate("A", 200, NoisyDecision(1.0), 0)
+    monkeypatch.setattr(Parameter, "__post_init__", counted)
+    for fit in (subopt_fit, fy_sgd_fit):
+        counts = []
+        for steps in (50, 500):
+            built.clear()
+            res = fit(fp, ds, SgdConfig(max_iters=steps))
+            assert res.iterations == steps
+            counts.append(len(built))
+        assert counts[0] == counts[1], (fit.__name__, counts)
+
+
 # ---------------------------------------------------------------------------
 # KKT-residual fitter
 
@@ -454,6 +478,24 @@ def test_nw_denoise_memory_stays_near_the_weight_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * n * 8
+
+
+def test_cv_bandwidth_memory_holds_one_fold_of_weights():
+    # each fold stacks K (held-out x rest) weight blocks; the previous
+    # fold's stack must be freed before the next one is built
+    n, m = 1000, 10
+    rng = rng_stream(41)
+    ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
+    cfg = SpaConfig()
+    hold = n // cfg.folds
+    stack = len(cfg.bandwidths) * hold * (n - hold) * 8
+    tracemalloc.start()
+    try:
+        _cv_bandwidth(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack
 
 
 def test_cv_bandwidth_deterministic_member_of_grid():
