@@ -109,8 +109,8 @@ class RunConfig:
             raise ValueError("seed must be an integer >= 0")
         if not all(_is_count(n) for n in self.sample_sizes):
             raise ValueError("sample sizes must be integers >= 1")
-        if not all(l >= 0 for l in self.lambdas):
-            raise ValueError("lambdas must be >= 0")
+        if not all(0 <= l < np.inf for l in self.lambdas):
+            raise ValueError("lambdas must be finite and >= 0")
         if not (self.sigma >= 0 and self.sp_sigma >= 0):
             raise ValueError("sigma and sp_sigma must be >= 0")
 

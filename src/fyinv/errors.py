@@ -7,10 +7,6 @@ class FyinvError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NegativeCycleError(FyinvError):
-    """The graph contains a negative-cost cycle reachable from the source."""
-
-
 class UnreachableError(FyinvError):
     """No directed path exists from the source to the sink."""
 

@@ -1,8 +1,8 @@
-"""Directed graphs and single-pair shortest paths.
+"""Directed acyclic graphs and single-pair shortest paths.
 
-Edge costs may be negative: the solver runs plain Bellman-Ford on general
-graphs and a single relaxation sweep in topological order on DAGs.  Negative
-cycles reachable from the source raise instead of looping.
+Graphs are acyclic by construction: a ``Graph`` with a cycle (a self-loop
+included) raises UnsupportedRegionError.  Edge costs may be negative; the
+solver settles every node in one relaxation sweep in topological order.
 """
 
 from __future__ import annotations
@@ -13,18 +13,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativeCycleError, UnreachableError
+from .errors import UnreachableError, UnsupportedRegionError
 
 _INF = float("inf")
 
 
+def _is_count(v, least: int = 1) -> bool:
+    """True for an integer (not a bool) that is at least ``least``."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Directed graph with a distinguished source/sink pair.
+    """Directed acyclic graph with a distinguished source/sink pair.
 
     Edges are identified by their position in ``tails``/``heads``; every
     routine that breaks ties does so through this indexing, so two runs on
-    the same Graph are bitwise identical.
+    the same Graph are bitwise identical.  Construction raises ValueError
+    on malformed input and UnsupportedRegionError on a cycle.
 
     PARAMETERS
     ----------
@@ -42,23 +48,26 @@ class Graph:
     sink: int
 
     def __post_init__(self):
-        tails = np.asarray(self.tails, dtype=np.int64)
-        heads = np.asarray(self.heads, dtype=np.int64)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "heads", heads)
+        for name in ("tails", "heads"):
+            arr = np.asarray(getattr(self, name))
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+            object.__setattr__(self, name, arr.astype(np.int64, copy=False))
+        tails, heads = self.tails, self.heads
         if tails.ndim != 1 or heads.shape != tails.shape:
             raise ValueError("tails and heads must be 1-D arrays of equal length")
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
+        if not _is_count(self.num_nodes):
+            raise ValueError("num_nodes must be an integer >= 1")
         for arr in (tails, heads):
             if arr.size and (arr.min() < 0 or arr.max() >= self.num_nodes):
                 raise ValueError("edge endpoint out of range")
         for name in ("source", "sink"):
             v = getattr(self, name)
-            if not 0 <= v < self.num_nodes:
-                raise ValueError(f"{name} out of range")
+            if not (_is_count(v, 0) and v < self.num_nodes):
+                raise ValueError(f"{name} must be an integer node index in range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
+        self._topo_edge_order  # raises on a cycle
 
     @property
     def num_edges(self) -> int:
@@ -82,24 +91,22 @@ class Graph:
         return b
 
     @cached_property
-    def _edge_list(self) -> list[tuple[int, int, int]]:
-        # Plain-int copies keep the relaxation loops off numpy scalars.
-        return [
-            (int(t), int(h), e)
-            for e, (t, h) in enumerate(zip(self.tails, self.heads))
-        ]
-
-    @cached_property
-    def _topo_edge_order(self) -> list[tuple[int, int, int]] | None:
-        """Edges sorted by topological position of the tail, or None if cyclic.
+    def _topo_edge_order(self) -> list[tuple[int, int, int]]:
+        """Edges sorted by topological position of the tail.
 
         Kahn's algorithm in O(V + E) with a FIFO frontier over per-node
         head lists kept in edge-index order; ties inside a tail position
-        fall back to edge index, so the order is deterministic.
+        fall back to edge index, so the order is deterministic.  Raises
+        UnsupportedRegionError if the graph has a cycle.
         """
+        # Plain-int copies keep the relaxation loops off numpy scalars.
+        edges = [
+            (int(t), int(h), e)
+            for e, (t, h) in enumerate(zip(self.tails, self.heads))
+        ]
         heads: list[list[int]] = [[] for _ in range(self.num_nodes)]
         indeg = [0] * self.num_nodes
-        for t, h, _ in self._edge_list:
+        for t, h, _ in edges:
             heads[t].append(h)
             indeg[h] += 1
         frontier = deque(v for v in range(self.num_nodes) if indeg[v] == 0)
@@ -114,12 +121,12 @@ class Graph:
                 if indeg[h] == 0:
                     frontier.append(h)
         if k < self.num_nodes:
-            return None
+            raise UnsupportedRegionError("graph has a cycle; only acyclic graphs are supported")
         # The cached list comes from one sorted() call.  Emitting the edges
         # during the sweep gives the same order, but over grid-fy seeds 0-6
         # its peak RSS read a median 161.1 MB against 158.4 MB for this
         # form: same allocations, placed differently by the allocator.
-        return sorted(self._edge_list, key=lambda th: (pos[th[0]], th[2]))
+        return sorted(edges, key=lambda th: (pos[th[0]], th[2]))
 
     @cached_property
     def _in_edges(self) -> np.ndarray:
@@ -127,7 +134,7 @@ class Graph:
 
         Shape (num_nodes, max_in_degree); row h lists the in-edges of h in
         the order _topo_edge_order scans them, padded with num_edges (the
-        always-infinite candidate row of shortest_path_batch).  DAGs only.
+        always-infinite candidate row of shortest_path_batch).
         """
         ins: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for _, h, e in self._topo_edge_order:
@@ -143,14 +150,13 @@ def shortest_path(g: Graph, costs: np.ndarray) -> np.ndarray:
     """Minimum-cost source->sink path under the given edge costs.
 
     Returns the 0/1 edge-indicator vector of the optimal path.  Edges are
-    scanned in a fixed order (topological tail position on DAGs, edge index
-    otherwise) and each node keeps its first tight in-edge in that order
-    (see shortest_path_batch), so the output is deterministic even with
-    all-zero costs.
+    scanned in a fixed order (topological tail position, then edge index)
+    and each node keeps its first tight in-edge in that order (see
+    shortest_path_batch), so the output is deterministic even with
+    all-zero costs.  Costs may be negative: the graph is acyclic.
 
-    Raises ValueError on non-finite costs, UnreachableError if the sink
-    cannot be reached and NegativeCycleError if a negative-cost cycle is
-    reachable from the source.
+    Raises ValueError on non-finite costs and UnreachableError if the sink
+    cannot be reached.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (g.num_edges,):
@@ -166,13 +172,14 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
     result equals shortest_path(g, costs[i]) exactly.
 
     Tie rule: edges are scanned in a fixed order (topological tail
-    position, then edge index, on DAGs; edge index for Bellman-Ford), and
-    each node's predecessor is its first tight in-edge in that order, the
-    first e = (t, h) with dist[t] + costs[e] == dist[h].  That is the edge
+    position, then edge index), and each node's predecessor is its first
+    tight in-edge in that order, the first e = (t, h) with
+    dist[t] + costs[e] == dist[h].  That is the edge
     a sweep updating only on strict improvement keeps, so among equal-cost
     paths the one whose edges come first in scan order wins.
 
-    Raises ValueError on non-finite costs.
+    Raises ValueError on non-finite costs and UnreachableError if the sink
+    cannot be reached.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[1] != g.num_edges:
@@ -194,41 +201,15 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
     d = list(dist)
     c = list(work)
 
-    topo = g._topo_edge_order
-    if topo is not None:
-        # One sweep in topological order settles a DAG: dist[t] is final
-        # before any out-edge of t is scanned.  Each edge's cost row is
-        # overwritten with its candidate dist[t] + costs[e].
-        for t, h, e in topo:
-            np.add(d[t], c[e], out=c[e])
-            np.fmin(d[h], c[e], out=d[h])
-    else:
-        pred = np.full((g.num_nodes, nb), -1, dtype=np.int64)
-        cand = np.empty(nb)
-        mask = np.empty(nb, dtype=bool)
-        order = g._edge_list
-        for _ in range(g.num_nodes - 1):
-            changed = False
-            for t, h, e in order:
-                np.add(d[t], c[e], out=cand)
-                np.less(cand, d[h], out=mask)
-                if mask.any():
-                    np.copyto(d[h], cand, where=mask)
-                    np.copyto(pred[h], e, where=mask)
-                    changed = True
-            if not changed:
-                break
-        else:
-            # Full Bellman-Ford ran to the limit: check for negative cycles.
-            for t, h, e in order:
-                if np.any(d[t] + c[e] < d[h]):
-                    raise NegativeCycleError(
-                        "negative-cost cycle reachable from the source"
-                    )
+    # One sweep in topological order settles the graph: dist[t] is final
+    # before any out-edge of t is scanned.  Each edge's cost row is
+    # overwritten with its candidate dist[t] + costs[e].
+    for t, h, e in g._topo_edge_order:
+        np.add(d[t], c[e], out=c[e])
+        np.fmin(d[h], c[e], out=d[h])
     if np.isinf(dist[g.sink]).any():
         raise UnreachableError(f"no path from node {g.source} to node {g.sink}")
-    if topo is not None:
-        pred = _first_tight_in_edges(g, dist, work)
+    pred = _first_tight_in_edges(g, dist, work)
     # Freed before the output is allocated, which then reuses their memory:
     # at batch 1200 this cut page faults per call from about 790 to 580.
     del d, c, dist, work
@@ -282,9 +263,6 @@ def _backtrack(g: Graph, pred: np.ndarray) -> np.ndarray:
     edges = np.concatenate(hop_edges)
     if edges.min() < 0:
         raise UnreachableError("predecessor chain ends before the source")
-    if rows.size:
-        # A cycle among predecessors has negative total cost.
-        raise NegativeCycleError("predecessor chain cycled")
     out = np.zeros((nb, g.num_edges))
     out[np.concatenate(hop_rows), edges] = 1.0
     return out

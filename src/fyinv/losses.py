@@ -54,7 +54,7 @@ def _check_one(fp: ForwardProblem, theta, u, y):
 
 
 def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> float:
-    """Fenchel-Young loss at one observation; lam must be positive."""
+    """Fenchel-Young loss at one observation; lam must be positive and finite."""
     loss, _, _ = _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw, want_grad=False)
     return float(loss)
 
@@ -79,8 +79,8 @@ def _fy_batch(
 
     ``theta`` is checked flat values (see the module docstring).
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     hcs = fp._canonical_costs(theta, ctxs)
     xs = _solve_reg_batch(fp, hcs, lam, fw)
     losses = fp._canonical_value(hcs, xs, lam) - fp._canonical_value(hcs, ys, lam)

@@ -16,8 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import UnsupportedRegionError
-from .graphs import Graph
+from .graphs import Graph, _is_count
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -28,11 +27,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     with its siblings.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _is_count(v, least: int = 1) -> bool:
-    """True for an integer (not a bool) that is at least ``least``."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -240,17 +234,12 @@ class NonNegL1Cap:
 class FlowPolytope:
     """Unit source->sink flows of a graph: {x in [0,1]^E : A x = b}.
 
-    The graph must be acyclic: then this is exactly the convex hull of the
-    source->sink path indicators.  On a graph with a cycle the flow set
-    also holds paths plus circulations and the shortest-path oracle can
-    meet negative cycles, so construction raises UnsupportedRegionError.
+    Every ``Graph`` is acyclic, so this is exactly the convex hull of the
+    source->sink path indicators: with a cycle the flow set would also
+    hold paths plus circulations.
     """
 
     graph: Graph
-
-    def __post_init__(self):
-        if self.graph._topo_edge_order is None:
-            raise UnsupportedRegionError("flow regions need an acyclic graph")
 
     @property
     def source(self) -> int:

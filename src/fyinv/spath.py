@@ -61,8 +61,7 @@ class SpDataset:
     cost-aware traveler would have taken.  All three are validated once and
     stored as read-only copies.  ``theta_star`` is only set by the synthetic
     generator; it stays None for ingested data.  The fit runs on the
-    graph's ``FlowPolytope``, so a cyclic graph raises
-    UnsupportedRegionError here, when the records are loaded.
+    graph's ``FlowPolytope``; the graph is acyclic, as every ``Graph`` is.
     """
 
     graph: Graph
@@ -82,7 +81,6 @@ class SpDataset:
             raise ValueError("contexts must end with an intercept equal to 1")
         if not np.all(t > 0):
             raise ValueError("realized edge times must be strictly positive")
-        FlowPolytope(self.graph)
         object.__setattr__(self, "contexts", u)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "observations", ys)
@@ -109,7 +107,8 @@ def load_graph(path, source: str, sink: str) -> Graph:
     """Read an edge CSV and return the graph with named source and sink.
 
     Node names are mapped to dense indices in order of first appearance;
-    source and sink are looked up by name after reading all rows.
+    source and sink are looked up by name after reading all rows.  A cyclic
+    edge list (a two-way street is a cycle) raises UnsupportedRegionError.
     """
     rows: list[tuple[int, str, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:

@@ -238,12 +238,11 @@ def vi_gap(P: np.ndarray, x: np.ndarray, t: np.ndarray) -> float:
 def tie_broken_paths(g: Graph, costs: np.ndarray) -> np.ndarray:
     """Row-by-row shortest paths under the documented scan-order tie rule.
 
-    DAGs: node positions from Kahn's algorithm with a FIFO queue (seeded
+    Node positions come from Kahn's algorithm with a FIFO queue (seeded
     with the in-degree-0 nodes in index order, out-edges released in edge
-    index order), then one sweep over the edges sorted by (tail position,
-    edge index).  Cyclic graphs: Bellman-Ford passes in edge index order
-    until nothing changes.  Either way a node's predecessor changes only on
-    strict improvement, and the path is read back from the sink.
+    index order), then one sweep runs over the edges sorted by (tail
+    position, edge index).  A node's predecessor changes only on strict
+    improvement, and the path is read back from the sink.
     """
     n, m = g.num_nodes, g.num_edges
     tails = [int(t) for t in g.tails]
@@ -262,25 +261,19 @@ def tie_broken_paths(g: Graph, costs: np.ndarray) -> np.ndarray:
             indeg[heads[e]] -= 1
             if indeg[heads[e]] == 0:
                 queue.append(heads[e])
-    acyclic = len(pos) == n
-    order = sorted(range(m), key=lambda e: (pos[tails[e]], e)) if acyclic else list(range(m))
+    assert len(pos) == n, "graph has a cycle"
+    order = sorted(range(m), key=lambda e: (pos[tails[e]], e))
 
     rows = []
     for c in np.asarray(costs, dtype=float).tolist():
         dist = [float("inf")] * n
         dist[g.source] = 0.0
         pred = [-1] * n
-        changed = True
-        while changed:
-            changed = False
-            for e in order:
-                cand = dist[tails[e]] + c[e]
-                if cand < dist[heads[e]]:
-                    dist[heads[e]] = cand
-                    pred[heads[e]] = e
-                    changed = True
-            if acyclic:
-                break
+        for e in order:
+            cand = dist[tails[e]] + c[e]
+            if cand < dist[heads[e]]:
+                dist[heads[e]] = cand
+                pred[heads[e]] = e
         x = np.zeros(m)
         v = g.sink
         while v != g.source:
@@ -310,7 +303,12 @@ def random_dag(rng: np.random.Generator, max_nodes: int = 8) -> Graph:
 
 
 def random_cyclic(rng: np.random.Generator, max_nodes: int = 7) -> Graph:
-    """A DAG with a few back edges added, so cycles exist."""
+    """A DAG with a few back edges added, so cycles exist.
+
+    Graph rejects every cycle, so each call raises UnsupportedRegionError
+    after drawing from rng; tests call it to check the rejection and to
+    keep later draws from the same rng as they were.
+    """
     g = random_dag(rng, max_nodes)
     tails = g.tails.tolist()
     heads = g.heads.tolist()

@@ -7,9 +7,11 @@ not fail there: the trace only reports the layer as 0.  These tests fail
 instead.
 """
 
+import functools
 import inspect
 
 import fyinv.cli
+import fyinv.graphs
 import fyinv.losses
 import fyinv.solvers
 import fyinv.spath
@@ -26,6 +28,8 @@ def test_wrapped_internals_keep_their_names_and_parameters():
     # the tracer reads the batch's row count from the third argument
     assert _params(fyinv.losses._fy_batch)[:4] == ["fp", "theta", "ctxs", "ys"]
     assert _params(fyinv.losses._subopt_batch) == ["fp", "theta", "ctxs", "ys", "hinge"]
+    # the graphs.topo_order layer re-wraps this cached_property's function
+    assert isinstance(vars(fyinv.graphs.Graph)["_topo_edge_order"], functools.cached_property)
 
 
 def test_captured_callees_are_module_globals_of_their_callers():

@@ -57,6 +57,8 @@ def test_run_config_validation():
         RunConfig(lambdas=(-0.1,))
     with pytest.raises(ValueError):
         RunConfig(lambdas=(0.1, float("nan")))
+    with pytest.raises(ValueError):
+        RunConfig(lambdas=(0.1, float("inf")))
     for key in ("sigma", "sp_sigma"):
         for bad in (-0.1, float("nan")):
             with pytest.raises(ValueError):

@@ -159,7 +159,7 @@ def test_fy_rejects_nonpositive_lam():
     u = np.zeros(fp.cost_map.m)
     y = np.zeros(fp.cost_map.d)
     theta = np.ones(fp.cost_map.p)
-    for bad in (0.0, -0.5):
+    for bad in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError):
             fy_loss(fp, theta, u, y, bad)
         with pytest.raises(ValueError):

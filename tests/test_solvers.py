@@ -12,7 +12,6 @@ from fyinv import (
     ForwardProblem,
     FwConfig,
     Graph,
-    NegativeCycleError,
     NonConvergenceError,
     NonNegL1Cap,
     Sense,
@@ -67,6 +66,20 @@ def test_graph_validation():
         Graph(2, np.array([0]), np.array([1]), 0, 0)
     with pytest.raises(ValueError):
         Graph(3, np.array([0, 1]), np.array([1]), 0, 2)
+    # non-integer endpoints would be truncated into a different graph
+    for tails in ([0.0, 1.7], np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, tails, np.array([1, 2]), 0, 2)
+    with pytest.raises(ValueError, match="integers"):
+        Graph(3, np.array([0, 1]), [1.0, 2.0], 0, 2)
+    # counts and node indices must be integers, not floats or bools
+    for kw in ({"num_nodes": 3.0}, {"source": 0.5}, {"source": True}, {"sink": 2.0}):
+        args = {"num_nodes": 3, "tails": [0, 1], "heads": [1, 2], "source": 0, "sink": 2} | kw
+        with pytest.raises(ValueError):
+            Graph(**args)
+    ok = Graph(np.int64(3), np.array([0, 1], dtype=np.int32), [1, 2], np.int64(0), 2)
+    assert ok.tails.dtype == np.int64 and ok.heads.dtype == np.int64
+    assert Graph(3, np.array([]), np.array([]), 0, 2).num_edges == 0
 
 
 def test_shortest_path_matches_enumeration_on_random_dags():
@@ -84,32 +97,29 @@ def test_shortest_path_matches_enumeration_on_random_dags():
 
 
 def test_shortest_path_bellman_ford_on_cyclic_graphs():
+    # Graphs are acyclic by construction, so no cyclic graph reaches the
+    # oracle: each of these draws is rejected when it is built.
     rng = rng_stream(11)
     for trial in range(40):
-        g = random_cyclic(rng)
-        costs = rng.uniform(0.1, 2.0, g.num_edges)
-        x = shortest_path(g, costs)
-        paths = enum_paths(g)
-        assert abs(float(costs @ x) - float((paths @ costs).min())) < 1e-12
+        with pytest.raises(UnsupportedRegionError, match="cycle"):
+            random_cyclic(rng)
 
 
 def test_shortest_path_negative_cycle_raises():
-    # 0 -> 1 -> 2 with a 1 -> 1 style loop through node 3
-    tails = np.array([0, 1, 3, 1])
-    heads = np.array([1, 3, 1, 2])
-    g = Graph(4, tails, heads, 0, 2)
-    ok = shortest_path(g, np.array([1.0, -2.0, 2.5, 1.0]))  # cycle cost +0.5
-    np.testing.assert_array_equal(ok, [1, 0, 0, 1])
-    with pytest.raises(NegativeCycleError):
-        shortest_path(g, np.array([1.0, -2.0, 1.0, 1.0]))  # cycle cost -1
+    # 0 -> 1 -> 2 with a loop 1 -> 3 -> 1: rejected at construction, so
+    # no cost vector, negative cycle or not, can reach the oracle
+    with pytest.raises(UnsupportedRegionError, match="cycle"):
+        Graph(4, np.array([0, 1, 3, 1]), np.array([1, 3, 1, 2]), 0, 2)
+    # a self-loop at node 1 of the path 0 -> 1 -> 2 is a cycle too
+    with pytest.raises(UnsupportedRegionError, match="cycle"):
+        Graph(3, np.array([0, 1, 1]), np.array([1, 1, 2]), 0, 2)
 
 
 def test_flow_polytope_rejects_cyclic_graph():
-    # a 4-node graph with one two-way street 1 <-> 2
-    g = Graph(4, np.array([0, 1, 2, 1, 2]), np.array([1, 2, 1, 3, 3]), 0, 3)
-    assert g._topo_edge_order is None
-    with pytest.raises(UnsupportedRegionError):
-        FlowPolytope(g)
+    # a 4-node graph with one two-way street 1 <-> 2: no FlowPolytope can
+    # be built over it, since the Graph itself does not construct
+    with pytest.raises(UnsupportedRegionError, match="cycle"):
+        Graph(4, np.array([0, 1, 2, 1, 2]), np.array([1, 2, 1, 3, 3]), 0, 3)
     # the same streets one way only form a DAG, which stays supported
     dag = Graph(4, np.array([0, 1, 1, 2]), np.array([1, 2, 3, 3]), 0, 3)
     assert region_contains(FlowPolytope(dag), shortest_path(dag, np.ones(4)))
@@ -135,29 +145,29 @@ def test_shortest_path_deterministic_under_ties():
         assert region_contains(FlowPolytope(g), a)
 
 
-def _tie_costs(rng, nb, ne, nonneg=False):
-    lo = 0 if nonneg else -2
+def _tie_costs(rng, nb, ne):
     return {
         "zero": np.zeros((nb, ne)),
-        "small-int": rng.integers(lo, 3, (nb, ne)).astype(float),
+        "small-int": rng.integers(-2, 3, (nb, ne)).astype(float),
         "zero-or-tenth": rng.choice([0.0, 0.1], (nb, ne)),
     }
 
 
 def test_shortest_path_tie_break_matches_scan_order_reference():
     # Tie-heavy costs pin the documented rule bitwise, on random DAGs (with
-    # relabelled nodes, so Kahn order differs from node index), cyclic
-    # graphs under Bellman-Ford, and the 45-node grid.
+    # relabelled nodes, so Kahn order differs from node index) and the
+    # 45-node grid.
     rng = rng_stream(15)
     graphs = [grid_graph(45, 93)]
     for _ in range(12):
         graphs.append(random_dag(rng))
         graphs.append(relabel_nodes(random_dag(rng), rng))
-        graphs.append(random_cyclic(rng))
+        # the rejected draw keeps the later DAG draws as they were
+        with pytest.raises(UnsupportedRegionError):
+            random_cyclic(rng)
     for g in graphs:
-        cyclic = g._topo_edge_order is None
         for nb in (1, 7, 96, 300):
-            for name, costs in _tie_costs(rng, nb, g.num_edges, nonneg=cyclic).items():
+            for name, costs in _tie_costs(rng, nb, g.num_edges).items():
                 got = shortest_path_batch(g, costs)
                 np.testing.assert_array_equal(got, tie_broken_paths(g, costs), err_msg=name)
 
@@ -182,10 +192,6 @@ def test_backtrack_raises_typed_errors_on_bad_predecessors():
     broken = np.array([[-1], [-1], [1]])
     with pytest.raises(UnreachableError):
         _backtrack(g, broken)
-    # node 1's predecessor is edge 2 (2 -> 1), node 2's is edge 1 (1 -> 2)
-    g = Graph(3, np.array([0, 1, 2]), np.array([1, 2, 1]), 0, 2)
-    with pytest.raises(NegativeCycleError):
-        _backtrack(g, np.array([[-1], [2], [1]]))
 
 
 def test_shortest_path_batch_matches_scalar():

@@ -212,14 +212,11 @@ def test_load_records_errors_carry_line_numbers(tmp_path):
         load_records(_write(tmp_path, "empty.csv", "t_0,f_1\n"), g)
 
 
-def test_load_records_rejects_cyclic_graph(tmp_path):
-    # a <-> b is a two-way street: the graph loads, the records do not
+def test_load_graph_rejects_cyclic_graph(tmp_path):
+    # a <-> b is a two-way street: the graph does not load
     edges = "edge_id,tail,head\n0,s,a\n1,a,b\n2,b,a\n3,a,t\n4,b,t\n"
-    g = load_graph(_write(tmp_path, "e.csv", edges), "s", "t")
-    assert g.num_edges == 5
-    recs = "t_0,t_1,t_2,t_3,t_4,f_1\n1.0,1.0,1.0,3.0,1.0,0.5\n"
     with pytest.raises(UnsupportedRegionError):
-        load_records(_write(tmp_path, "r.csv", recs), g)
+        load_graph(_write(tmp_path, "e.csv", edges), "s", "t")
 
 
 def test_load_records_skips_blank_lines(tmp_path):
