@@ -37,6 +37,7 @@ class Graph:
     num_nodes : int
         Nodes are 0 .. num_nodes - 1.
     tails, heads : int arrays of shape (num_edges,)
+        Stored as read-only int64 copies.
     source, sink : int
         Endpoints of every path considered feasible.
     """
@@ -52,7 +53,9 @@ class Graph:
             arr = np.asarray(getattr(self, name))
             if arr.size and not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-            object.__setattr__(self, name, arr.astype(np.int64, copy=False))
+            arr = arr.astype(np.int64)  # our own copy: the caller's array may change
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         tails, heads = self.tails, self.heads
         if tails.ndim != 1 or heads.shape != tails.shape:
             raise ValueError("tails and heads must be 1-D arrays of equal length")

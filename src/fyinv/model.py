@@ -348,11 +348,19 @@ class Noiseless:
     pass
 
 
+def _check_sigma(sigma) -> None:
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class NoisyDecision:
     """Additive Gaussian noise on the observed decision (may leave the region)."""
 
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,9 @@ class NoisyObjective:
     """Gaussian perturbation of the cost vector, then an exact solve."""
 
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_sigma(self.sigma)
 
 
 NoiseModel = Union[Noiseless, NoisyDecision, NoisyObjective]

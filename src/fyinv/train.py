@@ -67,8 +67,8 @@ class SgdConfig:
     fw: FwConfig | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         for name, least in (("batch_size", 1), ("max_iters", 0), ("eval_every", 1)):
             if not _is_count(getattr(self, name), least):
                 raise ValueError(f"{name} must be an integer >= {least}")
@@ -250,7 +250,16 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     Every step reads the whole dataset in its stored order, so
     ``batch_size`` and ``seed`` do not change the fit.  Values and steps are
     per-point means, so the step size does not have to shrink with the
-    sample count.  ``meta["duals"]`` holds the closed-form duals at the
+    sample count.
+
+    Per point the KKT objective is quadratic in the canonical cost h with
+    Hessian 2I (from the squared stationarity residual), so at the duals
+    that minimize it at h, F(h') <= F(h) + grad F(h).(h' - h) + ||h' - h||^2.
+    Through the cost map's Jacobian J (the identity on additive maps,
+    diag(u) on Hadamard ones) the mean objective's theta-gradient is
+    L-Lipschitz with L = 2 lambda_max(mean J^T J): any step below 2/L
+    descends, and 1/L gives the largest guaranteed decrease.
+    ``meta["duals"]`` holds the closed-form duals at the
     returned theta.  A non-finite objective or gradient raises
     DivergedError.
     """

@@ -60,7 +60,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(lambdas=(0.1, float("inf")))
     for key in ("sigma", "sp_sigma"):
-        for bad in (-0.1, float("nan")):
+        for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 RunConfig(**{key: bad})
     assert RunConfig(experiment="spath").experiment == "spath"

@@ -378,6 +378,16 @@ def test_sample_dataset_decision_noise_can_leave_region():
     assert any(not region_contains(fp.region, y) for y in ds.decisions)
 
 
+def test_noise_models_reject_bad_sigma():
+    # a NaN or infinite sigma used to make decisions from NaN or inf costs
+    for model in (NoisyDecision, NoisyObjective):
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                model(bad)
+        assert model(0.0).sigma == 0.0
+        assert model(np.float64(0.5)).sigma == 0.5
+
+
 def test_sample_dataset_validation():
     fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), Box.cube(4, -1, 1), Sense.MIN)
     with pytest.raises(ValueError):

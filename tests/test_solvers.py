@@ -80,6 +80,13 @@ def test_graph_validation():
     ok = Graph(np.int64(3), np.array([0, 1], dtype=np.int32), [1, 2], np.int64(0), 2)
     assert ok.tails.dtype == np.int64 and ok.heads.dtype == np.int64
     assert Graph(3, np.array([]), np.array([]), 0, 2).num_edges == 0
+    # the graph keeps read-only copies: the caller's arrays may change later
+    t = np.array([0, 1])
+    g = Graph(3, t, np.array([1, 2]), 0, 2)
+    t[0] = 2
+    np.testing.assert_array_equal(g.tails, [0, 1])
+    assert g._topo_edge_order == [(0, 1, 0), (1, 2, 1)]
+    assert g.tails.flags.writeable is False and g.heads.flags.writeable is False
 
 
 def test_shortest_path_matches_enumeration_on_random_dags():
