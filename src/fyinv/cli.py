@@ -40,16 +40,7 @@ from .losses import fy_grad, fy_loss
 from .solvers import FwConfig, solve_exact, solve_regularized
 from .spath import sp_run, synth_graph_instance
 from .synth import EXAMPLE_KINDS, build_example, generate
-from .train import (
-    METHODS,
-    SgdConfig,
-    SpaConfig,
-    _with_seed,
-    fy_sgd_fit,
-    kka_fit,
-    spa_fit,
-    subopt_fit,
-)
+from .train import METHODS, SgdConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
 
 NOISE_KINDS = ("none", "noisy_decision", "noisy_objective")
 
@@ -71,6 +62,12 @@ CSV_COLUMNS = (
     "wall_time_mean",
     "error",
 )
+
+
+def _is_nonneg_real(v) -> bool:
+    """True for a finite real number (not a bool) that is at least 0."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return real and 0 <= v < np.inf
 
 
 @dataclass(frozen=True)
@@ -109,10 +106,12 @@ class RunConfig:
             raise ValueError("seed must be an integer >= 0")
         if not all(_is_count(n) for n in self.sample_sizes):
             raise ValueError("sample sizes must be integers >= 1")
-        if not all(0 <= l < np.inf for l in self.lambdas):
-            raise ValueError("lambdas must be finite and >= 0")
-        if not (0 <= self.sigma < np.inf and 0 <= self.sp_sigma < np.inf):
-            raise ValueError("sigma and sp_sigma must be finite and >= 0")
+        if not all(_is_nonneg_real(l) for l in self.lambdas):
+            raise ValueError("lambdas must be finite numbers >= 0")
+        if not (_is_nonneg_real(self.sigma) and _is_nonneg_real(self.sp_sigma)):
+            raise ValueError("sigma and sp_sigma must be finite numbers >= 0")
+        if not isinstance(self.out, str):
+            raise ValueError("out must be a string")
 
 
 def load_config(path) -> RunConfig:
@@ -125,7 +124,9 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("methods", "sample_sizes", "lambdas"):
-        if key in raw and isinstance(raw[key], list):
+        if key in raw:
+            if not isinstance(raw[key], list):
+                raise ValueError(f"{key} must be a list")
             raw[key] = tuple(raw[key])
     return RunConfig(**raw)
 
@@ -150,7 +151,7 @@ _SYNTH_CFG = {
         learning_rate=0.1, batch_size=32, max_iters=4000, step_decay="inv_sqrt", eval_every=400
     ),
     "KKA": SgdConfig(learning_rate=0.5, max_iters=4000),
-    "SPA": SpaConfig(),
+    "SPA": SgdConfig(learning_rate=0.05, batch_size=32, max_iters=10_000, eval_every=50),
 }
 
 
@@ -162,7 +163,7 @@ def _synth_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
     if method == "FY" and lam <= 0:
         # lam = 0 turns the FY objective into the plain suboptimality loss
         method = "SUBOPT"
-    fit_cfg = _with_seed(_SYNTH_CFG[method], seed)
+    fit_cfg = dataclasses.replace(_SYNTH_CFG[method], seed=seed)
     if method == "FY":
         fit_cfg = dataclasses.replace(fit_cfg, lam=float(lam))
     fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "KKA": kka_fit, "SPA": spa_fit}

@@ -19,6 +19,7 @@ CSV formats:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -34,21 +35,13 @@ from .model import (
     ForwardProblem,
     Parameter,
     Sense,
+    _check_sigma,
     _frozen,
     rng_stream,
 )
 from .solvers import FwConfig, _solve_exact_batch
 from .metrics import MetricsReport, _mean_sq_dist, _path_regret, parameter_error
-from .train import (
-    METHODS,
-    FitResult,
-    SgdConfig,
-    SpaConfig,
-    _with_seed,
-    fy_sgd_fit,
-    spa_fit,
-    subopt_fit,
-)
+from .train import METHODS, FitResult, SgdConfig, fy_sgd_fit, spa_fit, subopt_fit
 
 @dataclass(frozen=True)
 class SpDataset:
@@ -266,6 +259,7 @@ def synth_graph_instance(
     exp(sigma * z - sigma^2 / 2), clamped below at 0.01; observations are
     the shortest paths under those realized times.
     """
+    _check_sigma(sigma)
     if m < 2:
         raise ValueError("need at least one feature plus the intercept")
     g = grid_graph(num_nodes, num_edges)
@@ -319,14 +313,12 @@ _DEFAULT_CFG = {
         step_decay="inv_sqrt",
         eval_every=1000,
     ),
-    "SPA": SpaConfig(
-        inner=SgdConfig(
-            learning_rate=0.5,
-            batch_size=16,
-            max_iters=2000,
-            step_decay="inv_sqrt",
-            eval_every=1000,
-        )
+    "SPA": SgdConfig(
+        learning_rate=0.5,
+        batch_size=16,
+        max_iters=2000,
+        step_decay="inv_sqrt",
+        eval_every=1000,
     ),
 }
 
@@ -350,7 +342,7 @@ def sp_fit(sp: SpDataset, method: str, cfg=None, seed: int = 0) -> FitResult:
         )
     fp = _flow_problem(sp)
     ds = Dataset(sp.contexts, sp.observations)
-    cfg = _with_seed(_DEFAULT_CFG[method] if cfg is None else cfg, seed)
+    cfg = dataclasses.replace(_DEFAULT_CFG[method] if cfg is None else cfg, seed=seed)
     fitters = {"FY": fy_sgd_fit, "SUBOPT": subopt_fit, "SPA": spa_fit}
     return fitters[method](fp, ds, cfg)
 

@@ -48,10 +48,12 @@ ParamSpace = Union[UnitL2Sphere, ThetaBox]
 class SgdConfig:
     """Hyperparameters shared by the first-order fitters.
 
-    ``lam`` only matters to the Fenchel-Young fitter.  ``step_decay`` of
-    "inv_sqrt" scales the step by 1/sqrt(t+1), useful for the nonsmooth
-    subgradient objectives; the default constant step mirrors the plain
-    SGD recipe.
+    ``lam`` only matters to the Fenchel-Young fitter.  ``fw`` configures
+    Frank-Wolfe wherever a fitter projects onto a flow polytope: the
+    Fenchel-Young solves, and SPA's projection of its smoothed decisions.
+    ``step_decay`` of "inv_sqrt" scales the step by 1/sqrt(t+1), useful for
+    the nonsmooth subgradient objectives; the default constant step mirrors
+    the plain SGD recipe.
     """
 
     learning_rate: float = 0.05
@@ -362,37 +364,24 @@ def nw_denoise(ds: Dataset, bandwidth: float) -> np.ndarray:
     return (w @ ds.decisions) / w.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class SpaConfig:
-    """Denoise-project-fit pipeline configuration.
-
-    The bandwidth is chosen by k-fold cross-validation on held-out
-    reconstruction error; folds come from a seeded shuffle so the whole
-    pipeline is deterministic.
-    """
-
-    bandwidths: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0, 2.0)
-    folds: int = 5
-    inner: SgdConfig = field(default_factory=SgdConfig)
-
-    def __post_init__(self):
-        if len(self.bandwidths) == 0 or not all(b > 0 for b in self.bandwidths):
-            raise ValueError("bandwidths must be a nonempty tuple of positives")
-        if not _is_count(self.folds, 2):
-            raise ValueError("folds must be an integer >= 2")
+# SPA's bandwidth grid and cross-validation fold count, fixed for every fit.
+_SPA_BANDWIDTHS = (0.1, 0.25, 0.5, 1.0, 2.0)
+_SPA_FOLDS = 5
 
 
-def _cv_bandwidth(ds: Dataset, cfg: SpaConfig) -> float:
+def _cv_bandwidth(ds: Dataset, seed: int) -> float:
+    """The member of _SPA_BANDWIDTHS with the least held-out reconstruction
+    error over _SPA_FOLDS folds drawn from a shuffle seeded by ``seed``."""
     n = len(ds)
-    folds = min(cfg.folds, n)
-    assign = rng_stream(cfg.inner.seed, 7).permutation(n) % folds
-    sse = np.zeros(len(cfg.bandwidths))
+    folds = min(_SPA_FOLDS, n)
+    assign = rng_stream(seed, 7).permutation(n) % folds
+    sse = np.zeros(len(_SPA_BANDWIDTHS))
     count = 0
     for f in range(folds):
         hold = assign == f
         if not np.any(hold) or np.all(hold):
             continue
-        ws = _nw_weights(ds.contexts[~hold], ds.contexts[hold], cfg.bandwidths)
+        ws = _nw_weights(ds.contexts[~hold], ds.contexts[hold], _SPA_BANDWIDTHS)
         for k, w in enumerate(ws):
             mass = w.sum(axis=1)
             if np.any(mass == 0.0):
@@ -406,31 +395,34 @@ def _cv_bandwidth(ds: Dataset, cfg: SpaConfig) -> float:
     scores = sse / max(count, 1)
     if not np.isfinite(scores.min()):
         raise DegenerateKernelError("every candidate bandwidth isolated some fold")
-    return cfg.bandwidths[int(np.argmin(scores))]
+    return _SPA_BANDWIDTHS[int(np.argmin(scores))]
 
 
-def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SpaConfig | None = None) -> FitResult:
+def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
     """Denoise decisions, project them feasible, then fit by suboptimality.
 
     Stage one replaces each decision with its kernel-smoothed neighbor
-    average (bandwidth by cross-validation); stage two projects the
-    smoothed decisions onto the feasible region so the suboptimality loss
-    is meaningful; stage three runs subopt_fit on the cleaned dataset.
+    average.  The bandwidth is chosen from the fixed grid
+    (0.1, 0.25, 0.5, 1.0, 2.0) by 5-fold cross-validation on held-out
+    reconstruction error (_SPA_BANDWIDTHS, _SPA_FOLDS); the folds come from
+    a shuffle seeded by ``cfg.seed``, so the whole pipeline is
+    deterministic.  Stage two projects the smoothed decisions onto the
+    feasible region (with ``cfg.fw`` on flow regions) so the suboptimality
+    loss is meaningful; stage three runs subopt_fit with ``cfg`` on the
+    cleaned dataset.  ``wall_time`` covers all three stages.
     """
-    cfg = cfg or SpaConfig()
+    cfg = cfg or SgdConfig()
+    start = time.perf_counter()
     # Fail on bad widths or theta0 before denoising: the projection below
     # would broadcast width-1 decisions back to the full width.
-    _start_theta(fp, ds, cfg.inner)
-    bw = _cv_bandwidth(ds, cfg)
+    _start_theta(fp, ds, cfg)
+    bw = _cv_bandwidth(ds, cfg.seed)
     smoothed = nw_denoise(ds, bw)
-    projected = _project_region_batch(fp.region, smoothed, cfg.inner.fw)
+    projected = _project_region_batch(fp.region, smoothed, cfg.fw)
     cleaned = Dataset(ds.contexts, projected, truth=ds.truth)
-    result = subopt_fit(fp, cleaned, cfg.inner)
-    return dataclasses.replace(result, meta={**result.meta, "bandwidth": bw})
-
-
-def _with_seed(cfg: SgdConfig | SpaConfig, seed: int) -> SgdConfig | SpaConfig:
-    """cfg with its SGD seed set to seed (the inner config's, for SPA)."""
-    if isinstance(cfg, SpaConfig):
-        return dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, seed=seed))
-    return dataclasses.replace(cfg, seed=seed)
+    result = subopt_fit(fp, cleaned, cfg)
+    return dataclasses.replace(
+        result,
+        wall_time=time.perf_counter() - start,
+        meta={**result.meta, "bandwidth": bw},
+    )

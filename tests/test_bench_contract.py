@@ -28,6 +28,17 @@ def test_wrapped_internals_keep_their_names_and_parameters():
     # the tracer reads the batch's row count from the third argument
     assert _params(fyinv.losses._fy_batch)[:4] == ["fp", "theta", "ctxs", "ys"]
     assert _params(fyinv.losses._subopt_batch) == ["fp", "theta", "ctxs", "ys", "hinge"]
+    # the tracer reads each span's row count from these arguments
+    for name in ("fy_sgd_fit", "subopt_fit", "kka_fit", "spa_fit"):
+        assert _params(getattr(fyinv.train, name))[1] == "ds"
+    for fn in (fyinv.train.nw_denoise, fyinv.train._cv_bandwidth):
+        assert _params(fn)[0] == "ds"
+    assert _params(fyinv.graphs.shortest_path_batch)[1] == "costs"
+    assert _params(fyinv.solvers._fw_project_batch)[1] == "targets"
+    assert "rows" in _params(fyinv.solvers._correct_rows)
+    for name in ("_project_box_batch", "_project_ball_batch", "_project_nonneg_l1cap_batch"):
+        assert _params(getattr(fyinv.solvers, name))[0] == "vs"
+    assert _params(fyinv.solvers._linear_argmax_batch)[1] == "hcs"
     # the graphs.topo_order layer re-wraps this cached_property's function
     assert isinstance(vars(fyinv.graphs.Graph)["_topo_edge_order"], functools.cached_property)
 

@@ -59,10 +59,16 @@ def test_run_config_validation():
         RunConfig(lambdas=(0.1, float("nan")))
     with pytest.raises(ValueError):
         RunConfig(lambdas=(0.1, float("inf")))
+    for bad in (("a",), (None,), (True,)):
+        with pytest.raises(ValueError):
+            RunConfig(lambdas=bad)
     for key in ("sigma", "sp_sigma"):
-        for bad in (-0.1, float("nan"), float("inf")):
+        for bad in (-0.1, float("nan"), float("inf"), None, "1", True):
             with pytest.raises(ValueError):
                 RunConfig(**{key: bad})
+    for bad in (5, None):
+        with pytest.raises(ValueError):
+            RunConfig(out=bad)
     assert RunConfig(experiment="spath").experiment == "spath"
     assert RunConfig(n_eval=np.int64(5), sample_sizes=(np.int64(5),)).n_eval == 5
     assert RunConfig(seed=np.int64(0)).seed == 0
@@ -86,6 +92,13 @@ def test_load_config_round_trip(tmp_path):
 def test_load_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(_cfg_file(tmp_path, "experiment: C\nlearning_rate: 0.5\n"))
+
+
+def test_load_config_requires_lists(tmp_path):
+    # a bare string would be split into characters, a bare number not iterate
+    for text in ("methods: FY\n", "sample_sizes: 100\n", "lambdas: 0.1\n"):
+        with pytest.raises(ValueError, match="must be a list"):
+            load_config(_cfg_file(tmp_path, text))
 
 
 def test_load_config_rejects_non_mapping(tmp_path):
@@ -165,8 +178,7 @@ def test_synth_cell_dispatches_method_lam_and_seed(monkeypatch):
         _synth_cell(cfg, *cell)
         [(name, fit_cfg)] = calls
         assert name == expected[method, lam]
-        seed = fit_cfg.inner.seed if name == "spa_fit" else fit_cfg.seed
-        assert seed == cell[3] != 0
+        assert fit_cfg.seed == cell[3] != 0
         if name == "fy_sgd_fit":
             assert fit_cfg.lam == lam
         seen.append((method, lam))
@@ -214,6 +226,18 @@ def test_main_config_error_exits_2(tmp_path):
     for seed in ("1.5", "true"):
         bad = _cfg_file(tmp_path, f"seed: {seed}\n" + small)
         assert main(["synth", "--config", str(bad), "--out", str(out)]) == 2
+    # values of the wrong type are config errors too, not TypeError tracebacks
+    base = {"sample_sizes": "[5]", "replications": "1", "n_eval": "5"}
+    for key, value in (
+        ("sample_sizes", "100"), ("lambdas", "0.1"), ("lambdas", "[a]"), ("methods", "FY"),
+        ("sigma", "null"), ("sigma", "'1'"), ("sp_sigma", "null"), ("out", "5"),
+    ):
+        text = "".join(f"{k}: {v}\n" for k, v in {**base, key: value}.items())
+        bad = _cfg_file(tmp_path, text)
+        # a bad out key must fail without --out overriding it
+        flags = [] if key == "out" else ["--out", str(out)]
+        for command in ("synth", "spath"):
+            assert main([command, "--config", str(bad), *flags]) == 2, (key, value)
     assert not out.exists()
 
 

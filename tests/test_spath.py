@@ -131,6 +131,13 @@ def test_synth_instance_zero_noise_times_are_linear():
     np.testing.assert_allclose(sp.times, sp.contexts @ sp.theta_star.as_matrix().T)
 
 
+def test_synth_instance_rejects_bad_sigma():
+    # a NaN or negative sigma used to build the noiseless instance
+    for bad in (float("nan"), -0.5, float("inf")):
+        with pytest.raises(ValueError):
+            synth_graph_instance(num_nodes=12, num_edges=20, m=3, n=15, sigma=bad, seed=4)
+
+
 def test_synth_instance_accepts_pinned_theta():
     g = grid_graph(12, 20)
     theta = planted_theta(g, m=3, seed=9)
@@ -296,8 +303,6 @@ def test_sp_run_subopt_and_spa_paths():
     sub_cfg = SgdConfig(learning_rate=0.3, batch_size=8, max_iters=60, step_decay="inv_sqrt", eval_every=20)
     rep = sp_run(sp, "SUBOPT", sub_cfg, seed=0)
     assert rep.regret >= -1e-9
-    from fyinv import SpaConfig
-
-    spa_cfg = SpaConfig(inner=SgdConfig(learning_rate=0.3, batch_size=8, max_iters=40, eval_every=20))
+    spa_cfg = SgdConfig(learning_rate=0.3, batch_size=8, max_iters=40, eval_every=20)
     rep2 = sp_run(sp, "SPA", spa_cfg, seed=0)
     assert rep2.decision_error >= 0.0

@@ -1,6 +1,7 @@
 """SGD drivers, the KKT fitter, kernel denoising, and the two-stage baseline."""
 
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from fyinv import (
     Parameter,
     Sense,
     SgdConfig,
-    SpaConfig,
     ThetaBox,
     UnitL2Sphere,
     UnsupportedRegionError,
@@ -36,6 +36,7 @@ from fyinv import (
     spa_fit,
     subopt_fit,
 )
+import fyinv.train
 from fyinv.cli import _SYNTH_CFG
 from fyinv.losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch
 from fyinv.train import _NW_BLOCK_ELEMS, _apply_space, _cv_bandwidth, _nw_weights, _run_sgd
@@ -84,19 +85,6 @@ def test_sgd_config_validation():
         SgdConfig(tolerance=float("nan"))
     cfg = SgdConfig(batch_size=np.int64(4), max_iters=0, eval_every=np.int64(2))
     assert (cfg.batch_size, cfg.max_iters, cfg.eval_every) == (4, 0, 2)
-
-
-def test_spa_config_validation():
-    with pytest.raises(ValueError):
-        SpaConfig(bandwidths=())
-    with pytest.raises(ValueError):
-        SpaConfig(bandwidths=(0.5, -1.0))
-    with pytest.raises(ValueError):
-        SpaConfig(bandwidths=(0.5, float("nan")))
-    for bad in (1, 2.5, float("nan"), True):
-        with pytest.raises(ValueError):
-            SpaConfig(folds=bad)
-    assert SpaConfig(folds=np.int64(3)).folds == 3
 
 
 def test_apply_space_unit_sphere():
@@ -453,14 +441,9 @@ def test_fitters_reject_mismatched_dataset_widths():
     ]
     sgd = SgdConfig(max_iters=5)
     for bad in narrow:
-        for fit, cfg in [
-            (fy_sgd_fit, sgd),
-            (subopt_fit, sgd),
-            (kka_fit, sgd),
-            (spa_fit, SpaConfig(inner=sgd)),
-        ]:
+        for fit in (fy_sgd_fit, subopt_fit, kka_fit, spa_fit):
             with pytest.raises(ValueError):
-                fit(fp, bad, cfg)
+                fit(fp, bad, sgd)
 
 
 def test_nw_denoise_interpolates_at_tiny_bandwidth():
@@ -537,12 +520,11 @@ def test_cv_bandwidth_memory_holds_one_fold_of_weights():
     n, m = 1000, 10
     rng = rng_stream(41)
     ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
-    cfg = SpaConfig()
-    hold = n // cfg.folds
-    stack = len(cfg.bandwidths) * hold * (n - hold) * 8
+    hold = n // fyinv.train._SPA_FOLDS
+    stack = len(fyinv.train._SPA_BANDWIDTHS) * hold * (n - hold) * 8
     tracemalloc.start()
     try:
-        _cv_bandwidth(ds, cfg)
+        _cv_bandwidth(ds, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -551,34 +533,35 @@ def test_cv_bandwidth_memory_holds_one_fold_of_weights():
 
 def test_cv_bandwidth_deterministic_member_of_grid():
     ds = _smooth_dataset(n=60)
-    cfg = SpaConfig(inner=SgdConfig(seed=2))
-    bw = _cv_bandwidth(ds, cfg)
-    assert bw in cfg.bandwidths
-    assert _cv_bandwidth(ds, cfg) == bw
+    grid = fyinv.train._SPA_BANDWIDTHS
+    bw = _cv_bandwidth(ds, 2)
+    assert bw in grid
+    assert _cv_bandwidth(ds, 2) == bw
     # smooth low-noise data should not pick the widest smoother
-    assert bw < max(cfg.bandwidths)
+    assert bw < max(grid)
 
 
-def _reference_choice(ds, cfg):
-    scores = cv_bandwidth_scores(ds.contexts, ds.decisions, cfg.bandwidths, cfg.folds, cfg.inner.seed)
-    return cfg.bandwidths[int(np.argmin(scores))], scores
+def _reference_choice(ds, seed):
+    """The oracle's choice and scores on the grid and fold count in force."""
+    grid = fyinv.train._SPA_BANDWIDTHS
+    scores = cv_bandwidth_scores(ds.contexts, ds.decisions, grid, fyinv.train._SPA_FOLDS, seed)
+    return grid[int(np.argmin(scores))], scores
 
 
-def test_cv_bandwidth_matches_loop_reference():
+def test_cv_bandwidth_matches_loop_reference(monkeypatch):
     chosen = set()
     for seed in (0, 2):
         rng = rng_stream(20 + seed)
         ctxs = rng.uniform(-1, 1, (60, 2))
         signal = np.stack([np.sin(2 * ctxs[:, 0]), ctxs[:, 1] ** 2]).T
-        cfg = SpaConfig(inner=SgdConfig(seed=seed))
         for ys in (
             signal + 0.3 * rng.standard_normal((60, 2)),
             signal + 1.0 * rng.standard_normal((60, 2)),
             rng.standard_normal((60, 2)),
         ):
             ds = Dataset(ctxs, ys)
-            want, _ = _reference_choice(ds, cfg)
-            assert _cv_bandwidth(ds, cfg) == want
+            want, _ = _reference_choice(ds, seed)
+            assert _cv_bandwidth(ds, seed) == want
             chosen.add(want)
     assert len(chosen) >= 3  # noise levels move the choice across the grid
 
@@ -586,31 +569,46 @@ def test_cv_bandwidth_matches_loop_reference():
     # fold holding it is isolated below bandwidth ~26, and both small
     # bandwidths must score inf rather than win
     base = _smooth_dataset(n=40, seed=3)
-    cfg = SpaConfig(bandwidths=(0.25, 1.0, 100.0), inner=SgdConfig(seed=1))
-    assert _cv_bandwidth(base, cfg) == _reference_choice(base, cfg)[0] == 0.25
+    monkeypatch.setattr(fyinv.train, "_SPA_BANDWIDTHS", (0.25, 1.0, 100.0))
+    assert _cv_bandwidth(base, 1) == _reference_choice(base, 1)[0] == 0.25
     ctxs = base.contexts.copy()
     ctxs[0] = 1000.0
     far = Dataset(ctxs, base.decisions)
-    want, scores = _reference_choice(far, cfg)
+    want, scores = _reference_choice(far, 1)
     assert scores[:2] == [np.inf, np.inf]
-    assert _cv_bandwidth(far, cfg) == want == 100.0
+    assert _cv_bandwidth(far, 1) == want == 100.0
 
 
-def test_cv_bandwidth_degenerate_grid_raises():
+def test_cv_bandwidth_degenerate_grid_raises(monkeypatch):
     ctxs = np.array([[0.0], [500.0], [1000.0], [1500.0]])
     ds = Dataset(ctxs, np.ones((4, 1)))
-    cfg = SpaConfig(bandwidths=(1e-4, 1e-3), folds=2)
-    assert _reference_choice(ds, cfg)[1] == [np.inf, np.inf]
+    monkeypatch.setattr(fyinv.train, "_SPA_BANDWIDTHS", (1e-4, 1e-3))
+    monkeypatch.setattr(fyinv.train, "_SPA_FOLDS", 2)
+    assert _reference_choice(ds, 0)[1] == [np.inf, np.inf]
     with pytest.raises(DegenerateKernelError):
-        _cv_bandwidth(ds, cfg)
+        _cv_bandwidth(ds, 0)
 
 
 def test_spa_fit_end_to_end():
     fp, _, ds = _noisy_c(n=60)
-    cfg = SpaConfig(inner=SgdConfig(learning_rate=0.1, max_iters=150, eval_every=50))
+    cfg = SgdConfig(learning_rate=0.1, max_iters=150, eval_every=50)
     res = spa_fit(fp, ds, cfg)
-    assert res.meta["bandwidth"] in cfg.bandwidths
+    assert res.meta["bandwidth"] in fyinv.train._SPA_BANDWIDTHS
     assert np.all(np.isfinite(res.theta.values))
     assert "risk" in res.meta
     a = spa_fit(fp, ds, cfg)
     np.testing.assert_array_equal(a.theta.values, res.theta.values)
+
+
+def test_spa_fit_wall_time_covers_every_stage(monkeypatch):
+    # denoising runs before the SUBOPT stage, whose driver keeps its own timer
+    denoise = fyinv.train.nw_denoise
+
+    def slow_denoise(ds, bandwidth):
+        time.sleep(0.05)
+        return denoise(ds, bandwidth)
+
+    monkeypatch.setattr(fyinv.train, "nw_denoise", slow_denoise)
+    fp, _, ds = _noisy_c(n=40)
+    res = spa_fit(fp, ds, SgdConfig(max_iters=5))
+    assert res.wall_time >= 0.05
