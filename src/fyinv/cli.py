@@ -92,6 +92,12 @@ class RunConfig:
     sp_sigma: float = 0.1
 
     def __post_init__(self):
+        # a bare string would be split into characters, a bare number not iterate
+        for key in ("methods", "sample_sizes", "lambdas"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list or tuple")
+            object.__setattr__(self, key, tuple(value))
         if self.experiment != "spath" and self.experiment not in EXAMPLE_KINDS:
             raise ValueError(f"experiment must be one of {EXAMPLE_KINDS} or 'spath'")
         for m in self.methods:
@@ -123,11 +129,6 @@ def load_config(path) -> RunConfig:
     unknown = set(raw) - fields
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("methods", "sample_sizes", "lambdas"):
-        if key in raw:
-            if not isinstance(raw[key], list):
-                raise ValueError(f"{key} must be a list")
-            raw[key] = tuple(raw[key])
     return RunConfig(**raw)
 
 

@@ -14,7 +14,8 @@ best linear objective value; it is the classic duality-gap objective and is
 degenerate at theta = 0 for purely multiplicative cost maps.  The KKT
 objective measures squared stationarity and complementary-slackness
 residuals with per-point dual variables; for fixed theta the minimizing
-duals have a closed form, which leaves a convex objective in theta alone.
+duals have a closed form, which leaves a convex objective in theta alone;
+``kka_objective`` is its mean over the observations.
 
 Theta is checked once, by the public function that receives it: non-finite
 values or a wrong size raise ValueError there.  The ``_``-prefixed batch
@@ -151,48 +152,6 @@ def kka_dual_dim(fp: ForwardProblem) -> int:
     )
 
 
-def _kka_batch(
-    fp: ForwardProblem, hcs: np.ndarray, duals: np.ndarray, ds: Dataset, *, want_dual_grad: bool = True
-):
-    """KKT objective and its (theta, duals) gradient from one residual pass.
-
-    ``hcs`` holds the canonical costs of ds.contexts at theta.  The
-    objective sums the squared stationarity residuals, then each
-    complementary-slackness block in turn.  ``duals`` must already have
-    shape (len(ds), kka_dual_dim(fp)).  The dual gradient is None unless
-    ``want_dual_grad``.
-    """
-    ys = ds.decisions
-    r = fp.region
-    if isinstance(r, Box):
-        d = fp.cost_map.d
-        lam_hi, lam_lo = duals[:, :d], duals[:, d:]
-        stat = lam_hi - lam_lo - hcs
-        comp_a = lam_hi * (ys - r.hi)
-        comp_b = lam_lo * (r.lo - ys)
-    else:
-        mu, nu = duals[:, :1], duals[:, 1:]
-        stat = mu - nu - hcs
-        slack = ys.sum(axis=1) - r.cap
-        comp_a = mu[:, 0] * slack
-        comp_b = nu * (-ys)
-    # Huge duals overflow to inf here instead of warning; kka_fit turns a
-    # non-finite objective into DivergedError.
-    with np.errstate(over="ignore"):
-        total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
-    # d stat / d theta = -J_c, so chain through the batched adjoint.
-    g_theta = -2.0 * len(ds) * fp._canonical_adjoint(ds.contexts, stat)
-    if not want_dual_grad:
-        return total, g_theta, None
-    if isinstance(r, Box):
-        g_a = 2.0 * stat + 2.0 * comp_a * (ys - r.hi)
-        g_b = -2.0 * stat + 2.0 * comp_b * (r.lo - ys)
-    else:
-        g_a = (2.0 * stat.sum(axis=1) + 2.0 * comp_a * slack)[:, None]
-        g_b = -2.0 * stat + 2.0 * comp_b * (-ys)
-    return total, g_theta, np.concatenate([g_a, g_b], axis=1)
-
-
 def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.ndarray:
     """Duals minimizing the KKT objective at theta, in closed form per point.
 
@@ -239,31 +198,56 @@ def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.nda
     return np.concatenate([mu, np.maximum(mu - hcs, 0.0) * v], axis=1)
 
 
-def _check_duals(fp: ForwardProblem, duals, n: int) -> np.ndarray:
-    duals = np.asarray(duals, dtype=float)
-    q = kka_dual_dim(fp)
-    if duals.shape != (n, q):
-        raise ValueError(f"duals must have shape ({n}, {q})")
-    return duals
+def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
+    """Mean KKT objective at its minimizing duals, its theta-gradient, the duals.
 
-
-def kka_objective(fp: ForwardProblem, theta, duals, ds: Dataset) -> float:
-    """Sum of squared KKT residuals of all observations.
-
-    Zero exactly when every (y_i, duals_i) satisfies the KKT system of the
-    linear forward problem at theta.  Noisy observations keep it bounded
-    away from zero for any theta.
+    ``t`` is checked flat values and fp.region a Box or NonNegL1Cap.  By
+    Danskin's rule the theta-gradient at the closed-form duals is the
+    gradient of the objective minimized over them.
     """
-    hcs = fp._canonical_costs(as_parameter(theta, fp.cost_map).values, ds.contexts)
-    total, _, _ = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds, want_dual_grad=False)
-    return total
+    hcs = fp._canonical_costs(t, ds.contexts)
+    duals = _kka_duals_batch(fp, hcs, ds)
+    ys = ds.decisions
+    r = fp.region
+    if isinstance(r, Box):
+        d = fp.cost_map.d
+        lam_hi, lam_lo = duals[:, :d], duals[:, d:]
+        stat = lam_hi - lam_lo - hcs
+        comp_a = lam_hi * (ys - r.hi)
+        comp_b = lam_lo * (r.lo - ys)
+    else:
+        mu, nu = duals[:, :1], duals[:, 1:]
+        stat = mu - nu - hcs
+        comp_a = mu[:, 0] * (ys.sum(axis=1) - r.cap)
+        comp_b = nu * (-ys)
+    # Huge duals overflow to inf here instead of warning; kka_fit turns a
+    # non-finite objective into DivergedError.
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
+    # d stat / d theta = -J_c, so chain through the batched (mean) adjoint;
+    # the fit's pinned bits come from scaling it to a sum and back.
+    n = len(ds)
+    g_theta = -2.0 * n * fp._canonical_adjoint(ds.contexts, stat)
+    return total / n, g_theta / n, duals
 
 
-def kka_grad(fp: ForwardProblem, theta, duals, ds: Dataset):
-    """Gradient of kka_objective in (theta, duals)."""
-    hcs = fp._canonical_costs(as_parameter(theta, fp.cost_map).values, ds.contexts)
-    _, g_theta, g_duals = _kka_batch(fp, hcs, _check_duals(fp, duals, len(ds)), ds)
-    return g_theta, g_duals
+def kka_objective(fp: ForwardProblem, theta, ds: Dataset) -> float:
+    """Mean squared KKT residual of the observations, duals minimized out.
+
+    Zero exactly when some nonnegative duals make every y_i satisfy the KKT
+    system of the linear forward problem at theta; noisy observations keep
+    it away from zero.  Equals ``kka_fit``'s ``meta["risk"]`` at its theta.
+    """
+    t = as_parameter(theta, fp.cost_map).values
+    kka_dual_dim(fp)  # rejects regions without a KKT form
+    return _kka_reduced(fp, t, ds)[0]
+
+
+def kka_grad(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
+    """Gradient of kka_objective in theta, shape (p,)."""
+    t = as_parameter(theta, fp.cost_map).values
+    kka_dual_dim(fp)  # rejects regions without a KKT form
+    return _kka_reduced(fp, t, ds)[1]
 
 
 # ---------------------------------------------------------------------------

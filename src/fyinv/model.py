@@ -254,8 +254,14 @@ Region = Union[Box, Ball, NonNegL1Cap, FlowPolytope]
 
 
 def region_contains(region: Region, x: np.ndarray, tol: float = 1e-9) -> bool:
-    """Membership test, used by validity checks and tests."""
+    """Membership test of one 1-D point, used by validity checks and tests."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-D point")
+    if isinstance(region, (Box, FlowPolytope)):
+        dim = region.lo.size if isinstance(region, Box) else region.graph.num_edges
+        if x.size != dim:
+            raise ValueError(f"x must have {dim} entries")
     if isinstance(region, Box):
         return bool(np.all(x >= region.lo - tol) and np.all(x <= region.hi + tol))
     if isinstance(region, Ball):
@@ -411,6 +417,8 @@ class Dataset:
         object.__setattr__(self, "decisions", y)
         if c.shape[0] != y.shape[0]:
             raise ValueError("contexts and decisions disagree on sample count")
+        if c.shape[0] == 0:
+            raise ValueError("a dataset needs at least one row")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
             raise ValueError("contexts and decisions must be finite")
 

@@ -196,7 +196,7 @@ class FwConfig:
     and the gap collapses to roundoff.
     Bitwise-equal targets in one batch share one solve, and the output is
     bitwise identical to solving every row.  ``max_iters`` and
-    ``correct_every`` are integers >= 1.
+    ``correct_every`` are integers >= 1; ``gap_tol`` is positive and finite.
     """
 
     max_iters: int = 2000
@@ -207,8 +207,8 @@ class FwConfig:
         for name in ("max_iters", "correct_every"):
             if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not self.gap_tol > 0:
-            raise ValueError("gap_tol must be positive")
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be positive and finite")
 
 
 def fw_project(g: Graph, target, cfg: FwConfig | None = None) -> np.ndarray:

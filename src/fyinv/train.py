@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
-from .losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch, kka_dual_dim
+from .losses import _fy_batch, _kka_reduced, _subopt_batch, kka_dual_dim
 from .model import Dataset, ForwardProblem, Parameter, _is_count, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
@@ -35,10 +35,14 @@ class UnitL2Sphere:
 
 @dataclass(frozen=True)
 class ThetaBox:
-    """Clip the iterate into [lo, hi] coordinatewise."""
+    """Clip the iterate into [lo, hi] coordinatewise; the bounds are finite."""
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
+            raise ValueError("ThetaBox needs finite bounds with lo <= hi")
 
 
 ParamSpace = Union[UnitL2Sphere, ThetaBox]
@@ -276,13 +280,11 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         # last evaluation instead of redoing it.
         key = theta.tobytes()
         if key not in last:
-            hcs = fp._canonical_costs(theta, ds.contexts)
-            duals = _kka_duals_batch(fp, hcs, ds)
-            total, g_theta, _ = _kka_batch(fp, hcs, duals, ds, want_dual_grad=False)
+            total, g_theta, _ = _kka_reduced(fp, theta, ds)
             if not (np.isfinite(total) and np.isfinite(g_theta).all()):
                 raise DivergedError("KKT objective or gradient is not finite")
             last.clear()
-            last[key] = (total / n, g_theta / n)
+            last[key] = (total, g_theta)
         return last[key]
 
     def batch_step(theta, idx):
@@ -292,7 +294,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
         return reduced(theta)[0]
 
     result = _run_sgd(fp, ds, dataclasses.replace(cfg, batch_size=n), batch_step, full_risk)
-    duals = _kka_duals_batch(fp, fp._canonical_costs(result.theta.values, ds.contexts), ds)
+    duals = _kka_reduced(fp, result.theta.values, ds)[2]
     return dataclasses.replace(result, meta={**result.meta, "duals": duals})
 
 

@@ -73,6 +73,12 @@ def test_run_config_validation():
     assert RunConfig(n_eval=np.int64(5), sample_sizes=(np.int64(5),)).n_eval == 5
     assert RunConfig(seed=np.int64(0)).seed == 0
     assert RunConfig(lambdas=(0.0,)).lambdas == (0.0,)  # lam 0 = plain subopt
+    # a bare value where a sequence belongs; a list is stored as a tuple
+    for key, bad in (("methods", "FY"), ("sample_sizes", 100), ("lambdas", 0.1)):
+        with pytest.raises(ValueError, match="must be a list"):
+            RunConfig(**{key: bad})
+    cfg = RunConfig(methods=["FY", "SPA"], sample_sizes=[50], lambdas=[0.1, 1.0])
+    assert (cfg.methods, cfg.sample_sizes, cfg.lambdas) == (("FY", "SPA"), (50,), (0.1, 1.0))
 
 
 def test_load_config_round_trip(tmp_path):

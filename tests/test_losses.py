@@ -38,7 +38,7 @@ from fyinv import (
     subopt_loss,
     subopt_subgrad,
 )
-from fyinv.losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch
+from fyinv.losses import _fy_batch, _kka_duals_batch, _subopt_batch
 from fyinv.solvers import _linear_argmax_batch
 
 from oracles import enum_paths, fd_grad, kkt_duals, kkt_residual, sample_region
@@ -216,7 +216,6 @@ def test_public_entry_points_reject_bad_theta(how):
     u = ctxs[0]
     y = solve_exact(fp, good, u)
     ds = Dataset(ctxs, np.stack([solve_exact(fp, good, c) for c in ctxs]))
-    duals = np.zeros((len(ds), kka_dual_dim(fp)))
     calls = {
         "cost": lambda t: cost(fp.cost_map, t, u),
         "canonical_cost": lambda t: fp.canonical_cost(t, u),
@@ -226,8 +225,8 @@ def test_public_entry_points_reject_bad_theta(how):
         "fy_grad": lambda t: fy_grad(fp, t, u, y, 0.5),
         "subopt_loss": lambda t: subopt_loss(fp, t, u, y),
         "subopt_subgrad": lambda t: subopt_subgrad(fp, t, u, y),
-        "kka_objective": lambda t: kka_objective(fp, t, duals, ds),
-        "kka_grad": lambda t: kka_grad(fp, t, duals, ds),
+        "kka_objective": lambda t: kka_objective(fp, t, ds),
+        "kka_grad": lambda t: kka_grad(fp, t, ds),
         "dist_loss_oracle": lambda t: dist_loss_oracle(fp, t, u, y),
         "decision_error/hat": lambda t: decision_error(fp, t, good, ctxs),
         "decision_error/star": lambda t: decision_error(fp, good, t, ctxs),
@@ -364,8 +363,11 @@ def test_kka_dual_dim_by_region():
     for bad_region in (Ball(1.0), FlowPolytope(grid_graph(6, 7))):
         d = 7 if isinstance(bad_region, FlowPolytope) else 4
         fp = ForwardProblem(CostMap(CostKind.ADDITIVE, d, d), bad_region, Sense.MIN)
-        with pytest.raises(UnsupportedRegionError):
-            kka_dual_dim(fp)
+        ds = Dataset(np.zeros((1, d)), np.zeros((1, d)))
+        for call in (kka_dual_dim, lambda fp: kka_objective(fp, np.zeros(d), ds),
+                     lambda fp: kka_grad(fp, np.zeros(d), ds)):
+            with pytest.raises(UnsupportedRegionError):
+                call(fp)
 
 
 def test_kka_objective_zero_at_consistent_pair_box():
@@ -375,11 +377,9 @@ def test_kka_objective_zero_at_consistent_pair_box():
     u = rng.uniform(-1, 1, 4)
     hc = -(theta + u)
     y = np.where(hc > 0, 1.0, -1.0)
-    duals = np.concatenate([np.maximum(hc, 0.0), np.maximum(-hc, 0.0)])
-    ds = Dataset(u[None, :], y[None, :])
-    assert kka_objective(fp, theta, duals[None, :], ds) <= 1e-20
-    # breaking complementary slackness must show up
-    assert kka_objective(fp, theta, duals[None, :] + 0.3, ds) > 1e-4
+    assert kka_objective(fp, theta, Dataset(u[None, :], y[None, :])) <= 1e-20
+    # the flipped vertex has no duals that satisfy the KKT system
+    assert kka_objective(fp, theta, Dataset(u[None, :], -y[None, :])) > 1e-4
 
 
 def test_kka_objective_zero_at_consistent_pair_cap():
@@ -389,32 +389,7 @@ def test_kka_objective_zero_at_consistent_pair_cap():
     u = np.zeros(3)
     hc = theta  # all negative, so y = 0 is the exact decision
     y = np.zeros(3)
-    duals = np.concatenate([[0.0], -hc])
-    ds = Dataset(u[None, :], y[None, :])
-    assert kka_objective(fp, theta, duals[None, :], ds) <= 1e-20
-
-
-def test_kka_grad_matches_finite_differences():
-    rng = rng_stream(82)
-    for region in (Box.cube(3, -1, 1), NonNegL1Cap(2.0)):
-        fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 3, 2), region, Sense.MIN)
-        q = kka_dual_dim(fp)
-        n = 5
-        ds = Dataset(
-            rng.uniform(-1, 1, (n, 2)),
-            np.stack([sample_region(region, 3, rng) for _ in range(n)]),
-        )
-        theta = rng.standard_normal(fp.cost_map.p)
-        duals = np.abs(rng.standard_normal((n, q)))
-        g_theta, g_duals = kka_grad(fp, theta, duals, ds)
-        joint = np.concatenate([theta, duals.ravel()])
-
-        def f(v):
-            return kka_objective(fp, v[: theta.size], v[theta.size:].reshape(n, q), ds)
-
-        want = fd_grad(f, joint)
-        np.testing.assert_allclose(g_theta, want[: theta.size], atol=1e-5)
-        np.testing.assert_allclose(g_duals.ravel(), want[theta.size:], atol=1e-5)
+    assert kka_objective(fp, theta, Dataset(u[None, :], y[None, :])) <= 1e-20
 
 
 def _oracle_duals(fp, theta, ds):
@@ -479,22 +454,13 @@ def test_kka_reduced_gradient_matches_finite_differences():
         theta = rng.standard_normal(fp.cost_map.p)
 
         def reduced(t):
-            return sum(
+            return np.mean([
                 kkt_residual(region, fp.canonical_cost(t, u), y, z)
                 for u, y, z in zip(ds.contexts, ds.decisions, _oracle_duals(fp, t, ds))
-            )
+            ])
 
-        hcs = fp._canonical_costs(theta, ds.contexts)
-        total, g_theta, _ = _kka_batch(fp, hcs, _kka_duals_batch(fp, hcs, ds), ds)
-        assert total == pytest.approx(reduced(theta), rel=1e-12)
-        np.testing.assert_allclose(g_theta, fd_grad(reduced, theta), atol=1e-5)
-
-
-def test_kka_rejects_bad_dual_shape():
-    fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), Box.cube(3, 0, 1), Sense.MIN)
-    ds = Dataset(np.zeros((2, 3)), np.full((2, 3), 0.5))
-    with pytest.raises(ValueError):
-        kka_objective(fp, np.zeros(3), np.zeros((2, 5)), ds)
+        assert kka_objective(fp, theta, ds) == pytest.approx(reduced(theta), rel=1e-12)
+        np.testing.assert_allclose(kka_grad(fp, theta, ds), fd_grad(reduced, theta), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,19 @@ def test_region_contains():
         np.ones(7), np.zeros(1),
     ))
     assert not region_contains(fpr, path)  # all-zero flow ships nothing
+    # one point of the region's length: [0.5] used to broadcast against a box
+    for region, x in (
+        (Box.cube(3, 0, 1), [0.5]),
+        (Box.cube(3, 0, 1), np.full(4, 0.5)),
+        (Box.cube(3, 0, 1), np.full((2, 3), 0.5)),
+        (Box.cube(3, 0, 1), 0.5),
+        (FlowPolytope(grid_graph(6, 7)), np.zeros(6)),
+        (FlowPolytope(grid_graph(6, 7)), np.zeros((1, 7))),
+        (Ball(1.0), np.zeros((2, 2))),
+        (NonNegL1Cap(1.0), np.zeros((2, 2))),
+    ):
+        with pytest.raises(ValueError):
+            region_contains(region, x)
 
 
 def test_forward_problem_validation_and_canonical_sign():
@@ -310,6 +323,11 @@ def test_dataset_basics():
         Dataset(ctxs, ys[:2])
     with pytest.raises(ValueError):
         ds.contexts[0, 0] = 5.0
+    # every fitter used to fail on zero rows with an unrelated error
+    with pytest.raises(ValueError, match="at least one row"):
+        Dataset(np.zeros((0, 10)), np.zeros((0, 10)))
+    with pytest.raises(ValueError, match="at least one row"):
+        ds.subset([])
 
 
 def test_dataset_rejects_non_finite():

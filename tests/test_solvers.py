@@ -512,8 +512,9 @@ def test_fw_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(ValueError):
         FwConfig(gap_tol=0.0)
-    with pytest.raises(ValueError):
-        FwConfig(gap_tol=float("nan"))
+    for bad in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ValueError):
+            FwConfig(gap_tol=bad)
     for key in ("max_iters", "correct_every"):
         for bad in (0, -1, 1.5, float("nan"), True):
             with pytest.raises(ValueError):

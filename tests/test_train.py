@@ -38,7 +38,7 @@ from fyinv import (
 )
 import fyinv.train
 from fyinv.cli import _SYNTH_CFG
-from fyinv.losses import _fy_batch, _kka_batch, _kka_duals_batch, _subopt_batch
+from fyinv.losses import _fy_batch, _kka_reduced, _subopt_batch
 from fyinv.train import _NW_BLOCK_ELEMS, _apply_space, _cv_bandwidth, _nw_weights, _run_sgd
 from oracles import cv_bandwidth_scores, kkt_duals, kkt_residual, nw_weights_direct
 
@@ -97,6 +97,11 @@ def test_apply_space_unit_sphere():
 def test_apply_space_theta_box():
     got = _apply_space(np.array([-5.0, 0.3, 9.0]), ThetaBox(-1.0, 1.0))
     np.testing.assert_array_equal(got, [-1.0, 0.3, 1.0])
+    # reversed bounds used to pin every coordinate to hi
+    for lo, hi in ((2.0, -2.0), (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            ThetaBox(lo, hi)
+    assert ThetaBox(0.5, 0.5).lo == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +283,10 @@ def test_kka_fit_decreases_objective():
     ds = generate(ExampleSpec("C", p=3), 30, NoisyDecision(0.3), 5)
     cfg = SgdConfig(learning_rate=0.05, max_iters=600, eval_every=100)
     res = kka_fit(fp, ds, cfg)
-    init = kka_objective(fp, np.zeros(3), np.zeros((30, 6)), ds) / 30  # zero duals
+    init = np.mean([  # zero duals
+        kkt_residual(fp.region, fp.canonical_cost(np.zeros(3), u), y, np.zeros(6))
+        for u, y in zip(ds.contexts, ds.decisions)
+    ])
     _, start = _kkt_oracle(fp, np.zeros(3), ds)
     assert res.loss_trace[0] == pytest.approx(start)
     assert start <= init
@@ -288,6 +296,7 @@ def test_kka_fit_decreases_objective():
     want, risk = _kkt_oracle(fp, res.theta, ds)
     np.testing.assert_allclose(res.meta["duals"], want, atol=1e-9)
     assert res.meta["risk"] == pytest.approx(risk)
+    assert kka_objective(fp, res.theta.values, ds) == res.meta["risk"]  # bit for bit
 
 
 def test_kka_fit_deterministic_and_validates_theta0():
@@ -329,13 +338,7 @@ def test_kka_fit_reaches_tolerance_on_family_a():
     assert res.iterations < 60
     assert res.grad_norm <= cfg.tolerance
     assert res.meta["risk"] < 2.4263
-
-
-def _kka_reduced(fp, ds, theta):
-    """Mean KKT objective with the duals minimized out, and its gradient."""
-    hcs = fp._canonical_costs(theta, ds.contexts)
-    total, g_theta, _ = _kka_batch(fp, hcs, _kka_duals_batch(fp, hcs, ds), ds, want_dual_grad=False)
-    return total / len(ds), g_theta / len(ds)
+    assert kka_objective(fp, res.theta, ds) == res.meta["risk"]  # bit for bit
 
 
 def _kka_curvature_bound(fp, ctxs):
@@ -369,8 +372,8 @@ def test_kka_reduced_objective_is_2_smooth():
         for _ in range(100):
             theta = rng.normal(0.0, 2.0, p)
             delta = rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), p)
-            f0, g0 = _kka_reduced(fp, ds, theta)
-            f1, _ = _kka_reduced(fp, ds, theta + delta)
+            f0, g0, _ = _kka_reduced(fp, theta, ds)
+            f1, _, _ = _kka_reduced(fp, theta + delta, ds)
             bound = f0 + g0 @ delta + 0.5 * big_l * (delta @ delta)
             assert f1 <= bound + 1e-12 * (abs(f0) + abs(f1) + 1.0), kind
     assert checked == ["A", "B", "C", "D"]
