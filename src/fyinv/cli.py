@@ -105,9 +105,12 @@ class RunConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        for name in ("replications", "n_eval", "sp_n", "sp_m"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1")
+        counts = (
+            ("replications", 1), ("n_eval", 1), ("sp_n", 1), ("sp_nodes", 2), ("sp_edges", 1), ("sp_m", 2)
+        )
+        for name, least in counts:
+            if not _is_count(getattr(self, name), least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not _is_count(self.seed, 0):
             raise ValueError("seed must be an integer >= 0")
         if not all(_is_count(n) for n in self.sample_sizes):

@@ -56,14 +56,12 @@ def _check_one(fp: ForwardProblem, theta, u, y):
 
 def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> float:
     """Fenchel-Young loss at one observation; lam must be positive and finite."""
-    loss, _, _ = _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw, want_grad=False)
-    return float(loss)
+    return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[0]
 
 
 def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
-    _, grad, _ = _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)
-    return grad
+    return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[1]
 
 
 def _fy_batch(
@@ -74,9 +72,8 @@ def _fy_batch(
     lam: float,
     *,
     fw: FwConfig | None = None,
-    want_grad: bool = True,
 ):
-    """Mean FY loss, mean gradient, and the regularized decisions of a batch.
+    """Mean FY loss and mean gradient of a batch.
 
     ``theta`` is checked flat values (see the module docstring).
     """
@@ -85,11 +82,8 @@ def _fy_batch(
     hcs = fp._canonical_costs(theta, ctxs)
     xs = _solve_reg_batch(fp, hcs, lam, fw)
     losses = fp._canonical_value(hcs, xs, lam) - fp._canonical_value(hcs, ys, lam)
-    grad = None
-    if want_grad:
-        grad = fp._canonical_adjoint(ctxs, xs - ys)
     # the bits of losses.mean(), without its Python wrapper
-    return float(np.add.reduce(losses) / losses.shape[0]), grad, xs
+    return float(np.add.reduce(losses) / losses.shape[0]), fp._canonical_adjoint(ctxs, xs - ys)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +97,12 @@ def subopt_loss(fp: ForwardProblem, theta, u, y) -> float:
     leave the region.  Ignores base_quad: this is the linear-objective
     baseline, not a regularized quantity.
     """
-    loss, _, _ = _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)
-    return loss
+    return _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)[0]
 
 
 def subopt_subgrad(fp: ForwardProblem, theta, u, y) -> np.ndarray:
     """A subgradient of subopt_loss via the tie-broken exact maximizer."""
-    _, grad, _ = _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)
-    return grad
+    return _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)[1]
 
 
 def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *, hinge: bool):
@@ -131,9 +123,8 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
         resid *= active[:, None]
     else:
         losses = raw
-    grad = fp._canonical_adjoint(ctxs, resid)
     # the bits of losses.mean(), without its Python wrapper
-    return float(np.add.reduce(losses) / losses.shape[0]), grad, xs
+    return float(np.add.reduce(losses) / losses.shape[0]), fp._canonical_adjoint(ctxs, resid)
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,7 @@ def calibration_check(
     reg_term = _mean_sq_dist(_solve_reg_batch(fp, hcs, lam), x_exact)
 
     def risk(t):
-        loss, _, _ = _fy_batch(fp, t, ctxs, surrogate, lam, want_grad=False)
-        return loss
+        return _fy_batch(fp, t, ctxs, surrogate, lam)[0]
 
     pool = [theta_star] + [_values(fp, c) for c in candidates]
     best = min(risk(t) for t in pool)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UnsupportedRegionError
-from .graphs import Graph, shortest_path_batch
+from .graphs import Graph, _is_count, shortest_path_batch
 from .model import (
     CostKind,
     CostMap,
@@ -70,6 +70,8 @@ class SpDataset:
         shape = (u.shape[0], self.graph.num_edges)
         if t.shape != shape or ys.shape != shape:
             raise ValueError(f"times and observations must have shape {shape}")
+        if shape[0] == 0:
+            raise ValueError("a dataset needs at least one trip")
         if u.shape[1] == 0 or np.any(u[:, -1] != 1.0):
             raise ValueError("contexts must end with an intercept equal to 1")
         if not np.all(t > 0):
@@ -196,8 +198,10 @@ def grid_graph(num_nodes: int = 45, num_edges: int = 93) -> Graph:
     downward, then the first row-major down-right diagonals until the
     requested count is reached.
     """
-    if num_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    if not _is_count(num_nodes, 2):
+        raise ValueError("num_nodes must be an integer >= 2")
+    if not _is_count(num_edges):
+        raise ValueError("num_edges must be an integer >= 1")
     rows = max(r for r in range(1, int(num_nodes**0.5) + 1) if num_nodes % r == 0)
     cols = num_nodes // rows
 
@@ -237,6 +241,8 @@ def planted_theta(graph: Graph, m: int = 12, seed: int = 0) -> np.ndarray:
     the worst-case negative contribution so Theta u stays positive for
     every context in the unit cube.
     """
+    if not _is_count(m, 2):
+        raise ValueError("m must be an integer >= 2: one feature plus the intercept")
     rng = rng_stream(seed, 41)
     d = graph.num_edges
     w = rng.uniform(-0.3, 1.0, size=(d, m - 1))
@@ -260,8 +266,10 @@ def synth_graph_instance(
     the shortest paths under those realized times.
     """
     _check_sigma(sigma)
-    if m < 2:
-        raise ValueError("need at least one feature plus the intercept")
+    if not _is_count(m, 2):
+        raise ValueError("m must be an integer >= 2: one feature plus the intercept")
+    if not _is_count(n):
+        raise ValueError("n must be an integer >= 1")
     g = grid_graph(num_nodes, num_edges)
     if theta_star is None:
         theta = planted_theta(g, m, seed)
@@ -295,7 +303,9 @@ def _flow_problem(sp: SpDataset) -> ForwardProblem:
 # few epochs of SGD, while the nonsmooth baseline gets the usual 10-20x
 # sample budget a 1/sqrt(t) subgradient schedule needs to flatten out.
 # FY here sees 100 x 96 sample gradients (8 epochs of a 1200-row train
-# split), the baseline 12000 x 16 (160 epochs).
+# split), the baseline 12000 x 16 (160 epochs).  The two suboptimality fits
+# keep theta on the unit sphere: on this multiplicative cost map theta = 0
+# is a zero-risk minimizer they would otherwise never leave.
 _FY_FW = FwConfig(max_iters=150, gap_tol=2e-2, correct_every=4)
 _DEFAULT_CFG = {
     "FY": SgdConfig(
@@ -312,6 +322,7 @@ _DEFAULT_CFG = {
         max_iters=12000,
         step_decay="inv_sqrt",
         eval_every=1000,
+        unit_norm=True,
     ),
     "SPA": SgdConfig(
         learning_rate=0.5,
@@ -319,6 +330,7 @@ _DEFAULT_CFG = {
         max_iters=2000,
         step_decay="inv_sqrt",
         eval_every=1000,
+        unit_norm=True,
     ),
 }
 

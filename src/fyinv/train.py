@@ -1,12 +1,14 @@
 """Fitters that estimate forward-problem parameters from observed decisions.
 
 All first-order fitters share one driver: epoch-shuffled without-replacement
-minibatches, constant or 1/sqrt(t) step size, optional projection of the
-iterate onto a parameter space, a gradient-norm stopping rule, and a
-divergence guard.  The driver checkpoints the full-data risk every
-``eval_every`` updates (plus the start and the end) and returns the best
-checkpoint, which makes the "risk at theta_hat <= risk at theta0" contract
-hold by construction even for nonsmooth objectives.
+minibatches, constant or 1/sqrt(t) step size, optional normalization of
+the iterate to unit Euclidean norm (``SgdConfig.unit_norm``), a
+gradient-norm stopping rule, and a divergence guard.  The driver
+checkpoints the full-data risk every ``eval_every`` updates (plus the start
+and the end) and returns the best checkpoint, which makes the "risk at
+theta_hat <= risk at theta0" contract hold by construction even for
+nonsmooth objectives.  FY and SUBOPT run it through ``_fit_rows`` on their
+row-mean objective.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -29,26 +31,6 @@ METHODS = ("FY", "SUBOPT", "KKA", "SPA")
 
 
 @dataclass(frozen=True)
-class UnitL2Sphere:
-    """Normalize the iterate to unit Euclidean norm (zero maps to e_1)."""
-
-
-@dataclass(frozen=True)
-class ThetaBox:
-    """Clip the iterate into [lo, hi] coordinatewise; the bounds are finite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
-            raise ValueError("ThetaBox needs finite bounds with lo <= hi")
-
-
-ParamSpace = Union[UnitL2Sphere, ThetaBox]
-
-
-@dataclass(frozen=True)
 class SgdConfig:
     """Hyperparameters shared by the first-order fitters.
 
@@ -57,7 +39,10 @@ class SgdConfig:
     Fenchel-Young solves, and SPA's projection of its smoothed decisions.
     ``step_decay`` of "inv_sqrt" scales the step by 1/sqrt(t+1), useful for
     the nonsmooth subgradient objectives; the default constant step mirrors
-    the plain SGD recipe.
+    the plain SGD recipe.  ``unit_norm`` rescales theta0 and every iterate
+    to unit Euclidean norm (zero maps to e_1): the normalization that keeps
+    the suboptimality baseline off its trivial minimizer theta = 0 on
+    multiplicative cost maps.
     """
 
     learning_rate: float = 0.05
@@ -67,7 +52,7 @@ class SgdConfig:
     lam: float = 0.1
     seed: int = 0
     theta0: np.ndarray | None = None
-    param_space: ParamSpace | None = None
+    unit_norm: bool = False
     step_decay: str | None = None
     eval_every: int = 50
     fw: FwConfig | None = None
@@ -80,6 +65,12 @@ class SgdConfig:
                 raise ValueError(f"{name} must be an integer >= {least}")
         if np.isnan(self.tolerance):
             raise ValueError("tolerance must not be NaN")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
+        if not _is_count(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
+        if not isinstance(self.unit_norm, bool):
+            raise ValueError("unit_norm must be a bool")
         if self.step_decay not in (None, "inv_sqrt"):
             raise ValueError(f"unknown step_decay {self.step_decay!r}")
 
@@ -94,17 +85,16 @@ class FitResult:
     meta: dict = field(default_factory=dict)
 
 
-def _apply_space(theta: np.ndarray, space: ParamSpace | None) -> np.ndarray:
-    if space is None:
+def _apply_space(theta: np.ndarray, unit_norm: bool) -> np.ndarray:
+    """theta itself, or with ``unit_norm`` theta / ||theta|| (zero maps to e_1)."""
+    if not unit_norm:
         return theta
-    if isinstance(space, UnitL2Sphere):
-        nrm = float(np.linalg.norm(theta))
-        if nrm < 1e-12:
-            out = np.zeros_like(theta)
-            out[0] = 1.0
-            return out
-        return theta / nrm
-    return np.clip(theta, space.lo, space.hi)
+    nrm = float(np.linalg.norm(theta))
+    if nrm < 1e-12:
+        out = np.zeros_like(theta)
+        out[0] = 1.0
+        return out
+    return theta / nrm
 
 
 def _norm(v: np.ndarray) -> float:
@@ -121,7 +111,7 @@ def _guard(theta: np.ndarray) -> np.ndarray:
 
 
 def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
-    """cfg.theta0 (zeros when unset), mapped into the parameter space and guarded.
+    """cfg.theta0 (zeros when unset), normalized if ``cfg.unit_norm`` and guarded.
 
     Also rejects a dataset whose context or decision width does not match
     the forward problem.
@@ -138,7 +128,7 @@ def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
         theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
         if theta.size != p:
             raise ValueError(f"theta0 must have {p} entries")
-    return _guard(_apply_space(theta, cfg.param_space))
+    return _guard(_apply_space(theta, cfg.unit_norm))
 
 
 def _run_sgd(
@@ -178,7 +168,7 @@ def _run_sgd(
         step = cfg.learning_rate
         if cfg.step_decay == "inv_sqrt":
             step /= math.sqrt(t + 1.0)
-        theta = _guard(_apply_space(theta - step * grad, cfg.param_space))
+        theta = _guard(_apply_space(theta - step * grad, cfg.unit_norm))
         t += 1
         if t % cfg.eval_every == 0:
             risk = full_risk(theta)
@@ -200,24 +190,30 @@ def _run_sgd(
     )
 
 
-def fy_sgd_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
-    """Minimize the empirical Fenchel-Young risk by minibatch SGD."""
-    cfg = cfg or SgdConfig()
+def _fit_rows(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig, objective) -> FitResult:
+    """Run the shared driver on a row-mean objective.
+
+    ``objective(theta, ctxs, ys)`` returns the mean loss and mean gradient
+    of the given rows.  Steps take it on the minibatch rows; risk
+    checkpoints take its loss on every row.
+    """
     ctxs, ys = ds.contexts, ds.decisions
 
     def batch_step(theta, idx):
-        loss, grad, _ = _fy_batch(
-            fp, theta, ctxs.take(idx, axis=0), ys.take(idx, axis=0), cfg.lam, fw=cfg.fw
-        )
-        return loss, grad
+        return objective(theta, ctxs.take(idx, axis=0), ys.take(idx, axis=0))
 
     def full_risk(theta):
-        loss, _, _ = _fy_batch(
-            fp, theta, ds.contexts, ds.decisions, cfg.lam, fw=cfg.fw, want_grad=False
-        )
-        return loss
+        return objective(theta, ctxs, ys)[0]
 
     return _run_sgd(fp, ds, cfg, batch_step, full_risk)
+
+
+def fy_sgd_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
+    """Minimize the empirical Fenchel-Young risk by minibatch SGD."""
+    cfg = cfg or SgdConfig()
+    return _fit_rows(
+        fp, ds, cfg, lambda theta, ctxs, ys: _fy_batch(fp, theta, ctxs, ys, cfg.lam, fw=cfg.fw)
+    )
 
 
 def subopt_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
@@ -227,22 +223,13 @@ def subopt_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) ->
     noisy observations the raw duality gap is unbounded below, and the
     clamp restores the degenerate-but-bounded objective the baseline is
     known for (any theta scaling a zero-loss fit stays zero-loss, and
-    multiplicative cost maps admit the trivial minimizer theta = 0).
+    multiplicative cost maps admit the trivial minimizer theta = 0, which
+    ``cfg.unit_norm`` rules out).
     """
     cfg = cfg or SgdConfig()
-    ctxs, ys = ds.contexts, ds.decisions
-
-    def batch_step(theta, idx):
-        loss, grad, _ = _subopt_batch(
-            fp, theta, ctxs.take(idx, axis=0), ys.take(idx, axis=0), hinge=True
-        )
-        return loss, grad
-
-    def full_risk(theta):
-        loss, _, _ = _subopt_batch(fp, theta, ds.contexts, ds.decisions, hinge=True)
-        return loss
-
-    return _run_sgd(fp, ds, cfg, batch_step, full_risk)
+    return _fit_rows(
+        fp, ds, cfg, lambda theta, ctxs, ys: _subopt_batch(fp, theta, ctxs, ys, hinge=True)
+    )
 
 
 def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:

@@ -51,3 +51,6 @@ def test_captured_callees_are_module_globals_of_their_callers():
     for name in ("sp_fit", "_solve_exact_batch"):
         assert callable(getattr(fyinv.spath, name))
         assert name in fyinv.spath.sp_run.__code__.co_names
+    # the train.driver span wraps _run_sgd where train's row-mean fitters
+    # look it up: in the module globals of _fit_rows
+    assert "_run_sgd" in fyinv.train._fit_rows.__code__.co_names

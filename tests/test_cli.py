@@ -43,10 +43,14 @@ def test_run_config_validation():
         RunConfig(replications=0)
     with pytest.raises(ValueError):
         RunConfig(sample_sizes=(50, 0))
-    for key in ("replications", "n_eval", "sp_n", "sp_m"):
+    for key in ("replications", "n_eval", "sp_n", "sp_nodes", "sp_edges", "sp_m"):
         for bad in (0, 1.5, float("nan"), True):
             with pytest.raises(ValueError):
                 RunConfig(**{key: bad})
+    # these constructed, then failed every spath cell with exit code 1
+    for key, bad in (("sp_nodes", 45.5), ("sp_nodes", 1), ("sp_nodes", 45.0), ("sp_edges", -1), ("sp_m", 1)):
+        with pytest.raises(ValueError):
+            RunConfig(**{key: bad})
     for bad in (2.5, float("nan")):
         with pytest.raises(ValueError):
             RunConfig(sample_sizes=(50, bad))
@@ -237,6 +241,7 @@ def test_main_config_error_exits_2(tmp_path):
     for key, value in (
         ("sample_sizes", "100"), ("lambdas", "0.1"), ("lambdas", "[a]"), ("methods", "FY"),
         ("sigma", "null"), ("sigma", "'1'"), ("sp_sigma", "null"), ("out", "5"),
+        ("sp_nodes", "45.5"), ("sp_nodes", "1"), ("sp_edges", "-1"), ("sp_m", "1"),
     ):
         text = "".join(f"{k}: {v}\n" for k, v in {**base, key: value}.items())
         bad = _cfg_file(tmp_path, text)

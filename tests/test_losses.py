@@ -39,7 +39,7 @@ from fyinv import (
     subopt_subgrad,
 )
 from fyinv.losses import _fy_batch, _kka_duals_batch, _subopt_batch
-from fyinv.solvers import _linear_argmax_batch
+from fyinv.solvers import _linear_argmax_batch, _solve_reg_batch
 
 from oracles import enum_paths, fd_grad, kkt_duals, kkt_residual, sample_region
 
@@ -145,7 +145,8 @@ def test_fy_batch_matches_scalar_means():
     theta = rng.standard_normal(fp.cost_map.p)
     ctxs = rng.uniform(-1, 1, (20, fp.cost_map.m))
     ys = np.stack([sample_region(fp.region, fp.cost_map.d, rng) for _ in range(20)])
-    loss, grad, xs = _fy_batch(fp, theta, ctxs, ys, 0.3)
+    loss, grad = _fy_batch(fp, theta, ctxs, ys, 0.3)
+    xs = _solve_reg_batch(fp, fp._canonical_costs(theta, ctxs), 0.3)
     scal_losses = [fy_loss(fp, theta, ctxs[i], ys[i], 0.3) for i in range(20)]
     scal_grads = [fy_grad(fp, theta, ctxs[i], ys[i], 0.3) for i in range(20)]
     np.testing.assert_allclose(loss, np.mean(scal_losses), rtol=1e-12)
@@ -273,12 +274,14 @@ def test_batch_losses_keep_the_bits_of_the_numpy_mean(kind, d, m):
         ys += 0.3 * rng.standard_normal(ys.shape)  # some rows leave the region
         hcs = fp._canonical_costs(theta, ctxs)
 
-        loss, _, xs = _fy_batch(fp, theta, ctxs, ys, 0.3)
+        loss = _fy_batch(fp, theta, ctxs, ys, 0.3)[0]
+        xs = _solve_reg_batch(fp, hcs, 0.3)
         per_row = fp._canonical_value(hcs, xs, 0.3) - fp._canonical_value(hcs, ys, 0.3)
         assert np.array_equal(loss, float(np.mean(per_row)))
 
+        xs = _linear_argmax_batch(region, hcs)
         for hinge in (False, True):
-            loss, _, xs = _subopt_batch(fp, theta, ctxs, ys, hinge=hinge)
+            loss = _subopt_batch(fp, theta, ctxs, ys, hinge=hinge)[0]
             raw = np.einsum("ij,ij->i", hcs, xs - ys)
             per_row = np.where(raw >= 0.0, raw, 0.0) if hinge else raw
             assert np.array_equal(loss, float(np.mean(per_row)))
@@ -339,15 +342,16 @@ def test_subopt_batch_matches_scalar_and_hinges():
     for i in range(5):
         hc = theta + ctxs[i]
         ys[i] = _linear_argmax_batch(fp.region, hc[None])[0] + hc
-    loss_plain, grad_plain, xs = _subopt_batch(fp, theta, ctxs, ys, hinge=False)
+    loss_plain, grad_plain = _subopt_batch(fp, theta, ctxs, ys, hinge=False)
+    xs = _linear_argmax_batch(fp.region, fp._canonical_costs(theta, ctxs))
     raw = [subopt_loss(fp, theta, ctxs[i], ys[i]) for i in range(15)]
     np.testing.assert_allclose(loss_plain, np.mean(raw), rtol=1e-12)
     assert min(raw[:5]) < 0
-    loss_h, grad_h, _ = _subopt_batch(fp, theta, ctxs, ys, hinge=True)
+    loss_h, grad_h = _subopt_batch(fp, theta, ctxs, ys, hinge=True)
     np.testing.assert_allclose(loss_h, np.mean(np.maximum(raw, 0.0)), rtol=1e-12)
     active = np.array(raw) >= 0
-    want_grad = (xs - ys)[active].sum(axis=0) / 15.0  # additive: J = I
-    np.testing.assert_allclose(grad_h, want_grad, atol=1e-12)
+    want = (xs - ys)[active].sum(axis=0) / 15.0  # additive: J = I
+    np.testing.assert_allclose(grad_h, want, atol=1e-12)
     np.testing.assert_allclose(grad_plain, (xs - ys).mean(axis=0), atol=1e-12)
 
 

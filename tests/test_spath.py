@@ -1,5 +1,7 @@
 """Shortest-path pipeline: grid generator, CSV ingestion, fit and run."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from fyinv import (
     synth_graph_instance,
     train_test_split,
 )
+from fyinv import spath
 from fyinv.graphs import shortest_path_batch
 from fyinv.train import METHODS
 
@@ -56,6 +59,10 @@ def test_grid_graph_edge_count_bounds():
         grid_graph(45, 109)  # above base + 32 diagonals
     with pytest.raises(ValueError):
         grid_graph(1, 0)
+    # a float count used to fail inside numpy (nodes) or pass (edges)
+    for nodes, edges in ((45.0, 93), (45, 93.0), (True, 1), (45, -1)):
+        with pytest.raises(ValueError):
+            grid_graph(nodes, edges)
     assert grid_graph(45, 76).num_edges == 76
     assert grid_graph(45, 108).num_edges == 108
 
@@ -76,6 +83,10 @@ def test_planted_theta_keeps_predicted_times_positive():
     ctxs = np.column_stack([feats, np.ones(500)])
     assert (ctxs @ theta.T).min() >= 1.0 - 1e-12
     np.testing.assert_array_equal(theta, planted_theta(g, m=6, seed=1))
+    # m = 1 used to return an intercept-only parameter, m = 2.5 a numpy TypeError
+    for bad in (1, 0, 2.5, True):
+        with pytest.raises(ValueError):
+            planted_theta(g, m=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +122,8 @@ def test_sp_dataset_validation_and_views():
     np.testing.assert_array_equal(sub.contexts, sp.contexts[[1, 3]])
     np.testing.assert_array_equal(sub.observations, sp.observations[[1, 3]])
     assert sub.theta_star is sp.theta_star
+    with pytest.raises(ValueError):
+        sp.subset([])  # used to build a zero-trip dataset
 
 
 def test_synth_instance_deterministic_and_coherent():
@@ -147,6 +160,13 @@ def test_synth_instance_accepts_pinned_theta():
         synth_graph_instance(num_nodes=12, num_edges=20, m=3, theta_star=theta[:, :-1], n=5)
     with pytest.raises(ValueError):
         synth_graph_instance(num_nodes=12, num_edges=20, m=1, n=5)
+
+
+def test_synth_instance_rejects_bad_counts():
+    # n = 0 used to build a zero-trip dataset; the floats failed inside numpy
+    for kwargs in ({"n": 0}, {"n": 2.5}, {"m": 2.5}, {"num_nodes": 45.0}, {"n": True}):
+        with pytest.raises(ValueError):
+            synth_graph_instance(**{"num_nodes": 12, "num_edges": 20, "m": 3, "n": 5, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +326,16 @@ def test_sp_run_subopt_and_spa_paths():
     spa_cfg = SgdConfig(learning_rate=0.3, batch_size=8, max_iters=40, eval_every=20)
     rep2 = sp_run(sp, "SPA", spa_cfg, seed=0)
     assert rep2.decision_error >= 0.0
+
+
+@pytest.mark.parametrize("method", ["SUBOPT", "SPA"])
+def test_grid_baselines_leave_their_start(method):
+    # theta = 0 zeroes the hinged risk on this multiplicative cost map, so
+    # without the unit-norm constraint the default fits never leave it
+    cfg = dataclasses.replace(spath._DEFAULT_CFG[method], max_iters=1000, eval_every=250)
+    at_zero = dataclasses.replace(cfg, max_iters=0, unit_norm=False)
+    for seed in range(3):
+        sp = synth_graph_instance(num_nodes=12, num_edges=20, m=3, n=100, sigma=0.1, seed=seed)
+        fit = sp_fit(sp, method, cfg, seed=0)
+        assert np.linalg.norm(fit.theta.values) == pytest.approx(1.0, abs=1e-12)
+        assert sp_run(sp, method, cfg, seed=0).regret < sp_run(sp, method, at_zero, seed=0).regret

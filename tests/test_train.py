@@ -22,8 +22,6 @@ from fyinv import (
     Parameter,
     Sense,
     SgdConfig,
-    ThetaBox,
-    UnitL2Sphere,
     UnsupportedRegionError,
     build_example,
     fy_sgd_fit,
@@ -83,25 +81,25 @@ def test_sgd_config_validation():
             SgdConfig(max_iters=bad)
     with pytest.raises(ValueError):
         SgdConfig(tolerance=float("nan"))
-    cfg = SgdConfig(batch_size=np.int64(4), max_iters=0, eval_every=np.int64(2))
-    assert (cfg.batch_size, cfg.max_iters, cfg.eval_every) == (4, 0, 2)
+    # these constructed and then failed inside numpy or at the first risk
+    for bad in (2.5, -1, True, float("nan"), "0"):
+        with pytest.raises(ValueError):
+            SgdConfig(seed=bad)
+    for bad in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError):
+            SgdConfig(lam=bad)
+    for bad in (1, 0, None, "yes", np.bool_(True)):
+        with pytest.raises(ValueError):
+            SgdConfig(unit_norm=bad)
+    cfg = SgdConfig(batch_size=np.int64(4), max_iters=0, eval_every=np.int64(2), seed=np.int64(3))
+    assert (cfg.batch_size, cfg.max_iters, cfg.eval_every, cfg.seed) == (4, 0, 2, 3)
 
 
 def test_apply_space_unit_sphere():
     v = np.array([3.0, 4.0])
-    np.testing.assert_allclose(_apply_space(v, UnitL2Sphere()), [0.6, 0.8])
-    np.testing.assert_array_equal(_apply_space(np.zeros(3), UnitL2Sphere()), [1.0, 0.0, 0.0])
-    assert _apply_space(v, None) is v
-
-
-def test_apply_space_theta_box():
-    got = _apply_space(np.array([-5.0, 0.3, 9.0]), ThetaBox(-1.0, 1.0))
-    np.testing.assert_array_equal(got, [-1.0, 0.3, 1.0])
-    # reversed bounds used to pin every coordinate to hi
-    for lo, hi in ((2.0, -2.0), (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
-        with pytest.raises(ValueError):
-            ThetaBox(lo, hi)
-    assert ThetaBox(0.5, 0.5).lo == 0.5
+    np.testing.assert_allclose(_apply_space(v, True), [0.6, 0.8])
+    np.testing.assert_array_equal(_apply_space(np.zeros(3), True), [1.0, 0.0, 0.0])
+    assert _apply_space(v, False) is v
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +122,7 @@ def test_fy_fit_best_risk_contract():
     res = fy_sgd_fit(fp, ds, cfg)
 
     def risk(theta):
-        loss, _, _ = _fy_batch(fp, theta, ds.contexts, ds.decisions, cfg.lam, want_grad=False)
-        return loss
+        return _fy_batch(fp, theta, ds.contexts, ds.decisions, cfg.lam)[0]
 
     assert res.meta["risk"] <= risk(np.zeros(fp.cost_map.p)) + 1e-15
     np.testing.assert_allclose(risk(res.theta.values), res.meta["risk"], rtol=1e-12)
@@ -197,9 +194,9 @@ def test_sgd_fits_raise_on_nan_iterate():
             fit(fp, ds, SgdConfig(theta0=theta0, max_iters=5))
 
 
-def test_fy_fit_respects_param_space():
+def test_fy_fit_respects_unit_norm():
     fp, _, ds = _noisy_c()
-    cfg = SgdConfig(learning_rate=0.1, max_iters=60, param_space=UnitL2Sphere(), eval_every=20)
+    cfg = SgdConfig(learning_rate=0.1, max_iters=60, unit_norm=True, eval_every=20)
     res = fy_sgd_fit(fp, ds, cfg)
     assert abs(np.linalg.norm(res.theta.values) - 1.0) < 1e-12
 
@@ -230,7 +227,7 @@ def test_subopt_fit_normalized_escapes_collapse():
         max_iters=300,
         eval_every=50,
         step_decay="inv_sqrt",
-        param_space=UnitL2Sphere(),
+        unit_norm=True,
     )
     res = subopt_fit(fp, ds, cfg)
     assert abs(np.linalg.norm(res.theta.values) - 1.0) < 1e-12
@@ -239,7 +236,7 @@ def test_subopt_fit_normalized_escapes_collapse():
 def test_subopt_fit_risk_contract_under_noise():
     fp, _, ds = _noisy_c()
     res = subopt_fit(fp, ds, SgdConfig(learning_rate=0.1, max_iters=200, eval_every=40))
-    loss0, _, _ = _subopt_batch(fp, np.zeros(fp.cost_map.p), ds.contexts, ds.decisions, hinge=True)
+    loss0 = _subopt_batch(fp, np.zeros(fp.cost_map.p), ds.contexts, ds.decisions, hinge=True)[0]
     assert res.meta["risk"] <= loss0 + 1e-15
 
 
