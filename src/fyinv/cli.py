@@ -38,7 +38,7 @@ from .metrics import _exact_batch, calibration_check, decision_error, parameter_
 from .model import Dataset, Noiseless, NoisyDecision, NoisyObjective, _is_count, cost, rng_stream
 from .losses import fy_grad, fy_loss
 from .solvers import FwConfig, solve_exact, solve_regularized
-from .spath import sp_run, synth_graph_instance
+from .spath import _flow_problem, sp_run, synth_graph_instance
 from .synth import EXAMPLE_KINDS, build_example, generate
 from .train import METHODS, SgdConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
 
@@ -92,11 +92,14 @@ class RunConfig:
     sp_sigma: float = 0.1
 
     def __post_init__(self):
-        # a bare string would be split into characters, a bare number not iterate
+        # a bare string would be split into characters, a bare number not
+        # iterate, and an empty list would run no cell yet exit 0
         for key in ("methods", "sample_sizes", "lambdas"):
             value = getattr(self, key)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list or tuple")
+            if not value:
+                raise ValueError(f"{key} must not be empty")
             object.__setattr__(self, key, tuple(value))
         if self.experiment != "spath" and self.experiment not in EXAMPLE_KINDS:
             raise ValueError(f"experiment must be one of {EXAMPLE_KINDS} or 'spath'")
@@ -322,8 +325,6 @@ def _execute(cfg: RunConfig, parallel: int, out_dir: Path) -> int:
 
 def _grad_flow_problem():
     sp = synth_graph_instance(num_nodes=6, num_edges=8, m=3, n=1, sigma=0.0, seed=0)
-    from .spath import _flow_problem
-
     return _flow_problem(sp), sp.theta_star
 
 

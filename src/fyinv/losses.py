@@ -54,12 +54,12 @@ def _check_one(fp: ForwardProblem, theta, u, y):
 # Fenchel-Young loss
 
 
-def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> float:
+def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> float:
     """Fenchel-Young loss at one observation; lam must be positive and finite."""
     return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[0]
 
 
-def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig | None = None) -> np.ndarray:
+def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
     return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[1]
 
@@ -71,7 +71,7 @@ def _fy_batch(
     ys: np.ndarray,
     lam: float,
     *,
-    fw: FwConfig | None = None,
+    fw: FwConfig = FwConfig(),
 ):
     """Mean FY loss and mean gradient of a batch.
 

@@ -241,27 +241,26 @@ class FlowPolytope:
 
     graph: Graph
 
-    @property
-    def source(self) -> int:
-        return self.graph.source
-
-    @property
-    def sink(self) -> int:
-        return self.graph.sink
-
 
 Region = Union[Box, Ball, NonNegL1Cap, FlowPolytope]
 
 
-def region_contains(region: Region, x: np.ndarray, tol: float = 1e-9) -> bool:
-    """Membership test of one 1-D point, used by validity checks and tests."""
+def _check_point(region: Region, x) -> np.ndarray:
+    """x as one float 1-D point of the region; a Box or a FlowPolytope also
+    fixes its length.  Raises ValueError otherwise."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValueError("x must be a 1-D point")
+        raise ValueError("a point must be 1-D")
     if isinstance(region, (Box, FlowPolytope)):
         dim = region.lo.size if isinstance(region, Box) else region.graph.num_edges
         if x.size != dim:
-            raise ValueError(f"x must have {dim} entries")
+            raise ValueError(f"a point of this region has {dim} entries")
+    return x
+
+
+def region_contains(region: Region, x: np.ndarray, tol: float = 1e-9) -> bool:
+    """Membership test of one 1-D point, used by validity checks and tests."""
+    x = _check_point(region, x)
     if isinstance(region, Box):
         return bool(np.all(x >= region.lo - tol) and np.all(x <= region.hi + tol))
     if isinstance(region, Ball):

@@ -16,52 +16,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .graphs import Graph, shortest_path, shortest_path_batch
+from .graphs import Graph, shortest_path_batch
 from .model import (
     Ball,
     Box,
-    FlowPolytope,
     ForwardProblem,
     NonNegL1Cap,
     Region,
+    _check_point,
     _is_count,
 )
 
-__all__ = [
-    "FwConfig",
-    "fw_project",
-    "project_box",
-    "project_ball",
-    "project_nonneg_l1cap",
-    "shortest_path",
-    "solve_exact",
-    "solve_regularized",
-]
+__all__ = ["FwConfig", "project", "solve_exact", "solve_regularized"]
+
+
+@dataclass(frozen=True)
+class FwConfig:
+    """Knobs for the Frank-Wolfe projection onto a flow polytope.
+
+    The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
+    Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
+    a face, so every ``correct_every`` iterations each row's iterate is
+    replaced by the exact projection onto the hull of the vertices it has
+    visited, as one active-set solve (from the centroid) over all those rows
+    padded to their largest vertex count (_correct_rows).  With the optimal
+    face's vertices in hand that snaps the iterate onto the true projection
+    and the gap collapses to roundoff.
+    Bitwise-equal targets in one batch share one solve, and the output is
+    bitwise identical to solving every row.  ``max_iters`` and
+    ``correct_every`` are integers >= 1; ``gap_tol`` is positive and finite.
+    """
+
+    max_iters: int = 2000
+    gap_tol: float = 1e-6
+    correct_every: int = 8
+
+    def __post_init__(self):
+        for name in ("max_iters", "correct_every"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
-# projections (each accepts a single vector; batch variants are internal)
+# projection onto a region: one checked single-point entry, one batch path
+# that dispatches to the closed forms or to Frank-Wolfe
 
 
-def project_box(v, lo, hi) -> np.ndarray:
-    """Clip v into the box [lo, hi]."""
-    return _project_box_batch(np.asarray(v, dtype=float)[None, :], lo, hi)[0]
+def project(region: Region, v, fw: FwConfig = FwConfig()) -> np.ndarray:
+    """Euclidean projection of the point v onto the region.
 
-
-def project_ball(v, radius: float) -> np.ndarray:
-    """Scale v back onto the centered ball when it sticks out."""
-    return _project_ball_batch(np.asarray(v, dtype=float)[None, :], radius)[0]
-
-
-def project_nonneg_l1cap(v, cap: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= cap}.
-
-    When the clipped point already satisfies the cap it is the answer;
-    otherwise the sum constraint is tight and the projection is the usual
-    sorted-threshold shift max(v - tau, 0) with tau chosen so the coordinates
-    sum to cap.  O(d log d).
+    Box, Ball and NonNegL1Cap have closed forms (clipping, rescaling, the
+    sorted-threshold shift onto the capped simplex); a FlowPolytope runs
+    Frank-Wolfe under ``fw`` (see FwConfig), which raises
+    NonConvergenceError if its budget runs out.  v must be one finite 1-D
+    point of the region's dimension; anything else raises ValueError.
     """
-    return _project_nonneg_l1cap_batch(np.asarray(v, dtype=float)[None, :], cap)[0]
+    v = _check_point(region, v)
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
+    return _project_region_batch(region, v[None, :], fw)[0]
 
 
 def _project_box_batch(vs: np.ndarray, lo, hi) -> np.ndarray:
@@ -77,6 +92,12 @@ def _project_ball_batch(vs: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _project_nonneg_l1cap_batch(vs: np.ndarray, cap: float) -> np.ndarray:
+    """Rows of vs projected onto {x >= 0, sum(x) <= cap}.
+
+    A clipped row that satisfies the cap is the answer; otherwise the sum
+    constraint is tight and the projection is max(v - tau, 0), with tau
+    found from the sorted row so the coordinates sum to cap.  O(d log d).
+    """
     clipped = np.maximum(vs, 0.0)
     sums = clipped.sum(axis=1)
     out = clipped
@@ -96,15 +117,14 @@ def _project_nonneg_l1cap_batch(vs: np.ndarray, cap: float) -> np.ndarray:
     return out
 
 
-def _project_region_batch(region: Region, vs: np.ndarray, fw: "FwConfig | None") -> np.ndarray:
+def _project_region_batch(region: Region, vs: np.ndarray, fw: FwConfig = FwConfig()) -> np.ndarray:
     if isinstance(region, Box):
         return _project_box_batch(vs, region.lo, region.hi)
     if isinstance(region, Ball):
         return _project_ball_batch(vs, region.radius)
     if isinstance(region, NonNegL1Cap):
         return _project_nonneg_l1cap_batch(vs, region.cap)
-    cfg = fw if fw is not None else FwConfig()
-    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), cfg)
+    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), fw)
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +175,27 @@ def solve_regularized(
     u,
     lam: float,
     *,
-    fw: "FwConfig | None" = None,
+    fw: FwConfig = FwConfig(),
 ) -> np.ndarray:
     """Unique optimum of the quadratically regularized forward problem.
 
     Solves max hc^T x - ((base_quad + lam)/2)||x||^2 over the region, i.e.
-    projects hc / (base_quad + lam).  Requires lam > 0.
+    projects hc / (base_quad + lam).  Requires 0 < lam < inf.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     return _solve_reg_batch(fp, fp.canonical_cost(theta, u)[None, :], lam, fw)[0]
 
 
 def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray) -> np.ndarray:
     if fp.base_quad > 0:
-        return _project_region_batch(fp.region, hcs / fp.base_quad, None)
+        return _project_region_batch(fp.region, hcs / fp.base_quad, FwConfig())
     return _linear_argmax_batch(fp.region, hcs)
 
 
-def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, fw=None) -> np.ndarray:
+def _solve_reg_batch(
+    fp: ForwardProblem, hcs: np.ndarray, lam: float, fw: FwConfig = FwConfig()
+) -> np.ndarray:
     lam_eff = fp.base_quad + lam
     return _project_region_batch(fp.region, hcs / lam_eff, fw)
 
@@ -182,61 +204,17 @@ def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, fw=None) -
 # Frank-Wolfe projection onto the path polytope
 
 
-@dataclass(frozen=True)
-class FwConfig:
-    """Knobs for fw_project.
-
-    The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
-    Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
-    a face, so every ``correct_every`` iterations each row's iterate is
-    replaced by the exact projection onto the hull of the vertices it has
-    visited, as one active-set solve (from the centroid) over all those rows
-    padded to their largest vertex count (_correct_rows).  With the optimal
-    face's vertices in hand that snaps the iterate onto the true projection
-    and the gap collapses to roundoff.
-    Bitwise-equal targets in one batch share one solve, and the output is
-    bitwise identical to solving every row.  ``max_iters`` and
-    ``correct_every`` are integers >= 1; ``gap_tol`` is positive and finite.
-    """
-
-    max_iters: int = 2000
-    gap_tol: float = 1e-6
-    correct_every: int = 8
-
-    def __post_init__(self):
-        for name in ("max_iters", "correct_every"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not 0 < self.gap_tol < np.inf:
-            raise ValueError("gap_tol must be positive and finite")
-
-
-def fw_project(g: Graph, target, cfg: FwConfig | None = None) -> np.ndarray:
-    """Euclidean projection of ``target`` onto the graph's path polytope.
-
-    Frank-Wolfe with shortest_path as the linear oracle and exact line search
-    on the quadratic objective f(x) = 0.5 ||x - target||^2.  Every
-    cfg.correct_every iterations the iterate is replaced by the exact
-    projection onto the hull of the paths visited so far, computed by one
-    batched active-set solve (see FwConfig).  Deterministic.
-
-    Raises NonConvergenceError (carrying the final gap) if the budget runs
-    out before the gap certificate reaches cfg.gap_tol.
-    """
-    cfg = cfg or FwConfig()
-    target = np.asarray(target, dtype=float)
-    if target.shape != (g.num_edges,):
-        raise ValueError(f"target must have shape ({g.num_edges},)")
-    return _fw_project_batch(g, target[None, :], cfg)[0]
-
-
 def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarray:
-    """fw_project across a batch, sharing each relaxation sweep.
+    """Projection of each row of ``targets`` onto the graph's path polytope.
+
+    Frank-Wolfe with the shortest-path oracle, exact line search and the
+    periodic correction of FwConfig.  Raises NonConvergenceError (carrying
+    the final gap) if the budget runs out before the gap reaches gap_tol.
 
     Per-row state (visited vertices and the iterate) lives in padded
     arrays; rows whose duality gap certificate is met drop out of the
     working set.  The gap is checked before stepping, so a row whose very
-    first vertex is optimal is returned untouched, same as the scalar story.
+    first vertex is optimal is returned untouched.
 
     Bitwise-equal targets share one solve: only the distinct rows, in
     first-appearance order, run, and the result is expanded back.  A row's

@@ -55,7 +55,7 @@ class SgdConfig:
     unit_norm: bool = False
     step_decay: str | None = None
     eval_every: int = 50
-    fw: FwConfig | None = None
+    fw: FwConfig = FwConfig()
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:

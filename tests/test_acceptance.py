@@ -14,6 +14,7 @@ from fyinv import (
     CostKind,
     CostMap,
     ExampleSpec,
+    FlowPolytope,
     ForwardProblem,
     FwConfig,
     NoisyDecision,
@@ -24,10 +25,10 @@ from fyinv import (
     build_example,
     cost,
     decision_error,
-    fw_project,
     fy_loss,
     generate,
     parameter_error,
+    project,
     regret,
     regret_bound_check,
     rng_stream,
@@ -110,13 +111,14 @@ def test_regularized_solves_match_projected_gradient_oracle():
 
 
 def test_flow_projection_matches_enumerated_polytope_oracle():
-    """fw_project agrees to 1e-4 with a certified QP over all enumerated paths."""
+    """project onto a FlowPolytope agrees to 1e-4 with a certified QP over
+    all enumerated paths."""
     rng = rng_stream(201)
     cfg = FwConfig(max_iters=4000, gap_tol=1e-12)
     for trial in range(20):
         g = random_dag(rng, max_nodes=8)
         target = rng.uniform(-1.0, 2.0, g.num_edges)
-        x = fw_project(g, target, cfg)
+        x = project(FlowPolytope(g), target, cfg)
         want, certified = hull_project(enum_paths(g), target)
         assert certified, f"trial {trial}: oracle failed to certify"
         err = float(np.abs(x - want).max())

@@ -39,6 +39,11 @@ def test_wrapped_internals_keep_their_names_and_parameters():
     for name in ("_project_box_batch", "_project_ball_batch", "_project_nonneg_l1cap_batch"):
         assert _params(getattr(fyinv.solvers, name))[0] == "vs"
     assert _params(fyinv.solvers._linear_argmax_batch)[1] == "hcs"
+    # the solvers.closed_form and _fw_project_batch spans see these calls
+    # only while the one batch projection looks them up in solvers' globals
+    closed = ("_project_box_batch", "_project_ball_batch", "_project_nonneg_l1cap_batch")
+    for name in (*closed, "_fw_project_batch"):
+        assert name in fyinv.solvers._project_region_batch.__code__.co_names
     # the graphs.topo_order layer re-wraps this cached_property's function
     assert isinstance(vars(fyinv.graphs.Graph)["_topo_edge_order"], functools.cached_property)
 

@@ -43,6 +43,11 @@ def test_run_config_validation():
         RunConfig(replications=0)
     with pytest.raises(ValueError):
         RunConfig(sample_sizes=(50, 0))
+    # an empty list ran no cell, wrote a header-only report and exited 0
+    for key in ("methods", "sample_sizes", "lambdas"):
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="empty"):
+                RunConfig(**{key: empty})
     for key in ("replications", "n_eval", "sp_n", "sp_nodes", "sp_edges", "sp_m"):
         for bad in (0, 1.5, float("nan"), True):
             with pytest.raises(ValueError):
@@ -242,6 +247,7 @@ def test_main_config_error_exits_2(tmp_path):
         ("sample_sizes", "100"), ("lambdas", "0.1"), ("lambdas", "[a]"), ("methods", "FY"),
         ("sigma", "null"), ("sigma", "'1'"), ("sp_sigma", "null"), ("out", "5"),
         ("sp_nodes", "45.5"), ("sp_nodes", "1"), ("sp_edges", "-1"), ("sp_m", "1"),
+        ("methods", "[]"), ("lambdas", "[]"), ("sample_sizes", "[]"),
     ):
         text = "".join(f"{k}: {v}\n" for k, v in {**base, key: value}.items())
         bad = _cfg_file(tmp_path, text)

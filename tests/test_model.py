@@ -239,10 +239,13 @@ def test_region_validation():
         Box([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         Box([2.0], [1.0])
-    with pytest.raises(ValueError):
-        Ball(0.0)
-    with pytest.raises(ValueError):
-        NonNegL1Cap(-1.0)
+    # project() takes its region's checked parameters: the per-region
+    # functions it replaced reflected v at radius -1 and divided by cap 0
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            Ball(bad)
+        with pytest.raises(ValueError):
+            NonNegL1Cap(bad)
 
 
 def test_regions_reject_non_finite_bounds():

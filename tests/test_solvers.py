@@ -17,11 +17,8 @@ from fyinv import (
     Sense,
     UnreachableError,
     UnsupportedRegionError,
-    fw_project,
     grid_graph,
-    project_ball,
-    project_box,
-    project_nonneg_l1cap,
+    project,
     region_contains,
     rng_stream,
     shortest_path,
@@ -189,7 +186,7 @@ def test_shortest_path_rejects_non_finite_costs():
         with pytest.raises(ValueError, match="finite"):
             shortest_path_batch(g, costs)
     with pytest.raises(ValueError, match="finite"):
-        fw_project(g, np.full(7, np.nan))
+        project(FlowPolytope(g), np.full(7, np.nan))
 
 
 def test_backtrack_raises_typed_errors_on_bad_predecessors():
@@ -229,7 +226,7 @@ def test_project_box_clips():
     lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 3.0])
     for _ in range(100):
         v = rng.uniform(-4, 6, 3)
-        got = project_box(v, lo, hi)
+        got = project(Box(lo, hi), v)
         assert np.all(got >= lo) and np.all(got <= hi)
         np.testing.assert_allclose(got, np.minimum(np.maximum(v, lo), hi))
 
@@ -241,7 +238,7 @@ def test_project_ball_matches_oracle():
         v = rng.uniform(-4, 4, d)
         r = float(rng.uniform(0.5, 3.0))
         np.testing.assert_allclose(
-            project_ball(v, r), rescale_ball(v[None, :], r)[0], atol=1e-12
+            project(Ball(r), v), rescale_ball(v[None, :], r)[0], atol=1e-12
         )
 
 
@@ -251,7 +248,7 @@ def test_project_cap_matches_newton_and_dykstra():
         d = int(rng.integers(1, 7))
         cap = float(rng.uniform(0.5, 4.0))
         v = rng.uniform(-3, 3, d)
-        got = project_nonneg_l1cap(v, cap)
+        got = project(NonNegL1Cap(cap), v)
         np.testing.assert_allclose(got, newton_cap(v[None, :], cap)[0], atol=1e-10)
         if trial % 4 == 0:
             np.testing.assert_allclose(got, dykstra_cap(v, cap), atol=1e-7)
@@ -263,11 +260,36 @@ def test_project_cap_variational_inequality():
     region = NonNegL1Cap(2.0)
     for _ in range(60):
         v = rng.uniform(-3, 3, 5)
-        x = project_nonneg_l1cap(v, region.cap)
+        x = project(region, v)
         assert region_contains(region, x)
         for _ in range(10):
             z = sample_region(region, 5, rng)
             assert float((v - x) @ (z - x)) <= 1e-9
+
+
+def test_project_rejects_bad_points():
+    # the closed forms passed NaN and inf entries through unchecked
+    g = random_dag(rng_stream(25))
+    regions = [
+        (Box.cube(3, -1.0, 1.0), 3),
+        (Ball(2.0), 3),
+        (NonNegL1Cap(2.0), 3),
+        (FlowPolytope(g), g.num_edges),
+    ]
+    for region, d in regions:
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.zeros(d)
+            v[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                project(region, v)
+        with pytest.raises(ValueError, match="1-D"):
+            project(region, np.zeros((2, d)))
+        with pytest.raises(ValueError, match="1-D"):
+            project(region, 0.5)
+    for region, d in regions[::3]:
+        for n in (d - 1, d + 1):
+            with pytest.raises(ValueError, match="entries"):
+                project(region, np.zeros(n))
 
 
 def test_cap_oracles_agree_with_each_other():
@@ -398,6 +420,10 @@ def test_solve_regularized_rejects_bad_lam():
         solve_regularized(fp, np.ones(2), np.zeros(1), 0.0)
     with pytest.raises(ValueError):
         solve_regularized(fp, np.ones(2), np.zeros(1), -1.0)
+    # lam = inf solved to the projection of 0 instead of raising
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            solve_regularized(fp, np.ones(2), np.zeros(1), bad)
 
 
 def test_solve_regularized_converges_to_exact_as_lam_shrinks():
@@ -418,7 +444,7 @@ def test_fw_project_matches_enumerated_hull_oracle():
     for trial in range(25):
         g = random_dag(rng)
         target = rng.uniform(-1.0, 2.0, g.num_edges)
-        x = fw_project(g, target, cfg)
+        x = project(FlowPolytope(g), target, cfg)
         paths = enum_paths(g)
         want, certified = hull_project(paths, target)
         assert certified
@@ -430,7 +456,7 @@ def test_fw_project_idempotent_on_vertices():
     rng = rng_stream(51)
     g = random_dag(rng)
     paths = enum_paths(g)
-    x = fw_project(g, paths[0], FwConfig(max_iters=100, gap_tol=1e-12))
+    x = project(FlowPolytope(g), paths[0], FwConfig(max_iters=100, gap_tol=1e-12))
     np.testing.assert_allclose(x, paths[0], atol=1e-10)
 
 
@@ -438,8 +464,8 @@ def test_fw_project_deterministic():
     rng = rng_stream(52)
     g = random_dag(rng)
     target = rng.uniform(-1, 2, g.num_edges)
-    a = fw_project(g, target)
-    b = fw_project(g, target)
+    a = project(FlowPolytope(g), target)
+    b = project(FlowPolytope(g), target)
     np.testing.assert_array_equal(a, b)
 
 
@@ -450,7 +476,7 @@ def test_fw_project_batch_matches_scalar():
     cfg = FwConfig(max_iters=2000, gap_tol=1e-10)
     batch = _fw_project_batch(g, targets.copy(), cfg)
     for i in range(17):
-        np.testing.assert_allclose(batch[i], fw_project(g, targets[i], cfg), atol=1e-8)
+        np.testing.assert_allclose(batch[i], project(FlowPolytope(g), targets[i], cfg), atol=1e-8)
 
 
 def test_fw_project_nonconvergence_carries_gap():
@@ -462,7 +488,7 @@ def test_fw_project_nonconvergence_carries_gap():
     target = np.full(6, 1.0 / 3.0)
     cfg = FwConfig(max_iters=1, gap_tol=1e-16, correct_every=5)
     with pytest.raises(NonConvergenceError) as err:
-        fw_project(g, target, cfg)
+        project(FlowPolytope(g), target, cfg)
     assert err.value.final_gap > 1e-16
     assert err.value.max_iters == 1
     # repeats of the target share its solve, so they fail with its gap
@@ -504,7 +530,7 @@ def test_fw_project_batch_zero_width_rows_raise():
 def test_fw_project_shape_check():
     g = random_dag(rng_stream(54))
     with pytest.raises(ValueError):
-        fw_project(g, np.zeros(g.num_edges + 2))
+        project(FlowPolytope(g), np.zeros(g.num_edges + 2))
 
 
 def test_fw_config_validation():
