@@ -23,7 +23,7 @@ class NonConvergenceError(FyinvError):
 
 
 class DivergedError(FyinvError):
-    """An iterate escaped the guard region (parameter norm above 1e6)."""
+    """A fit diverged: parameter norm above 1e6, or a non-finite risk."""
 
 
 class UnsupportedRegionError(FyinvError):

@@ -34,6 +34,7 @@ from .model import (
     ForwardProblem,
     NonNegL1Cap,
     _check_context,
+    _check_widths,
     as_parameter,
 )
 from .solvers import FwConfig, _linear_argmax_batch, _solve_exact_batch, _solve_reg_batch
@@ -230,6 +231,7 @@ def kka_objective(fp: ForwardProblem, theta, ds: Dataset) -> float:
     it away from zero.  Equals ``kka_fit``'s ``meta["risk"]`` at its theta.
     """
     t = as_parameter(theta, fp.cost_map).values
+    _check_widths(fp.cost_map, ds)
     kka_dual_dim(fp)  # rejects regions without a KKT form
     return _kka_reduced(fp, t, ds)[0]
 
@@ -237,6 +239,7 @@ def kka_objective(fp: ForwardProblem, theta, ds: Dataset) -> float:
 def kka_grad(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
     """Gradient of kka_objective in theta, shape (p,)."""
     t = as_parameter(theta, fp.cost_map).values
+    _check_widths(fp.cost_map, ds)
     kka_dual_dim(fp)  # rejects regions without a KKT form
     return _kka_reduced(fp, t, ds)[1]
 

@@ -41,42 +41,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Parameter:
-    """Flat parameter vector plus its logical (rows, cols) layout.
+    """Read-only flat parameter vector; its entries must be finite.
 
-    Matrix-valued parameters are stored row-major, so ``values`` equals
-    ``matrix.ravel()`` and round-trips through ``as_matrix``.
+    A MATRIX_PRODUCT parameter Theta (d x m) is stored as ``Theta.ravel()``,
+    row-major, so ``values.reshape(d, m)`` gives Theta back.  Only the cost
+    map's evaluation (``_cost_batch``, ``_jac_t_mean``) applies that layout.
     """
 
     values: np.ndarray
-    shape: tuple[int, int]
 
     def __post_init__(self):
         v = _frozen(np.ravel(self.values))
         object.__setattr__(self, "values", v)
-        r, c = self.shape
-        if r * c != v.size:
-            raise ValueError(f"shape {self.shape} incompatible with {v.size} values")
         if not np.isfinite(v).all():
             raise ValueError("parameter values must be finite")
 
     @property
     def p(self) -> int:
         return self.values.size
-
-    @staticmethod
-    def from_vector(v) -> "Parameter":
-        v = np.ravel(np.asarray(v, dtype=float))
-        return Parameter(v, (v.size, 1))
-
-    @staticmethod
-    def from_matrix(m) -> "Parameter":
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("from_matrix expects a 2-D array")
-        return Parameter(m.ravel(), m.shape)
-
-    def as_matrix(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +90,13 @@ class CostMap:
     def p(self) -> int:
         return self.d * self.m if self.kind is CostKind.MATRIX_PRODUCT else self.d
 
-    @property
-    def param_shape(self) -> tuple[int, int]:
-        if self.kind is CostKind.MATRIX_PRODUCT:
-            return (self.d, self.m)
-        return (self.p, 1)
-
 
 def as_parameter(theta, cm: CostMap) -> Parameter:
-    """Coerce an array-like into a Parameter laid out for the given cost map."""
-    if isinstance(theta, Parameter):
-        if theta.p != cm.p:
-            raise ValueError(f"parameter has p={theta.p}, cost map expects {cm.p}")
-        return theta
-    v = np.ravel(np.asarray(theta, dtype=float))
+    """A Parameter or an array-like as a Parameter with the cost map's p entries."""
+    v = theta.values if isinstance(theta, Parameter) else np.asarray(theta, dtype=float)
     if v.size != cm.p:
         raise ValueError(f"parameter has p={v.size}, cost map expects {cm.p}")
-    return Parameter(v, cm.param_shape)
+    return theta if isinstance(theta, Parameter) else Parameter(v)
 
 
 def _check_context(cm: CostMap, u) -> np.ndarray:
@@ -258,9 +230,13 @@ def _check_point(region: Region, x) -> np.ndarray:
     return x
 
 
-def region_contains(region: Region, x: np.ndarray, tol: float = 1e-9) -> bool:
+_CONTAINS_TOL = 1e-9  # region_contains' slack on each (in)equality of a region
+
+
+def region_contains(region: Region, x: np.ndarray) -> bool:
     """Membership test of one 1-D point, used by validity checks and tests."""
     x = _check_point(region, x)
+    tol = _CONTAINS_TOL
     if isinstance(region, Box):
         return bool(np.all(x >= region.lo - tol) and np.all(x <= region.hi + tol))
     if isinstance(region, Ball):
@@ -407,7 +383,6 @@ class Dataset:
 
     contexts: np.ndarray   # (n, m)
     decisions: np.ndarray  # (n, d)
-    truth: Parameter | None = None
 
     def __post_init__(self):
         c = _frozen(np.atleast_2d(self.contexts))
@@ -425,7 +400,15 @@ class Dataset:
         return self.contexts.shape[0]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.contexts[idx], self.decisions[idx], self.truth)
+        return Dataset(self.contexts[idx], self.decisions[idx])
+
+
+def _check_widths(cm: CostMap, ds: Dataset) -> None:
+    """Reject a dataset whose context or decision width does not match cm."""
+    if ds.contexts.shape[1] != cm.m or ds.decisions.shape[1] != cm.d:
+        raise ValueError(
+            f"dataset rows must be contexts of width {cm.m} and decisions of width {cm.d}"
+        )
 
 
 def sample_dataset(
@@ -471,4 +454,4 @@ def sample_dataset(
     decisions = _solve_exact_batch(fp, fp.canonical_sign * hs)
     if isinstance(noise, NoisyDecision):
         decisions = decisions + noise.sigma * rng.standard_normal((n, cm.d))
-    return Dataset(ctxs, decisions, truth=theta_star)
+    return Dataset(ctxs, decisions)

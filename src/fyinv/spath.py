@@ -74,8 +74,10 @@ class SpDataset:
             raise ValueError("a dataset needs at least one trip")
         if u.shape[1] == 0 or np.any(u[:, -1] != 1.0):
             raise ValueError("contexts must end with an intercept equal to 1")
-        if not np.all(t > 0):
-            raise ValueError("realized edge times must be strictly positive")
+        if not np.isfinite(u).all():
+            raise ValueError("contexts must be finite")
+        if not (t.min() > 0 and t.max() < np.inf):  # a NaN fails both
+            raise ValueError("realized edge times must be finite and strictly positive")
         object.__setattr__(self, "contexts", u)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "observations", ys)
@@ -287,7 +289,7 @@ def synth_graph_instance(
         factor = np.ones((n, g.num_edges))
     times = np.maximum(mean_times * factor, 0.01)
     ys = shortest_path_batch(g, times)
-    return SpDataset(g, ctxs, times, ys, Parameter.from_matrix(theta))
+    return SpDataset(g, ctxs, times, ys, Parameter(theta))
 
 
 # ---------------------------------------------------------------------------

@@ -70,19 +70,19 @@ def build_example(
 
     if spec.kind == "A":
         fp = ForwardProblem(additive, NonNegL1Cap(3.0), Sense.MIN)
-        return fp, Parameter.from_vector(half), UniformContexts(-1.0, 1.0, p)
+        return fp, Parameter(half), UniformContexts(-1.0, 1.0, p)
     if spec.kind == "B":
         theta = np.concatenate([[0.5], np.full(p - 3, -0.5), [0.5, 1.0]])
         fp = ForwardProblem(CostMap(CostKind.HADAMARD, p, p), Box.cube(p, -1, 1), Sense.MIN)
-        return fp, Parameter.from_vector(theta), UniformContexts(-1.0, 1.0, p)
+        return fp, Parameter(theta), UniformContexts(-1.0, 1.0, p)
     if spec.kind == "C":
         fp = ForwardProblem(additive, Box.cube(p, -1, 1), Sense.MIN)
-        return fp, Parameter.from_vector(half), UniformContexts(-1.0, 1.0, p)
+        return fp, Parameter(half), UniformContexts(-1.0, 1.0, p)
     if spec.kind == "D":
         fp = ForwardProblem(additive, Box.cube(p, 0, 1), Sense.MAX, base_quad=2.0)
-        return fp, Parameter.from_vector(half), UniformContexts(0.0, 2.0, p)
+        return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
     fp = ForwardProblem(additive, Ball(3.0), Sense.MAX)
-    return fp, Parameter.from_vector(half), UniformContexts(0.0, 2.0, p)
+    return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
 
 
 def generate(

@@ -3,7 +3,8 @@
 All first-order fitters share one driver: epoch-shuffled without-replacement
 minibatches, constant or 1/sqrt(t) step size, optional normalization of
 the iterate to unit Euclidean norm (``SgdConfig.unit_norm``), a
-gradient-norm stopping rule, and a divergence guard.  The driver
+gradient-norm stopping rule, and a divergence guard: DivergedError on a
+parameter norm past 1e6 or a non-finite checkpoint risk.  The driver
 checkpoints the full-data risk every ``eval_every`` updates (plus the start
 and the end) and returns the best checkpoint, which makes the "risk at
 theta_hat <= risk at theta0" contract hold by construction even for
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
 from .losses import _fy_batch, _kka_reduced, _subopt_batch, kka_dual_dim
-from .model import Dataset, ForwardProblem, Parameter, _is_count, as_parameter, rng_stream
+from .graphs import _is_count
+from .model import Dataset, ForwardProblem, Parameter, _check_widths, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
 
 _DIVERGE_NORM = 1e6
@@ -116,12 +118,8 @@ def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
     Also rejects a dataset whose context or decision width does not match
     the forward problem.
     """
-    cm = fp.cost_map
-    if ds.contexts.shape[1] != cm.m or ds.decisions.shape[1] != cm.d:
-        raise ValueError(
-            f"dataset rows must be contexts of width {cm.m} and decisions of width {cm.d}"
-        )
-    p = cm.p
+    _check_widths(fp.cost_map, ds)
+    p = fp.cost_map.p
     if cfg.theta0 is None:
         theta = np.zeros(p)
     else:
@@ -140,6 +138,13 @@ def _run_sgd(
 ) -> FitResult:
     n = len(ds)
     theta = _start_theta(fp, ds, cfg)
+
+    def checkpoint(theta):
+        risk = full_risk(theta)
+        if not math.isfinite(risk):
+            raise DivergedError(f"full-data risk is {risk}")
+        return risk
+
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
     order = rng.permutation(n)
@@ -147,7 +152,7 @@ def _run_sgd(
 
     start = time.perf_counter()
     best_theta = theta.copy()
-    best_risk = full_risk(theta)
+    best_risk = checkpoint(theta)
     trace: list[float] = []
     grad_norm = np.inf
     t = 0
@@ -171,13 +176,13 @@ def _run_sgd(
         theta = _guard(_apply_space(theta - step * grad, cfg.unit_norm))
         t += 1
         if t % cfg.eval_every == 0:
-            risk = full_risk(theta)
+            risk = checkpoint(theta)
             last_eval = t
             if risk < best_risk:
                 best_risk, best_theta = risk, theta.copy()
 
     if t != last_eval:
-        risk = full_risk(theta)
+        risk = checkpoint(theta)
         if risk < best_risk:
             best_risk, best_theta = risk, theta.copy()
     return FitResult(
@@ -408,7 +413,7 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     bw = _cv_bandwidth(ds, cfg.seed)
     smoothed = nw_denoise(ds, bw)
     projected = _project_region_batch(fp.region, smoothed, cfg.fw)
-    cleaned = Dataset(ds.contexts, projected, truth=ds.truth)
+    cleaned = Dataset(ds.contexts, projected)
     result = subopt_fit(fp, cleaned, cfg)
     return dataclasses.replace(
         result,

@@ -1,0 +1,58 @@
+"""Every third-party module the package or its tests import is declared.
+
+The package may import the standard library, itself and the modules of
+``[project].dependencies``; the tests may also import pytest and their own
+``oracles`` module.  Installed but undeclared packages fail the scan.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# distributions whose import name differs from their normalized project name
+_IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def _declared_modules() -> set[str]:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_") for d in deps}
+    return {_IMPORT_NAMES.get(n, n) for n in names}
+
+
+def _third_party_imports(folder: Path) -> dict[str, set[str]]:
+    """Top-level module -> files under folder importing it, absolute imports
+    outside the standard library only (function-local ones included)."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(folder.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            for mod in mods:
+                top = mod.split(".")[0]
+                if top not in sys.stdlib_module_names:
+                    found.setdefault(top, set()).add(path.name)
+    return found
+
+
+def test_package_imports_only_declared_dependencies():
+    allowed = _declared_modules() | {"fyinv"}
+    used = _third_party_imports(ROOT / "src" / "fyinv")
+    assert {m: f for m, f in used.items() if m not in allowed} == {}
+
+
+def test_tests_import_only_declared_dependencies():
+    allowed = _declared_modules() | {"fyinv", "pytest", "oracles"}
+    used = _third_party_imports(ROOT / "tests")
+    assert {m: f for m, f in used.items() if m not in allowed} == {}

@@ -32,7 +32,7 @@ def _ctx_bank(fp, rng, n=60):
 
 def test_parameter_error_l1():
     assert parameter_error(np.array([1.0, 2.0]), np.array([0.0, 0.5])) == 2.5
-    assert parameter_error(Parameter.from_vector([1.0]), np.array([1.0])) == 0.0
+    assert parameter_error(Parameter([1.0]), np.array([1.0])) == 0.0
     with pytest.raises(ValueError):
         parameter_error(np.zeros(2), np.zeros(3))
 
@@ -105,7 +105,8 @@ def test_relative_regret_ratio_positive_for_bad_predictor():
     sp = synth_graph_instance(num_nodes=20, num_edges=35, m=4, n=40, sigma=0.1, seed=6)
     fp = _flow_problem(sp)
     rng = rng_stream(7)
-    bad = sp.theta_star.as_matrix() + 3.0 * rng.standard_normal(sp.theta_star.shape)
+    theta = sp.theta_star.values.reshape(35, 4)
+    bad = theta + 3.0 * rng.standard_normal(theta.shape)
     good = relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times)
     worse = relative_regret_ratio(fp, bad, sp.contexts, sp.times)
     assert worse >= good >= 0.0

@@ -1,6 +1,7 @@
 """Parameters, cost maps, regions, and dataset sampling."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -37,28 +38,25 @@ from fyinv.spath import grid_graph
 from oracles import sample_region
 
 
-def test_parameter_matrix_round_trip():
+def test_parameter_is_its_flat_values():
+    assert [f.name for f in dataclasses.fields(Parameter)] == ["values"]
     m = np.arange(6.0).reshape(2, 3)
-    p = Parameter.from_matrix(m)
-    assert p.shape == (2, 3)
+    p = Parameter(m)
     assert p.p == 6
-    np.testing.assert_array_equal(p.as_matrix(), m)
     np.testing.assert_array_equal(p.values, m.ravel())
-
-
-def test_parameter_rejects_incompatible_shape():
-    with pytest.raises(ValueError):
-        Parameter(np.zeros(5), (2, 3))
-    with pytest.raises(ValueError):
-        Parameter.from_matrix(np.zeros(4))
+    # a MATRIX_PRODUCT cost reads the values as Theta.ravel(), row-major
+    cm = CostMap(CostKind.MATRIX_PRODUCT, 2, 3)
+    u = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(cost(cm, p, u), m @ u)
+    np.testing.assert_array_equal(p.values.reshape(cm.d, cm.m), m)
 
 
 def test_parameter_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            Parameter.from_vector([1.0, bad])
+            Parameter([1.0, bad])
         with pytest.raises(ValueError):
-            Parameter(np.array([[bad, 0.0]]), (1, 2))
+            Parameter(np.array([[bad, 0.0]]))
     # a NaN estimate used to score as a finite regret (the box midpoint)
     fp, theta_star, law = build_example("C")
     with pytest.raises(ValueError):
@@ -66,7 +64,7 @@ def test_parameter_rejects_non_finite():
 
 
 def test_parameter_values_immutable():
-    p = Parameter.from_vector([1.0, 2.0])
+    p = Parameter([1.0, 2.0])
     with pytest.raises(ValueError):
         p.values[0] = 9.0
 
@@ -86,9 +84,7 @@ def test_cost_map_validation_and_p():
             CostMap(CostKind.MATRIX_PRODUCT, d, m)
     cm = CostMap(CostKind.MATRIX_PRODUCT, 4, 3)
     assert cm.p == 12
-    assert cm.param_shape == (4, 3)
-    cm2 = CostMap(CostKind.ADDITIVE, 3, 3)
-    assert cm2.p == 3 and cm2.param_shape == (3, 1)
+    assert CostMap(CostKind.ADDITIVE, 3, 3).p == 3
 
 
 def test_as_parameter_checks_length():
@@ -97,7 +93,7 @@ def test_as_parameter_checks_length():
         as_parameter(np.zeros(4), cm)
     p = as_parameter([1.0, 2.0, 3.0], cm)
     assert isinstance(p, Parameter)
-    wrong = Parameter.from_vector(np.zeros(5))
+    wrong = Parameter(np.zeros(5))
     with pytest.raises(ValueError):
         as_parameter(wrong, cm)
 
@@ -377,7 +373,6 @@ def test_sample_dataset_noiseless_solves_exactly():
     law = UniformContexts(-1.0, 1.0, 4)
     t = np.full(4, 0.5)
     ds = sample_dataset(fp, t, 20, Noiseless(), law, seed=2)
-    assert ds.truth is not None
     for u, y in zip(ds.contexts, ds.decisions):
         np.testing.assert_array_equal(y, solve_exact(fp, t, u))
 

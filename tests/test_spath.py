@@ -102,6 +102,12 @@ def test_sp_dataset_array_validation():
         SpDataset(g, np.array([[0.5, 0.9]]), t, ys)  # intercept not 1
     with pytest.raises(ValueError):
         SpDataset(g, u, np.array([[1.0, 0.0]]), ys)  # zero time
+    # these used to construct; with an infinite time sp_run scored a NaN regret
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            SpDataset(g, np.array([[bad, 1.0]]), t, ys)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        SpDataset(g, u, np.array([[1.0, np.inf]]), ys)
     with pytest.raises(ValueError):
         SpDataset(g, u[0], t[0], ys[0])
     sp = SpDataset(g, u, t, ys)
@@ -134,14 +140,14 @@ def test_synth_instance_deterministic_and_coherent():
     np.testing.assert_array_equal(a.observations, b.observations)
     # observations really are the shortest paths under realized times
     np.testing.assert_array_equal(a.observations, shortest_path_batch(a.graph, a.times))
-    assert a.theta_star.shape == (35, 4)
+    assert a.theta_star.p == 35 * 4
     assert (a.times > 0).all()
     assert (a.contexts[:, -1] == 1.0).all()
 
 
 def test_synth_instance_zero_noise_times_are_linear():
     sp = synth_graph_instance(num_nodes=12, num_edges=20, m=3, n=15, sigma=0.0, seed=4)
-    np.testing.assert_allclose(sp.times, sp.contexts @ sp.theta_star.as_matrix().T)
+    np.testing.assert_allclose(sp.times, sp.contexts @ sp.theta_star.values.reshape(20, 3).T)
 
 
 def test_synth_instance_rejects_bad_sigma():
@@ -155,7 +161,7 @@ def test_synth_instance_accepts_pinned_theta():
     g = grid_graph(12, 20)
     theta = planted_theta(g, m=3, seed=9)
     sp = synth_graph_instance(num_nodes=12, num_edges=20, m=3, theta_star=theta, n=5, seed=5)
-    np.testing.assert_array_equal(sp.theta_star.as_matrix(), theta)
+    np.testing.assert_array_equal(sp.theta_star.values.reshape(20, 3), theta)
     with pytest.raises(ValueError):
         synth_graph_instance(num_nodes=12, num_edges=20, m=3, theta_star=theta[:, :-1], n=5)
     with pytest.raises(ValueError):

@@ -108,5 +108,3 @@ def test_generate_noise_moves_decisions():
     noisy = generate(spec, 30, NoisyDecision(0.5), seed=3)
     np.testing.assert_array_equal(clean.contexts, noisy.contexts)
     assert not np.array_equal(clean.decisions, noisy.decisions)
-    _, theta_star, _ = build_example(spec)
-    np.testing.assert_array_equal(noisy.truth.values, theta_star.values)

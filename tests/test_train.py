@@ -28,6 +28,7 @@ from fyinv import (
     generate,
     kka_dual_dim,
     kka_fit,
+    kka_grad,
     kka_objective,
     nw_denoise,
     rng_stream,
@@ -172,6 +173,32 @@ def test_driver_evaluates_each_checkpoint_once():
         evals.clear()
         _run_sgd(fp, ds, cfg, step, full_risk)
         assert len(evals) == want
+
+
+def test_driver_raises_on_non_finite_risk():
+    fp, _, ds = _noisy_c()
+
+    def step(theta, idx):
+        return 0.0, theta - 1.0
+
+    for bad in (np.nan, np.inf):
+        for at in (0, 1):  # the start risk, then the checkpoint at step 5
+            risks = iter([0.0] * at + [bad] * 3)  # checkpoints: start, 5, 10
+            with pytest.raises(DivergedError, match="risk"):
+                _run_sgd(
+                    fp, ds, SgdConfig(max_iters=10, eval_every=5), step, lambda t: next(risks)
+                )
+
+
+def test_sgd_fits_raise_on_overflowing_risk():
+    # contexts near the float64 limit overflow the costs: FY used to return
+    # risk NaN and SUBOPT risk inf, each with theta = 0 and no error
+    fp, _, ds = _noisy_c()
+    huge = Dataset(ds.contexts * 1e308, ds.decisions)
+    with np.errstate(all="ignore"):
+        for fit in (fy_sgd_fit, subopt_fit):
+            with pytest.raises(DivergedError):
+                fit(fp, huge, SgdConfig(max_iters=20))
 
 
 def test_fy_fit_rejects_bad_theta0():
@@ -433,17 +460,28 @@ def _smooth_dataset(n=40, seed=7):
 
 
 def test_fitters_reject_mismatched_dataset_widths():
-    fp, _, _ = build_example("C")
-    ds = generate("C", 40, Noiseless(), 5)
-    narrow = [
-        Dataset(ds.contexts[:, :1], ds.decisions),
-        Dataset(ds.contexts, ds.decisions[:, :1]),
-    ]
+    # kka_objective and kka_grad used to score these datasets on family C
+    # and raise IndexError on family A
+    calls = (
+        fy_sgd_fit,
+        subopt_fit,
+        kka_fit,
+        spa_fit,
+        lambda fp, ds, _: kka_objective(fp, np.zeros(fp.cost_map.p), ds),
+        lambda fp, ds, _: kka_grad(fp, np.zeros(fp.cost_map.p), ds),
+    )
     sgd = SgdConfig(max_iters=5)
-    for bad in narrow:
-        for fit in (fy_sgd_fit, subopt_fit, kka_fit, spa_fit):
-            with pytest.raises(ValueError):
-                fit(fp, bad, sgd)
+    for kind in ("A", "C"):
+        fp, _, _ = build_example(kind)
+        ds = generate(kind, 40, Noiseless(), 5)
+        narrow = [
+            Dataset(ds.contexts[:, :1], ds.decisions),
+            Dataset(ds.contexts, ds.decisions[:, :1]),
+        ]
+        for bad in narrow:
+            for call in calls:
+                with pytest.raises(ValueError, match="width"):
+                    call(fp, bad, sgd)
 
 
 def test_nw_denoise_interpolates_at_tiny_bandwidth():
