@@ -34,18 +34,17 @@ from .model import (
     ForwardProblem,
     NonNegL1Cap,
     _check_context,
+    _check_point,
     _check_widths,
     as_parameter,
 )
-from .solvers import FwConfig, _linear_argmax_batch, _solve_exact_batch, _solve_reg_batch
+from .solvers import FwConfig, _linear_argmax_batch, _solve_reg_batch
 
 
 def _check_one(fp: ForwardProblem, theta, u, y):
     """Checked flat theta, context row and decision row of one observation."""
     u = _check_context(fp.cost_map, u)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (fp.cost_map.d,):
-        raise ValueError(f"decision must have shape ({fp.cost_map.d},)")
+    y = _check_point(fp.region, y)
     if not np.isfinite(y).all():
         raise ValueError("decision must be finite")
     return as_parameter(theta, fp.cost_map).values, u[None, :], y[None, :]
@@ -132,31 +131,26 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
 # KKT-residual (estimate-then-check) objective
 
 
-def kka_dual_dim(fp: ForwardProblem) -> int:
-    """Number of dual variables per observation for the KKT objective."""
-    r = fp.region
-    if isinstance(r, Box):
-        return 2 * fp.cost_map.d
-    if isinstance(r, NonNegL1Cap):
-        return fp.cost_map.d + 1
-    raise UnsupportedRegionError(
-        f"KKT objective supports Box and NonNegL1Cap regions, not {type(r).__name__}"
-    )
+def _box_kkt(r: Box, hcs: np.ndarray, ys: np.ndarray):
+    """Minimizing duals of the box KKT objective and its residual blocks.
 
-
-def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.ndarray:
-    """Duals minimizing the KKT objective at theta, in closed form per point.
-
-    ``hcs`` holds the canonical costs of ds.contexts at theta.  For fixed
-    theta the objective separates per point and per region block;
-    fp.region must be a Box or NonNegL1Cap (see ``kka_dual_dim``).
-
-    Box, per coordinate: at most one of lam_hi, lam_lo is positive, with
+    Per coordinate at most one of lam_hi, lam_lo is positive, with
     lam_hi = h / (1 + (y - hi)^2) if h > 0 and lam_lo = -h / (1 + (lo - y)^2)
-    if h < 0.
+    if h < 0.  The blocks are stationarity first, then complementary
+    slackness of the upper and of the lower bounds.
+    """
+    lam_hi = np.maximum(hcs, 0.0) / (1.0 + (ys - r.hi) ** 2)
+    lam_lo = np.maximum(-hcs, 0.0) / (1.0 + (r.lo - ys) ** 2)
+    blocks = (lam_hi - lam_lo - hcs, lam_hi * (ys - r.hi), lam_lo * (r.lo - ys))
+    return np.concatenate([lam_hi, lam_lo], axis=1), blocks
 
-    NonNegL1Cap: for fixed mu each nu_j = v_j max(0, mu - h_j) with
-    v_j = 1 / (1 + y_j^2), which leaves the reduced objective in mu >= 0
+
+def _cap_kkt(r: NonNegL1Cap, hcs: np.ndarray, ys: np.ndarray):
+    """Minimizing duals (mu, nu) of the capped-simplex KKT objective and its
+    residual blocks, stationarity first.
+
+    For fixed mu each nu_j = v_j max(0, mu - h_j) with v_j = 1 / (1 + y_j^2),
+    which leaves the reduced objective in mu >= 0
 
         g(mu) = sum_j (1 - v_j [mu > h_j]) (mu - h_j)^2 + s^2 mu^2,
 
@@ -168,12 +162,6 @@ def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.nda
     give every segment.  mu is the root on the segment where g' changes
     sign, clipped at 0.
     """
-    ys = ds.decisions
-    r = fp.region
-    if isinstance(r, Box):
-        lam_hi = np.maximum(hcs, 0.0) / (1.0 + (ys - r.hi) ** 2)
-        lam_lo = np.maximum(-hcs, 0.0) / (1.0 + (r.lo - ys) ** 2)
-        return np.concatenate([lam_hi, lam_lo], axis=1)
     n, d = hcs.shape
     v = 1.0 / (1.0 + ys**2)
     rows = np.arange(n)[:, None]
@@ -187,39 +175,49 @@ def _kka_duals_batch(fp: ForwardProblem, hcs: np.ndarray, ds: Dataset) -> np.nda
     # prefix of the sorted h; their count k names the root's segment
     k = np.count_nonzero(a[:, 1:] * hs < b[:, 1:], axis=1)[:, None]
     mu = np.maximum(b[rows, k] / a[rows, k], 0.0)
-    return np.concatenate([mu, np.maximum(mu - hcs, 0.0) * v], axis=1)
+    nu = np.maximum(mu - hcs, 0.0) * v
+    blocks = (mu - nu - hcs, mu[:, 0] * (ys.sum(axis=1) - r.cap), nu * (-ys))
+    return np.concatenate([mu, nu], axis=1), blocks
+
+
+_KKT_FORMS = {Box: _box_kkt, NonNegL1Cap: _cap_kkt}  # region type -> its KKT form
+
+
+def _kkt_form(region):
+    """The KKT form of the region's type; UnsupportedRegionError for any other."""
+    if type(region) not in _KKT_FORMS:
+        raise UnsupportedRegionError(
+            f"KKT objective supports Box and NonNegL1Cap regions, not {type(region).__name__}"
+        )
+    return _KKT_FORMS[type(region)]
+
+
+def kka_dual_dim(fp: ForwardProblem) -> int:
+    """Number of dual variables per observation for the KKT objective."""
+    r = fp.region
+    # the count the region's KKT form returns, read off one zero observation
+    return _kkt_form(r)(r, np.zeros((1, r.dim)), np.zeros((1, r.dim)))[0].shape[1]
 
 
 def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
     """Mean KKT objective at its minimizing duals, its theta-gradient, the duals.
 
-    ``t`` is checked flat values and fp.region a Box or NonNegL1Cap.  By
-    Danskin's rule the theta-gradient at the closed-form duals is the
-    gradient of the objective minimized over them.
+    ``t`` is checked flat values.  The region's KKT form gives the duals in
+    closed form; a region without one raises UnsupportedRegionError.  By
+    Danskin's rule the theta-gradient at those duals is the gradient of the
+    objective minimized over them.
     """
+    form = _kkt_form(fp.region)
     hcs = fp._canonical_costs(t, ds.contexts)
-    duals = _kka_duals_batch(fp, hcs, ds)
-    ys = ds.decisions
-    r = fp.region
-    if isinstance(r, Box):
-        d = fp.cost_map.d
-        lam_hi, lam_lo = duals[:, :d], duals[:, d:]
-        stat = lam_hi - lam_lo - hcs
-        comp_a = lam_hi * (ys - r.hi)
-        comp_b = lam_lo * (r.lo - ys)
-    else:
-        mu, nu = duals[:, :1], duals[:, 1:]
-        stat = mu - nu - hcs
-        comp_a = mu[:, 0] * (ys.sum(axis=1) - r.cap)
-        comp_b = nu * (-ys)
+    duals, blocks = form(fp.region, hcs, ds.decisions)
     # Huge duals overflow to inf here instead of warning; kka_fit turns a
     # non-finite objective into DivergedError.
     with np.errstate(over="ignore"):
-        total = sum(float(np.sum(c**2)) for c in (stat, comp_a, comp_b))
+        total = sum(float(np.sum(c**2)) for c in blocks)
     # d stat / d theta = -J_c, so chain through the batched (mean) adjoint;
     # the fit's pinned bits come from scaling it to a sum and back.
     n = len(ds)
-    g_theta = -2.0 * n * fp._canonical_adjoint(ds.contexts, stat)
+    g_theta = -2.0 * n * fp._canonical_adjoint(ds.contexts, blocks[0])
     return total / n, g_theta / n, duals
 
 
@@ -232,7 +230,6 @@ def kka_objective(fp: ForwardProblem, theta, ds: Dataset) -> float:
     """
     t = as_parameter(theta, fp.cost_map).values
     _check_widths(fp.cost_map, ds)
-    kka_dual_dim(fp)  # rejects regions without a KKT form
     return _kka_reduced(fp, t, ds)[0]
 
 
@@ -240,21 +237,4 @@ def kka_grad(fp: ForwardProblem, theta, ds: Dataset) -> np.ndarray:
     """Gradient of kka_objective in theta, shape (p,)."""
     t = as_parameter(theta, fp.cost_map).values
     _check_widths(fp.cost_map, ds)
-    kka_dual_dim(fp)  # rejects regions without a KKT form
     return _kka_reduced(fp, t, ds)[1]
-
-
-# ---------------------------------------------------------------------------
-# distance-to-decision oracle
-
-
-def dist_loss_oracle(fp: ForwardProblem, theta, u, y) -> float:
-    """Squared distance between y and the tie-broken exact decision at theta.
-
-    Evaluation-only oracle: it is discontinuous in theta, so nothing trains
-    on it, but grid enumeration over low-dimensional parameters gives an
-    independent consistency target for the fitters.
-    """
-    t, us, ys = _check_one(fp, theta, u, y)
-    x = _solve_exact_batch(fp, fp._canonical_costs(t, us))
-    return float(np.sum((ys - x) ** 2))

@@ -156,9 +156,12 @@ def _jac_t_mean(cm: CostMap, ctxs: np.ndarray, resid: np.ndarray) -> np.ndarray:
 # feasible regions
 
 
+_CONTAINS_TOL = 1e-9  # region_contains' slack on each (in)equality of a region
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box {lo <= x <= hi}."""
+    """Axis-aligned box {lo <= x <= hi}; its dim is the length of lo."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -170,6 +173,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have equal shape")
+        if lo.size == 0:
+            raise ValueError("a box needs at least one coordinate")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
@@ -179,77 +184,91 @@ class Box:
     def cube(d: int, lo: float, hi: float) -> "Box":
         return Box(np.full(d, float(lo)), np.full(d, float(hi)))
 
+    @property
+    def dim(self) -> int:
+        return self.lo.size
+
+    def _contains(self, x: np.ndarray) -> bool:
+        tol = _CONTAINS_TOL
+        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball {||x|| <= radius} centered at the origin."""
+    """Euclidean ball {x in R^dim : ||x|| <= radius} centered at the origin."""
 
+    dim: int
     radius: float
 
     def __post_init__(self):
+        if not _is_count(self.dim):
+            raise ValueError("dim must be an integer >= 1")
         if not 0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
+
+    def _contains(self, x: np.ndarray) -> bool:
+        return bool(np.linalg.norm(x) <= self.radius + _CONTAINS_TOL)
 
 
 @dataclass(frozen=True)
 class NonNegL1Cap:
-    """Simplex-like region {x >= 0, sum(x) <= cap}."""
+    """Simplex-like region {x in R^dim : x >= 0, sum(x) <= cap}."""
 
+    dim: int
     cap: float
 
     def __post_init__(self):
+        if not _is_count(self.dim):
+            raise ValueError("dim must be an integer >= 1")
         if not 0 < self.cap < np.inf:
             raise ValueError("cap must be positive and finite")
+
+    def _contains(self, x: np.ndarray) -> bool:
+        tol = _CONTAINS_TOL
+        return bool(np.all(x >= -tol) and x.sum() <= self.cap + tol)
 
 
 @dataclass(frozen=True)
 class FlowPolytope:
     """Unit source->sink flows of a graph: {x in [0,1]^E : A x = b}.
 
-    Every ``Graph`` is acyclic, so this is exactly the convex hull of the
-    source->sink path indicators: with a cycle the flow set would also
-    hold paths plus circulations.
+    Its dim is the edge count E.  Every ``Graph`` is acyclic, so this is
+    exactly the convex hull of the source->sink path indicators: with a
+    cycle the flow set would also hold paths plus circulations.
     """
 
     graph: Graph
+
+    @property
+    def dim(self) -> int:
+        return self.graph.num_edges
+
+    def _contains(self, x: np.ndarray) -> bool:
+        tol = _CONTAINS_TOL
+        g = self.graph
+        resid = g.incidence @ x - g.supply
+        return bool(
+            np.all(x >= -tol)
+            and np.all(x <= 1.0 + tol)
+            and np.max(np.abs(resid)) <= tol
+        )
 
 
 Region = Union[Box, Ball, NonNegL1Cap, FlowPolytope]
 
 
 def _check_point(region: Region, x) -> np.ndarray:
-    """x as one float 1-D point of the region; a Box or a FlowPolytope also
-    fixes its length.  Raises ValueError otherwise."""
+    """x as one float point of the region, shape ``(region.dim,)``; a scalar,
+    a stack of points or a point of another length raises ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("a point must be 1-D")
-    if isinstance(region, (Box, FlowPolytope)):
-        dim = region.lo.size if isinstance(region, Box) else region.graph.num_edges
-        if x.size != dim:
-            raise ValueError(f"a point of this region has {dim} entries")
+    if x.shape != (region.dim,):
+        raise ValueError(f"a point of this region is 1-D with {region.dim} entries")
     return x
 
 
-_CONTAINS_TOL = 1e-9  # region_contains' slack on each (in)equality of a region
-
-
 def region_contains(region: Region, x: np.ndarray) -> bool:
-    """Membership test of one 1-D point, used by validity checks and tests."""
-    x = _check_point(region, x)
-    tol = _CONTAINS_TOL
-    if isinstance(region, Box):
-        return bool(np.all(x >= region.lo - tol) and np.all(x <= region.hi + tol))
-    if isinstance(region, Ball):
-        return bool(np.linalg.norm(x) <= region.radius + tol)
-    if isinstance(region, NonNegL1Cap):
-        return bool(np.all(x >= -tol) and x.sum() <= region.cap + tol)
-    g = region.graph
-    resid = g.incidence @ x - g.supply
-    return bool(
-        np.all(x >= -tol)
-        and np.all(x <= 1.0 + tol)
-        and np.max(np.abs(resid)) <= tol
-    )
+    """Membership test of one point, used by validity checks and tests."""
+    return region._contains(_check_point(region, x))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +308,8 @@ class ForwardProblem:
     def __post_init__(self):
         if not 0 <= self.base_quad < np.inf:
             raise ValueError("base_quad must be finite and nonnegative")
-        d = self.cost_map.d
-        r = self.region
-        if isinstance(r, Box) and r.lo.size != d:
-            raise ValueError("box dimension disagrees with cost map")
-        if isinstance(r, FlowPolytope) and r.graph.num_edges != d:
-            raise ValueError("graph edge count disagrees with cost map")
+        if self.region.dim != self.cost_map.d:
+            raise ValueError("region dim disagrees with cost map d")
 
     @property
     def canonical_sign(self) -> float:

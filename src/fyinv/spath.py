@@ -37,6 +37,7 @@ from .model import (
     Sense,
     _check_sigma,
     _frozen,
+    as_parameter,
     rng_stream,
 )
 from .solvers import FwConfig, _solve_exact_batch
@@ -53,8 +54,9 @@ class SpDataset:
     shortest path under those times, the proxy for the decision a
     cost-aware traveler would have taken.  All three are validated once and
     stored as read-only copies.  ``theta_star`` is only set by the synthetic
-    generator; it stays None for ingested data.  The fit runs on the
-    graph's ``FlowPolytope``; the graph is acyclic, as every ``Graph`` is.
+    generator, as a parameter of num_edges * m entries; it stays None for
+    ingested data.  The fit runs on the graph's ``FlowPolytope``; the graph
+    is acyclic, as every ``Graph`` is.
     """
 
     graph: Graph
@@ -81,6 +83,9 @@ class SpDataset:
         object.__setattr__(self, "contexts", u)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "observations", ys)
+        if self.theta_star is not None:
+            cm = _flow_problem(self).cost_map
+            object.__setattr__(self, "theta_star", as_parameter(self.theta_star, cm))
 
     def __len__(self) -> int:
         return self.contexts.shape[0]

@@ -69,7 +69,7 @@ def build_example(
     half = np.full(p, 0.5)
 
     if spec.kind == "A":
-        fp = ForwardProblem(additive, NonNegL1Cap(3.0), Sense.MIN)
+        fp = ForwardProblem(additive, NonNegL1Cap(p, 3.0), Sense.MIN)
         return fp, Parameter(half), UniformContexts(-1.0, 1.0, p)
     if spec.kind == "B":
         theta = np.concatenate([[0.5], np.full(p - 3, -0.5), [0.5, 1.0]])
@@ -81,7 +81,7 @@ def build_example(
     if spec.kind == "D":
         fp = ForwardProblem(additive, Box.cube(p, 0, 1), Sense.MAX, base_quad=2.0)
         return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
-    fp = ForwardProblem(additive, Ball(3.0), Sense.MAX)
+    fp = ForwardProblem(additive, Ball(p, 3.0), Sense.MAX)
     return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
 
 

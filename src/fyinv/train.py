@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateKernelError, DivergedError
-from .losses import _fy_batch, _kka_reduced, _subopt_batch, kka_dual_dim
+from .losses import _fy_batch, _kka_reduced, _subopt_batch
 from .graphs import _is_count
 from .model import Dataset, ForwardProblem, Parameter, _check_widths, as_parameter, rng_stream
 from .solvers import FwConfig, _project_region_batch
@@ -240,8 +240,9 @@ def subopt_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) ->
 def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
     """Gradient descent on the mean KKT-residual objective, duals minimized out.
 
-    For fixed theta the per-point duals have a closed form
-    (``_kka_duals_batch``), and by Danskin's rule the theta-gradient of the
+    For fixed theta the per-point duals have a closed form per region
+    (``losses._box_kkt``, ``losses._cap_kkt``; any other region raises
+    UnsupportedRegionError), and by Danskin's rule the theta-gradient of the
     objective minimized over them is the KKT objective's theta-gradient at
     those duals.  That reduced objective is convex in theta, so the shared
     driver runs plain full-batch descent on it and stops on ``tolerance``.
@@ -262,7 +263,6 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     DivergedError.
     """
     cfg = cfg or SgdConfig()
-    kka_dual_dim(fp)  # rejects regions without a KKT form
     n = len(ds)
     last: dict[bytes, tuple[float, np.ndarray]] = {}
 

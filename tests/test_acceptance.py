@@ -84,8 +84,8 @@ def test_regularized_solves_match_projected_gradient_oracle():
     u0 = np.zeros(1)
     configs = {
         "box": (lambda d: Box.cube(d, -1.5, 2.0), lambda x: np.clip(x, -1.5, 2.0), 0.0),
-        "ball": (lambda d: Ball(2.5), lambda x: rescale_ball(x, 2.5), 0.0),
-        "cap": (lambda d: NonNegL1Cap(2.0), lambda x: newton_cap(x, 2.0), 0.0),
+        "ball": (lambda d: Ball(d, 2.5), lambda x: rescale_ball(x, 2.5), 0.0),
+        "cap": (lambda d: NonNegL1Cap(d, 2.0), lambda x: newton_cap(x, 2.0), 0.0),
         "base_quad": (lambda d: Box.cube(d, 0.0, 1.0), lambda x: np.clip(x, 0.0, 1.0), 2.0),
     }
     for name, (make_region, projector, q) in configs.items():

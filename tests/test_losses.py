@@ -22,11 +22,11 @@ from fyinv import (
     calibration_check,
     cost,
     decision_error,
-    dist_loss_oracle,
     fy_grad,
     fy_loss,
     grid_graph,
     kka_dual_dim,
+    kka_fit,
     kka_grad,
     kka_objective,
     regret,
@@ -38,7 +38,7 @@ from fyinv import (
     subopt_loss,
     subopt_subgrad,
 )
-from fyinv.losses import _fy_batch, _kka_duals_batch, _subopt_batch
+from fyinv.losses import _fy_batch, _kka_reduced, _subopt_batch
 from fyinv.solvers import _linear_argmax_batch, _solve_reg_batch
 
 from oracles import enum_paths, fd_grad, kkt_duals, kkt_residual, sample_region
@@ -187,7 +187,6 @@ def test_single_sample_entry_points_reject_non_finite_context():
         lambda: solve_regularized(fp, theta, u, 0.5),
         lambda: fy_loss(fp, theta, u, y, 0.5),
         lambda: subopt_loss(fp, theta, u, y),
-        lambda: dist_loss_oracle(fp, theta, u, y),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -228,7 +227,6 @@ def test_public_entry_points_reject_bad_theta(how):
         "subopt_subgrad": lambda t: subopt_subgrad(fp, t, u, y),
         "kka_objective": lambda t: kka_objective(fp, t, ds),
         "kka_grad": lambda t: kka_grad(fp, t, ds),
-        "dist_loss_oracle": lambda t: dist_loss_oracle(fp, t, u, y),
         "decision_error/hat": lambda t: decision_error(fp, t, good, ctxs),
         "decision_error/star": lambda t: decision_error(fp, good, t, ctxs),
         "regret/hat": lambda t: regret(fp, t, good, ctxs),
@@ -266,7 +264,7 @@ def test_batch_losses_keep_the_bits_of_the_numpy_mean(kind, d, m):
     # _fy_batch and _subopt_batch skip the np.mean wrapper; their loss must
     # stay float(np.mean(per_row)) to the bit
     rng = rng_stream(0, 9)
-    for region in (NonNegL1Cap(2.0), Box.cube(d, -1, 1)):
+    for region in (NonNegL1Cap(d, 2.0), Box.cube(d, -1, 1)):
         fp = ForwardProblem(CostMap(kind, d, m), region, Sense.MIN)
         theta = rng.standard_normal(fp.cost_map.p)
         ctxs = rng.uniform(-1, 1, (37, m))
@@ -361,15 +359,15 @@ def test_subopt_batch_matches_scalar_and_hinges():
 
 def test_kka_dual_dim_by_region():
     box = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), Box.cube(4, -1, 1), Sense.MIN)
-    cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(2.0), Sense.MIN)
+    cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(4, 2.0), Sense.MIN)
     assert kka_dual_dim(box) == 8
     assert kka_dual_dim(cap) == 5
-    for bad_region in (Ball(1.0), FlowPolytope(grid_graph(6, 7))):
-        d = 7 if isinstance(bad_region, FlowPolytope) else 4
+    for bad_region in (Ball(4, 1.0), FlowPolytope(grid_graph(6, 7))):
+        d = bad_region.dim
         fp = ForwardProblem(CostMap(CostKind.ADDITIVE, d, d), bad_region, Sense.MIN)
         ds = Dataset(np.zeros((1, d)), np.zeros((1, d)))
         for call in (kka_dual_dim, lambda fp: kka_objective(fp, np.zeros(d), ds),
-                     lambda fp: kka_grad(fp, np.zeros(d), ds)):
+                     lambda fp: kka_grad(fp, np.zeros(d), ds), lambda fp: kka_fit(fp, ds)):
             with pytest.raises(UnsupportedRegionError):
                 call(fp)
 
@@ -388,7 +386,7 @@ def test_kka_objective_zero_at_consistent_pair_box():
 
 def test_kka_objective_zero_at_consistent_pair_cap():
     rng = rng_stream(81)
-    fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), NonNegL1Cap(2.0), Sense.MAX)
+    fp = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), NonNegL1Cap(3, 2.0), Sense.MAX)
     theta = -np.abs(rng.standard_normal(3)) - 0.1
     u = np.zeros(3)
     hc = theta  # all negative, so y = 0 is the exact decision
@@ -413,7 +411,7 @@ def test_kka_closed_form_duals_match_support_enumeration():
     regions = (
         Box.cube(3, -1, 1),
         Box(np.array([-2.0, 0.0, 0.5]), np.array([1.0, 0.5, 3.0])),
-        NonNegL1Cap(2.0),
+        NonNegL1Cap(3, 2.0),
     )
     for region in regions:
         for kind, m, sense in (
@@ -424,7 +422,7 @@ def test_kka_closed_form_duals_match_support_enumeration():
             ds = _noisy_region_data(region, m, 12, rng)
             for _ in range(3):
                 theta = 2.0 * rng.standard_normal(fp.cost_map.p)
-                got = _kka_duals_batch(fp, fp._canonical_costs(theta, ds.contexts), ds)
+                got = _kka_reduced(fp, theta, ds)[2]
                 np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-9)
 
 
@@ -432,7 +430,7 @@ def test_kka_closed_form_duals_on_vertex_data_with_tied_breakpoints():
     # Cap vertices: y = 0 (slack -cap) or cap * e_k (slack 0, other y_j 0).
     # Zero contexts and a constant theta make every breakpoint h_j tie, so
     # the root of the mu problem sits on a tied breakpoint.
-    cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(2.0), Sense.MAX)
+    cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(4, 2.0), Sense.MAX)
     cap_ds = Dataset(np.zeros((5, 4)), np.vstack([np.zeros(4), 2.0 * np.eye(4)]))
     box = ForwardProblem(CostMap(CostKind.ADDITIVE, 3, 3), Box.cube(3, -1, 1), Sense.MAX)
     box_ds = Dataset(np.zeros((8, 3)), np.array(list(itertools.product((-1.0, 1.0), repeat=3))))
@@ -441,10 +439,9 @@ def test_kka_closed_form_duals_on_vertex_data_with_tied_breakpoints():
     cases = ((cap, cap_ds, cap_thetas), (box, box_ds, box_thetas))
     for fp, ds, thetas in cases:
         for theta in thetas:
-            hcs = fp._canonical_costs(theta, ds.contexts)
-            got = _kka_duals_batch(fp, hcs, ds)
+            got = _kka_reduced(fp, theta, ds)[2]
             assert np.isfinite(got).all()
-            np.testing.assert_array_equal(got, _kka_duals_batch(fp, hcs, ds))
+            np.testing.assert_array_equal(got, _kka_reduced(fp, theta, ds)[2])
             np.testing.assert_allclose(got, _oracle_duals(fp, theta, ds), atol=1e-12)
 
 
@@ -452,7 +449,7 @@ def test_kka_reduced_gradient_matches_finite_differences():
     # Danskin: the KKT objective's theta-gradient at the closed-form duals
     # is the gradient of the objective minimized over the duals.
     rng = rng_stream(85)
-    for region in (Box.cube(3, -1, 1), NonNegL1Cap(2.0)):
+    for region in (Box.cube(3, -1, 1), NonNegL1Cap(3, 2.0)):
         fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 3, 2), region, Sense.MIN)
         ds = _noisy_region_data(region, 2, 5, rng)
         theta = rng.standard_normal(fp.cost_map.p)
@@ -465,18 +462,3 @@ def test_kka_reduced_gradient_matches_finite_differences():
 
         assert kka_objective(fp, theta, ds) == pytest.approx(reduced(theta), rel=1e-12)
         np.testing.assert_allclose(kka_grad(fp, theta, ds), fd_grad(reduced, theta), atol=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# distance oracle
-
-
-def test_dist_loss_oracle_zero_at_exact_decision():
-    rng = rng_stream(83)
-    for kind, fp in _example_problems():
-        theta = rng.standard_normal(fp.cost_map.p)
-        u = rng.uniform(-1, 1, fp.cost_map.m)
-        y = solve_exact(fp, theta, u)
-        assert dist_loss_oracle(fp, theta, u, y) <= 1e-18, kind
-        off = y + 0.25
-        assert dist_loss_oracle(fp, theta, u, off) >= 0.25**2 * fp.cost_map.d - 1e-9

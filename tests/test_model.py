@@ -235,13 +235,21 @@ def test_region_validation():
         Box([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         Box([2.0], [1.0])
+    with pytest.raises(ValueError):
+        Box([], [])
     # project() takes its region's checked parameters: the per-region
     # functions it replaced reflected v at radius -1 and divided by cap 0
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            Ball(bad)
+            Ball(3, bad)
         with pytest.raises(ValueError):
-            NonNegL1Cap(bad)
+            NonNegL1Cap(3, bad)
+    # a dimensionless ball or cap region projected a point of any length
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="dim"):
+            Ball(bad, 1.0)
+        with pytest.raises(ValueError, match="dim"):
+            NonNegL1Cap(bad, 1.0)
 
 
 def test_regions_reject_non_finite_bounds():
@@ -252,19 +260,19 @@ def test_regions_reject_non_finite_bounds():
             Box(np.array([0.0, 0.0]), np.array([1.0, bad]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            Ball(bad)
+            Ball(3, bad)
         with pytest.raises(ValueError):
-            NonNegL1Cap(bad)
+            NonNegL1Cap(3, bad)
 
 
 def test_region_contains():
     box = Box.cube(3, -1, 1)
     assert region_contains(box, np.zeros(3))
     assert not region_contains(box, np.array([0.0, 0.0, 1.5]))
-    ball = Ball(2.0)
+    ball = Ball(3, 2.0)
     assert region_contains(ball, np.array([1.0, 1.0, 1.0]))
     assert not region_contains(ball, np.array([2.0, 2.0, 0.0]))
-    capr = NonNegL1Cap(1.0)
+    capr = NonNegL1Cap(3, 1.0)
     assert region_contains(capr, np.array([0.25, 0.25, 0.25]))
     assert not region_contains(capr, np.array([-0.1, 0.0, 0.0]))
     assert not region_contains(capr, np.array([0.9, 0.9, 0.0]))
@@ -285,8 +293,11 @@ def test_region_contains():
         (Box.cube(3, 0, 1), 0.5),
         (FlowPolytope(grid_graph(6, 7)), np.zeros(6)),
         (FlowPolytope(grid_graph(6, 7)), np.zeros((1, 7))),
-        (Ball(1.0), np.zeros((2, 2))),
-        (NonNegL1Cap(1.0), np.zeros((2, 2))),
+        (Ball(2, 1.0), np.zeros((2, 2))),
+        (NonNegL1Cap(2, 1.0), np.zeros((2, 2))),
+        (Ball(3, 1.0), np.zeros(7)),
+        (Ball(3, 1.0), np.zeros(0)),
+        (NonNegL1Cap(3, 1.0), np.zeros(2)),
     ):
         with pytest.raises(ValueError):
             region_contains(region, x)
@@ -294,8 +305,9 @@ def test_region_contains():
 
 def test_forward_problem_validation_and_canonical_sign():
     cm = CostMap(CostKind.ADDITIVE, 3, 3)
-    with pytest.raises(ValueError):
-        ForwardProblem(cm, Box.cube(4, 0, 1), Sense.MIN)
+    for region in (Box.cube(4, 0, 1), Ball(4, 1.0), NonNegL1Cap(2, 1.0)):
+        with pytest.raises(ValueError, match="dim"):
+            ForwardProblem(cm, region, Sense.MIN)
     # NaN curvature used to solve as linear and score NaN regret; inf scored NaN too
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
@@ -425,7 +437,7 @@ def test_rng_stream_reproducible_and_key_separated():
 
 def test_sample_region_helpers_feasible():
     rng = rng_stream(0, 6)
-    for region, d in [(Box.cube(4, -2, 1), 4), (Ball(3.0), 5), (NonNegL1Cap(2.0), 6)]:
+    for region, d in [(Box.cube(4, -2, 1), 4), (Ball(5, 3.0), 5), (NonNegL1Cap(6, 2.0), 6)]:
         for _ in range(50):
             assert region_contains(region, sample_region(region, d, rng))
 

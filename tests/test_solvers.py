@@ -238,7 +238,7 @@ def test_project_ball_matches_oracle():
         v = rng.uniform(-4, 4, d)
         r = float(rng.uniform(0.5, 3.0))
         np.testing.assert_allclose(
-            project(Ball(r), v), rescale_ball(v[None, :], r)[0], atol=1e-12
+            project(Ball(d, r), v), rescale_ball(v[None, :], r)[0], atol=1e-12
         )
 
 
@@ -248,7 +248,7 @@ def test_project_cap_matches_newton_and_dykstra():
         d = int(rng.integers(1, 7))
         cap = float(rng.uniform(0.5, 4.0))
         v = rng.uniform(-3, 3, d)
-        got = project(NonNegL1Cap(cap), v)
+        got = project(NonNegL1Cap(d, cap), v)
         np.testing.assert_allclose(got, newton_cap(v[None, :], cap)[0], atol=1e-10)
         if trial % 4 == 0:
             np.testing.assert_allclose(got, dykstra_cap(v, cap), atol=1e-7)
@@ -257,7 +257,7 @@ def test_project_cap_matches_newton_and_dykstra():
 def test_project_cap_variational_inequality():
     """<v - x, z - x> <= 0 for feasible z certifies the projection."""
     rng = rng_stream(23)
-    region = NonNegL1Cap(2.0)
+    region = NonNegL1Cap(5, 2.0)
     for _ in range(60):
         v = rng.uniform(-3, 3, 5)
         x = project(region, v)
@@ -272,8 +272,8 @@ def test_project_rejects_bad_points():
     g = random_dag(rng_stream(25))
     regions = [
         (Box.cube(3, -1.0, 1.0), 3),
-        (Ball(2.0), 3),
-        (NonNegL1Cap(2.0), 3),
+        (Ball(3, 2.0), 3),
+        (NonNegL1Cap(3, 2.0), 3),
         (FlowPolytope(g), g.num_edges),
     ]
     for region, d in regions:
@@ -286,7 +286,7 @@ def test_project_rejects_bad_points():
             project(region, np.zeros((2, d)))
         with pytest.raises(ValueError, match="1-D"):
             project(region, 0.5)
-    for region, d in regions[::3]:
+    for region, d in regions:
         for n in (d - 1, d + 1):
             with pytest.raises(ValueError, match="entries"):
                 project(region, np.zeros(n))
@@ -320,9 +320,9 @@ def test_linear_argmax_box_dominates_feasible_points():
 def test_linear_argmax_tie_breaks():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
     np.testing.assert_array_equal(_linear_argmax_batch(box, np.zeros((1, 2)))[0], [0.0, 2.0])
-    ball = Ball(2.0)
+    ball = Ball(3, 2.0)
     np.testing.assert_array_equal(_linear_argmax_batch(ball, np.zeros((1, 3)))[0], np.zeros(3))
-    capr = NonNegL1Cap(3.0)
+    capr = NonNegL1Cap(2, 3.0)
     np.testing.assert_array_equal(_linear_argmax_batch(capr, np.array([[-1.0, -2.0]]))[0], [0.0, 0.0])
     # ties in the cap argmax go to the lowest index
     np.testing.assert_array_equal(_linear_argmax_batch(capr, np.array([[2.0, 2.0]]))[0], [3.0, 0.0])
@@ -330,7 +330,7 @@ def test_linear_argmax_tie_breaks():
 
 def test_linear_argmax_ball_closed_form():
     rng = rng_stream(31)
-    ball = Ball(1.5)
+    ball = Ball(5, 1.5)
     for _ in range(50):
         hc = rng.standard_normal(5)
         x = _linear_argmax_batch(ball, hc[None])[0]
@@ -351,8 +351,8 @@ def test_linear_argmax_batch_matches_scalar():
     rng = rng_stream(33)
     for region, d in [
         (Box.cube(4, -1, 1), 4),
-        (Ball(2.0), 4),
-        (NonNegL1Cap(3.0), 4),
+        (Ball(4, 2.0), 4),
+        (NonNegL1Cap(4, 3.0), 4),
         (FlowPolytope(random_dag(rng)), None),
     ]:
         d = d if d is not None else region.graph.num_edges
@@ -375,8 +375,8 @@ def test_solve_regularized_matches_pg_oracle():
     rng = rng_stream(40)
     cases = {
         "box": (Box.cube(4, -1.5, 2.0), lambda x: np.clip(x, -1.5, 2.0)),
-        "ball": (Ball(2.5), lambda x: rescale_ball(x, 2.5)),
-        "cap": (NonNegL1Cap(2.0), lambda x: newton_cap(x, 2.0)),
+        "ball": (Ball(4, 2.5), lambda x: rescale_ball(x, 2.5)),
+        "cap": (NonNegL1Cap(4, 2.0), lambda x: newton_cap(x, 2.0)),
     }
     u = np.zeros(1)
     for name, (region, projector) in cases.items():
@@ -427,7 +427,7 @@ def test_solve_regularized_rejects_bad_lam():
 
 
 def test_solve_regularized_converges_to_exact_as_lam_shrinks():
-    fp = _identity_problem(Ball(2.0), 4)
+    fp = _identity_problem(Ball(4, 2.0), 4)
     h = np.array([1.0, 2.0, -1.0, 0.5])
     x_star = solve_exact(fp, h, np.zeros(1))
     x_tiny = solve_regularized(fp, h, np.zeros(1), 1e-8)

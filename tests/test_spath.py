@@ -9,6 +9,7 @@ from fyinv import (
     Graph,
     MetricsReport,
     ParseError,
+    Parameter,
     SgdConfig,
     SpDataset,
     UnsupportedRegionError,
@@ -123,6 +124,11 @@ def test_sp_dataset_validation_and_views():
     assert sp.times.shape == (8, 20)
     with pytest.raises(ValueError):
         SpDataset(sp.graph, sp.contexts, sp.times, sp.observations[:, :-1])
+    # a truth of the wrong size used to construct, and sp_run fitted before
+    # parameter_error raised
+    for size in (5, 20 * 2, 20 * 3 + 1):
+        with pytest.raises(ValueError, match="parameter"):
+            SpDataset(sp.graph, sp.contexts, sp.times, sp.observations, Parameter(np.ones(size)))
     sub = sp.subset([1, 3])
     assert len(sub) == 2
     np.testing.assert_array_equal(sub.contexts, sp.contexts[[1, 3]])
