@@ -47,7 +47,6 @@ from .solvers import (
 from .losses import (
     fy_grad,
     fy_loss,
-    kka_dual_dim,
     kka_grad,
     kka_objective,
     subopt_loss,
@@ -66,13 +65,10 @@ from .synth import EXAMPLE_KINDS, ExampleSpec, build_example, generate
 from .metrics import (
     CalibrationReport,
     MetricsReport,
-    RegretBoundReport,
     calibration_check,
     decision_error,
     parameter_error,
     regret,
-    regret_bound_check,
-    relative_regret_ratio,
 )
 from .spath import (
     SpDataset,
@@ -113,7 +109,6 @@ __all__ = [
     "NonNegL1Cap",
     "Parameter",
     "ParseError",
-    "RegretBoundReport",
     "Sense",
     "SgdConfig",
     "SpDataset",
@@ -130,7 +125,6 @@ __all__ = [
     "fy_sgd_fit",
     "generate",
     "grid_graph",
-    "kka_dual_dim",
     "kka_fit",
     "kka_grad",
     "kka_objective",
@@ -142,8 +136,6 @@ __all__ = [
     "project",
     "region_contains",
     "regret",
-    "regret_bound_check",
-    "relative_regret_ratio",
     "rng_stream",
     "sample_dataset",
     "shortest_path",

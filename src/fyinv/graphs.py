@@ -77,23 +77,6 @@ class Graph:
         return int(self.tails.size)
 
     @cached_property
-    def incidence(self) -> np.ndarray:
-        """Node-edge incidence matrix A: +1 at the tail, -1 at the head."""
-        a = np.zeros((self.num_nodes, self.num_edges))
-        cols = np.arange(self.num_edges)
-        np.add.at(a, (self.tails, cols), 1.0)
-        np.add.at(a, (self.heads, cols), -1.0)
-        return a
-
-    @cached_property
-    def supply(self) -> np.ndarray:
-        """Right-hand side b of the flow constraints: one unit source -> sink."""
-        b = np.zeros(self.num_nodes)
-        b[self.source] = 1.0
-        b[self.sink] = -1.0
-        return b
-
-    @cached_property
     def _topo_edge_order(self) -> list[tuple[int, int, int]]:
         """Edges sorted by topological position of the tail.
 

@@ -183,22 +183,6 @@ def _cap_kkt(r: NonNegL1Cap, hcs: np.ndarray, ys: np.ndarray):
 _KKT_FORMS = {Box: _box_kkt, NonNegL1Cap: _cap_kkt}  # region type -> its KKT form
 
 
-def _kkt_form(region):
-    """The KKT form of the region's type; UnsupportedRegionError for any other."""
-    if type(region) not in _KKT_FORMS:
-        raise UnsupportedRegionError(
-            f"KKT objective supports Box and NonNegL1Cap regions, not {type(region).__name__}"
-        )
-    return _KKT_FORMS[type(region)]
-
-
-def kka_dual_dim(fp: ForwardProblem) -> int:
-    """Number of dual variables per observation for the KKT objective."""
-    r = fp.region
-    # the count the region's KKT form returns, read off one zero observation
-    return _kkt_form(r)(r, np.zeros((1, r.dim)), np.zeros((1, r.dim)))[0].shape[1]
-
-
 def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
     """Mean KKT objective at its minimizing duals, its theta-gradient, the duals.
 
@@ -207,7 +191,11 @@ def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
     Danskin's rule the theta-gradient at those duals is the gradient of the
     objective minimized over them.
     """
-    form = _kkt_form(fp.region)
+    form = _KKT_FORMS.get(type(fp.region))
+    if form is None:
+        raise UnsupportedRegionError(
+            f"KKT objective supports Box and NonNegL1Cap regions, not {type(fp.region).__name__}"
+        )
     hcs = fp._canonical_costs(t, ds.contexts)
     duals, blocks = form(fp.region, hcs, ds.decisions)
     # Huge duals overflow to inf here instead of warning; kka_fit turns a

@@ -1,4 +1,4 @@
-"""Evaluation metrics and theorem-shaped diagnostic checks.
+"""Evaluation metrics and the calibration check.
 
 Decision error and regret are averages over a fixed bank of evaluation
 contexts, always computed through the deterministic exact solver so that
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import shortest_path_batch
 from .losses import _fy_batch
 from .model import (
-    FlowPolytope,
     ForwardProblem,
     Parameter,
     _check_contexts,
@@ -25,17 +23,16 @@ from .model import (
 )
 from .solvers import _solve_exact_batch, _solve_reg_batch
 
-# Roundoff allowance of the two inequality checks below.
+# Roundoff allowance of the calibration inequality.
 _SLACK = 1e-8
 
 
 def parameter_error(theta_hat, theta_star) -> float:
-    """l1 distance between flattened parameter vectors."""
-    a = theta_hat.values if isinstance(theta_hat, Parameter) else np.ravel(theta_hat)
-    b = theta_star.values if isinstance(theta_star, Parameter) else np.ravel(theta_star)
-    if a.size != b.size:
+    """l1 distance between flattened parameter vectors; each must be finite."""
+    a, b = (t if isinstance(t, Parameter) else Parameter(t) for t in (theta_hat, theta_star))
+    if a.p != b.p:
         raise ValueError("parameter dimensions disagree")
-    return float(np.abs(a - b).sum())
+    return float(np.abs(a.values - b.values).sum())
 
 
 def _values(fp: ForwardProblem, theta) -> np.ndarray:
@@ -50,11 +47,6 @@ def _exact_batch(fp: ForwardProblem, t: np.ndarray, ctxs: np.ndarray) -> np.ndar
 def _mean_sq_dist(xs: np.ndarray, ys: np.ndarray) -> float:
     """Mean over rows of ||x_i - y_i||^2."""
     return float(np.mean(np.sum((xs - ys) ** 2, axis=1)))
-
-
-def _regret(fp: ForwardProblem, hcs: np.ndarray, xs_hat: np.ndarray, xs_star: np.ndarray) -> float:
-    """Mean canonical-objective gap of xs_hat below xs_star under costs hcs."""
-    return float(np.mean(fp._canonical_value(hcs, xs_star) - fp._canonical_value(hcs, xs_hat)))
 
 
 def decision_error(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
@@ -73,7 +65,8 @@ def regret(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> float:
     ctxs = _check_contexts(fp.cost_map, ctxs)
     hcs = fp._canonical_costs(_values(fp, theta_star), ctxs)
     xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
-    return _regret(fp, hcs, xs_hat, _solve_exact_batch(fp, hcs))
+    xs_star = _solve_exact_batch(fp, hcs)
+    return float(np.mean(fp._canonical_value(hcs, xs_star) - fp._canonical_value(hcs, xs_hat)))
 
 
 def _path_regret(times: np.ndarray, xs_hat: np.ndarray, xs_clair: np.ndarray):
@@ -89,26 +82,6 @@ def _path_regret(times: np.ndarray, xs_hat: np.ndarray, xs_clair: np.ndarray):
     if clair_mean <= 0:
         raise ValueError("clairvoyant cost must be positive")
     return reg, 100.0 * reg / clair_mean
-
-
-def relative_regret_ratio(fp: ForwardProblem, theta_hat, ctxs, times) -> float:
-    """Percent excess realized cost of predicted paths over clairvoyant ones.
-
-    ``times`` holds the realized edge costs of each evaluation record; the
-    clairvoyant benchmark re-solves the shortest path under those costs.
-    """
-    if not isinstance(fp.region, FlowPolytope):
-        raise ValueError("relative regret is defined for flow regions")
-    ctxs = _check_contexts(fp.cost_map, ctxs)
-    g = fp.region.graph
-    times = np.atleast_2d(np.asarray(times, dtype=float))
-    if times.shape != (ctxs.shape[0], g.num_edges):
-        raise ValueError(f"times must have shape ({ctxs.shape[0]}, {g.num_edges})")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
-    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
-    _, ratio = _path_regret(times, xs_hat, shortest_path_batch(g, times))
-    return ratio
 
 
 @dataclass(frozen=True)
@@ -151,6 +124,8 @@ def calibration_check(
     (theta_star is always included), which only shrinks the right-hand side,
     so the check is conservative and reported as a soft holds flag.
     """
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     ctxs = _check_contexts(fp.cost_map, ctxs)
     theta = _values(fp, theta)
     theta_star = _values(fp, theta_star)
@@ -174,41 +149,4 @@ def calibration_check(
         excess_risk_term=excess,
         rhs=rhs,
         holds=bool(lhs <= rhs + _SLACK),
-    )
-
-
-# ---------------------------------------------------------------------------
-# regret bound check
-
-
-@dataclass(frozen=True)
-class RegretBoundReport:
-    regret: float
-    cost_second_moment: float
-    decision_error: float
-    bound: float
-    holds: bool
-
-
-def regret_bound_check(fp: ForwardProblem, theta_hat, theta_star, ctxs) -> RegretBoundReport:
-    """Cauchy-Schwarz regret bound: regret <= sqrt(mean ||h||^2 * decision error).
-
-    Both moments are empirical means over the same contexts, which is what
-    makes the inequality an identity-level consequence of Cauchy-Schwarz
-    for linear objectives.
-    """
-    ctxs = _check_contexts(fp.cost_map, ctxs)
-    hcs = fp._canonical_costs(_values(fp, theta_star), ctxs)
-    xs_hat = _exact_batch(fp, _values(fp, theta_hat), ctxs)
-    xs_star = _solve_exact_batch(fp, hcs)
-    b_hat = float(np.mean(np.sum(hcs**2, axis=1)))
-    d_hat = _mean_sq_dist(xs_hat, xs_star)
-    reg = _regret(fp, hcs, xs_hat, xs_star)
-    bound = float(np.sqrt(b_hat * d_hat))
-    return RegretBoundReport(
-        regret=reg,
-        cost_second_moment=b_hat,
-        decision_error=d_hat,
-        bound=bound,
-        holds=bool(reg <= bound + _SLACK),
     )

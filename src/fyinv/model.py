@@ -230,7 +230,8 @@ class NonNegL1Cap:
 
 @dataclass(frozen=True)
 class FlowPolytope:
-    """Unit source->sink flows of a graph: {x in [0,1]^E : A x = b}.
+    """Unit source->sink flows of a graph: x in [0,1]^E that conserves flow
+    at every node but the source, which sends one unit, and the sink.
 
     Its dim is the edge count E.  Every ``Graph`` is acyclic, so this is
     exactly the convex hull of the source->sink path indicators: with a
@@ -246,7 +247,11 @@ class FlowPolytope:
     def _contains(self, x: np.ndarray) -> bool:
         tol = _CONTAINS_TOL
         g = self.graph
-        resid = g.incidence @ x - g.supply
+        # net outflow of each node, less the unit supply at the source and
+        # the unit demand at the sink
+        resid = np.bincount(g.tails, x, g.num_nodes) - np.bincount(g.heads, x, g.num_nodes)
+        resid[g.source] -= 1.0
+        resid[g.sink] += 1.0
         return bool(
             np.all(x >= -tol)
             and np.all(x <= 1.0 + tol)
@@ -456,6 +461,8 @@ def sample_dataset(
 
     if not _is_count(n):
         raise ValueError("n must be an integer >= 1")
+    if not isinstance(noise, NoiseModel):
+        raise ValueError("noise must be Noiseless, NoisyDecision or NoisyObjective")
     cm = fp.cost_map
     if contexts.dim != cm.m:
         raise ValueError(f"context dim {contexts.dim} does not match cost map m={cm.m}")

@@ -35,6 +35,7 @@ from .model import (
     Parameter,
     Sense,
     UniformContexts,
+    _is_count,
     sample_dataset,
 )
 
@@ -49,8 +50,8 @@ class ExampleSpec:
     def __post_init__(self):
         if self.kind not in EXAMPLE_KINDS:
             raise ValueError(f"kind must be one of {EXAMPLE_KINDS}")
-        if self.p < 3:
-            raise ValueError("examples need p >= 3")
+        if not _is_count(self.p, 3):
+            raise ValueError("examples need an integer p >= 3")
 
 
 def _coerce(spec: Union[str, ExampleSpec]) -> ExampleSpec:

@@ -30,7 +30,6 @@ from fyinv import (
     parameter_error,
     project,
     regret,
-    regret_bound_check,
     rng_stream,
     solve_exact,
     solve_regularized,
@@ -243,14 +242,14 @@ def test_regret_bounded_by_cost_decision_product():
     for kind in ("C", "E"):
         fp, theta_star, law = build_example(kind)
         ctxs = law.sample(rng_stream(203, ord(kind)), 500)
+        cost_moment = np.mean([np.sum(cost(fp.cost_map, theta_star, u) ** 2) for u in ctxs])
         scales = (0.1, 0.5, 1.0, 2.0)
         for t in range(50):
             rng = rng_stream(204, ord(kind), t)
             theta_hat = theta_star.values + scales[t % 4] * rng.standard_normal(fp.cost_map.p)
-            rep = regret_bound_check(fp, theta_hat, theta_star, ctxs)
-            assert rep.holds, (
-                f"{kind} draw {t}: regret {rep.regret:.4f} > bound {rep.bound:.4f}"
-            )
+            reg = regret(fp, theta_hat, theta_star, ctxs)
+            bound = np.sqrt(cost_moment * decision_error(fp, theta_hat, theta_star, ctxs))
+            assert reg <= bound + 1e-8, f"{kind} draw {t}: regret {reg:.4f} > bound {bound:.4f}"
 
 
 def test_grid_pipeline_beats_subgradient_baseline():

@@ -1,4 +1,5 @@
-"""Every third-party module the package or its tests import is declared.
+"""Every third-party module the package or its tests import is declared,
+and the package exports exactly the names it binds.
 
 The package may import the standard library, itself and the modules of
 ``[project].dependencies``; the tests may also import pytest and their own
@@ -8,6 +9,7 @@ The package may import the standard library, itself and the modules of
 import ast
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,13 @@ def test_tests_import_only_declared_dependencies():
     allowed = _declared_modules() | {"fyinv", "pytest", "oracles"}
     used = _third_party_imports(ROOT / "tests")
     assert {m: f for m, f in used.items() if m not in allowed} == {}
+
+
+def test_all_lists_every_public_name():
+    import fyinv
+
+    bound = {
+        name for name, v in vars(fyinv).items()
+        if not name.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert set(fyinv.__all__) == bound

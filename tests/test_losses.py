@@ -25,13 +25,11 @@ from fyinv import (
     fy_grad,
     fy_loss,
     grid_graph,
-    kka_dual_dim,
     kka_fit,
     kka_grad,
     kka_objective,
+    parameter_error,
     regret,
-    regret_bound_check,
-    relative_regret_ratio,
     rng_stream,
     solve_exact,
     solve_regularized,
@@ -234,21 +232,13 @@ def test_public_entry_points_reject_bad_theta(how):
         "calibration_check/theta": lambda t: calibration_check(fp, t, good, 0.5, ctxs),
         "calibration_check/star": lambda t: calibration_check(fp, good, t, 0.5, ctxs),
         "calibration_check/candidate": lambda t: calibration_check(fp, good, good, 0.5, ctxs, [t]),
-        "regret_bound_check/hat": lambda t: regret_bound_check(fp, t, good, ctxs),
-        "regret_bound_check/star": lambda t: regret_bound_check(fp, good, t, ctxs),
+        "parameter_error/hat": lambda t: parameter_error(t, good),
+        "parameter_error/star": lambda t: parameter_error(good, t),
     }
     for name, call in calls.items():
         call(good)
         with pytest.raises(ValueError, match="parameter"):
             call(_spoiled(good, how))
-    # relative regret needs a flow region
-    flow = _flow_problem()
-    flow_good = np.ones(flow.cost_map.p)
-    flow_ctxs = rng_stream(6).uniform(0, 1, (4, flow.cost_map.m))
-    times = np.ones((4, flow.cost_map.d))
-    relative_regret_ratio(flow, flow_good, flow_ctxs, times)
-    with pytest.raises(ValueError, match="parameter"):
-        relative_regret_ratio(flow, _spoiled(flow_good, how), flow_ctxs, times)
 
 
 @pytest.mark.parametrize(
@@ -360,13 +350,14 @@ def test_subopt_batch_matches_scalar_and_hinges():
 def test_kka_dual_dim_by_region():
     box = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), Box.cube(4, -1, 1), Sense.MIN)
     cap = ForwardProblem(CostMap(CostKind.ADDITIVE, 4, 4), NonNegL1Cap(4, 2.0), Sense.MIN)
-    assert kka_dual_dim(box) == 8
-    assert kka_dual_dim(cap) == 5
+    ds4 = Dataset(np.zeros((3, 4)), np.zeros((3, 4)))
+    assert kka_fit(box, ds4).meta["duals"].shape == (3, 8)
+    assert kka_fit(cap, ds4).meta["duals"].shape == (3, 5)
     for bad_region in (Ball(4, 1.0), FlowPolytope(grid_graph(6, 7))):
         d = bad_region.dim
         fp = ForwardProblem(CostMap(CostKind.ADDITIVE, d, d), bad_region, Sense.MIN)
         ds = Dataset(np.zeros((1, d)), np.zeros((1, d)))
-        for call in (kka_dual_dim, lambda fp: kka_objective(fp, np.zeros(d), ds),
+        for call in (lambda fp: kka_objective(fp, np.zeros(d), ds),
                      lambda fp: kka_grad(fp, np.zeros(d), ds), lambda fp: kka_fit(fp, ds)):
             with pytest.raises(UnsupportedRegionError):
                 call(fp)

@@ -1,4 +1,4 @@
-"""Decision metrics, the calibration inequality, and the regret bound."""
+"""Decision metrics, the shortest-path regret ratio, and the calibration inequality."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,19 @@ from fyinv import (
     CostKind,
     CostMap,
     ExampleSpec,
-    FlowPolytope,
     ForwardProblem,
     Parameter,
     Sense,
     build_example,
     calibration_check,
     decision_error,
-    grid_graph,
     parameter_error,
     regret,
-    regret_bound_check,
-    relative_regret_ratio,
     rng_stream,
     solve_exact,
 )
+from fyinv.graphs import shortest_path_batch
+from fyinv.metrics import _path_regret
 from fyinv.spath import synth_graph_instance, _flow_problem
 
 
@@ -88,47 +86,27 @@ def test_regret_counts_base_quad_curvature():
     assert got == pytest.approx(0.25)
 
 
-def test_relative_regret_ratio_flow_only():
-    fp, _, _ = build_example(ExampleSpec("C", p=4))
-    with pytest.raises(ValueError):
-        relative_regret_ratio(fp, np.zeros(4), np.zeros((2, 4)), np.ones((2, 4)))
+def _relative_regret(sp, theta):
+    """Percent regret of theta's exact paths against the clairvoyant ones."""
+    fp = _flow_problem(sp)
+    xs_hat = np.stack([solve_exact(fp, theta, u) for u in sp.contexts])
+    return _path_regret(sp.times, xs_hat, shortest_path_batch(sp.graph, sp.times))[1]
 
 
 def test_relative_regret_ratio_zero_for_perfect_predictor():
     sp = synth_graph_instance(num_nodes=20, num_edges=35, m=4, n=40, sigma=0.0, seed=5)
-    fp = _flow_problem(sp)
-    got = relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times)
+    got = _relative_regret(sp, sp.theta_star)
     assert got == pytest.approx(0.0, abs=1e-9)
 
 
 def test_relative_regret_ratio_positive_for_bad_predictor():
     sp = synth_graph_instance(num_nodes=20, num_edges=35, m=4, n=40, sigma=0.1, seed=6)
-    fp = _flow_problem(sp)
     rng = rng_stream(7)
     theta = sp.theta_star.values.reshape(35, 4)
     bad = theta + 3.0 * rng.standard_normal(theta.shape)
-    good = relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times)
-    worse = relative_regret_ratio(fp, bad, sp.contexts, sp.times)
+    good = _relative_regret(sp, sp.theta_star)
+    worse = _relative_regret(sp, bad)
     assert worse >= good >= 0.0
-
-
-def test_relative_regret_ratio_validates_record_count():
-    sp = synth_graph_instance(num_nodes=12, num_edges=20, m=3, n=10, sigma=0.0, seed=8)
-    fp = _flow_problem(sp)
-    with pytest.raises(ValueError):
-        relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times[:-1])
-
-
-def test_relative_regret_ratio_rejects_bad_times():
-    sp = synth_graph_instance(num_nodes=6, num_edges=7, m=3, n=20, sigma=0.0, seed=8)
-    fp = _flow_problem(sp)
-    with pytest.raises(ValueError, match="times must have shape"):
-        relative_regret_ratio(fp, sp.theta_star, sp.contexts, sp.times[:, :-1])
-    for bad in (np.nan, np.inf):
-        times = sp.times.copy()
-        times[4, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            relative_regret_ratio(fp, sp.theta_star, sp.contexts, times)
 
 
 def test_calibration_holds_at_truth():
@@ -153,6 +131,16 @@ def test_calibration_holds_for_perturbations():
         assert rep.rhs >= rep.lhs - 1e-8
 
 
+def test_calibration_rejects_bad_lam():
+    # lam = 0 divided by zero in the regularized solve of this base_quad = 0
+    # family before the loss checked it
+    fp, theta_star, law = build_example(ExampleSpec("C", p=4))
+    ctxs = law.sample(rng_stream(105), 10)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam"):
+            calibration_check(fp, theta_star, theta_star, lam, ctxs)
+
+
 def test_calibration_candidates_only_tighten():
     rng = rng_stream(104)
     fp, theta_star, law = build_example(ExampleSpec("C", p=5))
@@ -163,29 +151,6 @@ def test_calibration_candidates_only_tighten():
     rich = calibration_check(fp, theta, theta_star, 0.1, ctxs, candidates=cands)
     assert rich.rhs <= plain.rhs + 1e-12
     assert rich.lhs == plain.lhs
-
-
-def test_regret_bound_holds_on_random_estimates():
-    rng = rng_stream(105)
-    for kind in "CE":
-        fp, theta_star, law = build_example(ExampleSpec(kind, p=5))
-        ctxs = law.sample(rng, 60)
-        for scale in (0.1, 0.5, 1.0, 2.0):
-            theta_hat = theta_star.values + scale * rng.standard_normal(5)
-            rep = regret_bound_check(fp, theta_hat, theta_star, ctxs)
-            assert rep.holds, kind
-            assert rep.regret <= rep.bound + 1e-8
-            assert rep.cost_second_moment > 0.0
-
-
-def test_regret_bound_report_fields():
-    fp, theta_star, law = build_example(ExampleSpec("C", p=4))
-    ctxs = law.sample(rng_stream(106), 20)
-    rep = regret_bound_check(fp, theta_star, theta_star, ctxs)
-    assert rep.decision_error == 0.0
-    assert rep.regret == 0.0
-    assert rep.bound == 0.0
-    assert rep.holds
 
 
 def test_metrics_reject_bad_contexts():
@@ -205,5 +170,3 @@ def test_metrics_reject_bad_contexts():
             regret(fp, theta, theta_star, c)
         with pytest.raises(ValueError):
             calibration_check(fp, theta, theta_star, 0.5, c)
-        with pytest.raises(ValueError):
-            regret_bound_check(fp, theta, theta_star, c)

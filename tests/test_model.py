@@ -425,6 +425,10 @@ def test_sample_dataset_validation():
             sample_dataset(fp, np.zeros(4), n, Noiseless(), UniformContexts(-1, 1, 4), 0)
     with pytest.raises(ValueError):
         sample_dataset(fp, np.zeros(4), 5, Noiseless(), UniformContexts(-1, 1, 3), 0)
+    # anything but the three noise models was sampled as noiseless
+    for noise in (None, "noisy_decision", 0.5, NoisyDecision):
+        with pytest.raises(ValueError, match="noise"):
+            sample_dataset(fp, np.zeros(4), 5, noise, UniformContexts(-1, 1, 4), 0)
 
 
 def test_rng_stream_reproducible_and_key_separated():

@@ -23,9 +23,13 @@ from fyinv import (
 def test_example_spec_validation():
     with pytest.raises(ValueError):
         ExampleSpec("F")
-    with pytest.raises(ValueError):
-        ExampleSpec("A", p=2)
+    for p in (2, float("nan"), 4.0, "4", True):
+        with pytest.raises(ValueError):
+            ExampleSpec("A", p=p)
     assert ExampleSpec("A").p == 10
+    for noise in (None, "noisy_decision"):
+        with pytest.raises(ValueError, match="noise"):
+            generate("C", 5, noise, 0)
 
 
 def test_build_example_accepts_lowercase_strings():

@@ -26,7 +26,6 @@ from fyinv import (
     build_example,
     fy_sgd_fit,
     generate,
-    kka_dual_dim,
     kka_fit,
     kka_grad,
     kka_objective,
@@ -381,15 +380,15 @@ def test_kka_reduced_objective_is_2_smooth():
     lr = _SYNTH_CFG["KKA"].learning_rate
     checked = []
     for key, kind in enumerate(EXAMPLE_KINDS):
-        fp, _, law = build_example(kind)
+        fp, theta_star, law = build_example(kind)
+        ds = generate(kind, 300, NoisyDecision(1.0), 11)
         try:
-            kka_dual_dim(fp)
+            kka_objective(fp, theta_star, ds)
         except UnsupportedRegionError:
             continue
         checked.append(kind)
         rng = rng_stream(11, key)
         assert lr * _kka_curvature_bound(fp, law.sample(rng, 2000)) <= 1.0 + 1e-12, kind
-        ds = generate(kind, 300, NoisyDecision(1.0), 11)
         big_l = _kka_curvature_bound(fp, ds.contexts)
         assert big_l <= 2.0 + 1e-12, kind
         p = fp.cost_map.p
