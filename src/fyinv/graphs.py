@@ -141,8 +141,8 @@ def shortest_path(g: Graph, costs: np.ndarray) -> np.ndarray:
     shortest_path_batch), so the output is deterministic even with
     all-zero costs.  Costs may be negative: the graph is acyclic.
 
-    Raises ValueError on non-finite costs and UnreachableError if the sink
-    cannot be reached.
+    Raises ValueError on non-finite costs or a path cost that overflows,
+    and UnreachableError if the graph has no path to the sink.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (g.num_edges,):
@@ -164,8 +164,8 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
     a sweep updating only on strict improvement keeps, so among equal-cost
     paths the one whose edges come first in scan order wins.
 
-    Raises ValueError on non-finite costs and UnreachableError if the sink
-    cannot be reached.
+    Raises ValueError on non-finite costs or a path cost that overflows,
+    and UnreachableError if the graph has no path to the sink.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[1] != g.num_edges:
@@ -189,11 +189,19 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
 
     # One sweep in topological order settles the graph: dist[t] is final
     # before any out-edge of t is scanned.  Each edge's cost row is
-    # overwritten with its candidate dist[t] + costs[e].
-    for t, h, e in g._topo_edge_order:
-        np.add(d[t], c[e], out=c[e])
-        np.fmin(d[h], c[e], out=d[h])
+    # overwritten with its candidate dist[t] + costs[e].  A sum that
+    # overflows becomes +-inf and is only an error if it reaches the sink.
+    with np.errstate(over="ignore"):
+        for t, h, e in g._topo_edge_order:
+            np.add(d[t], c[e], out=c[e])
+            np.fmin(d[h], c[e], out=d[h])
     if np.isinf(dist[g.sink]).any():
+        reached = {g.source}
+        for t, h, _ in g._topo_edge_order:
+            if t in reached:
+                reached.add(h)
+        if g.sink in reached:
+            raise ValueError("path costs overflow")
         raise UnreachableError(f"no path from node {g.source} to node {g.sink}")
     pred = _first_tight_in_edges(g, dist, work)
     # Freed before the output is allocated, which then reuses their memory:

@@ -38,8 +38,11 @@ class FwConfig:
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
     a face, so every ``correct_every`` iterations each row's iterate is
     replaced by the exact projection onto the hull of the vertices it has
-    visited, as one active-set solve (from the centroid) over all those rows
-    padded to their largest vertex count (_correct_rows).  With the optimal
+    visited, as an active-set solve (from the centroid) over all those rows
+    padded to their largest vertex count (_correct_rows).  Visited vertices
+    are stored as packed bits, 1 bit per edge, and the correction unpacks
+    them in row blocks of about 2 MiB, each padded to that same group-wide
+    count, so the blocks give the bits of one stack.  With the optimal
     face's vertices in hand that snaps the iterate onto the true projection
     and the gap collapses to roundoff.
     Bitwise-equal targets in one batch share one solve, and the output is
@@ -212,16 +215,19 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     the final gap) if the budget runs out before the gap reaches gap_tol.
 
     Per-row state (visited vertices and the iterate) lives in padded
-    arrays; rows whose duality gap certificate is met drop out of the
-    working set.  The gap is checked before stepping, so a row whose very
-    first vertex is optimal is returned untouched.
+    arrays, each vertex a 0/1 path packed 8 edges to a byte; rows whose
+    duality gap certificate is met drop out of the working set.  The gap
+    is checked before stepping, so a row whose very first vertex is
+    optimal is returned untouched.
 
     Bitwise-equal targets share one solve: only the distinct rows, in
     first-appearance order, run, and the result is expanded back.  A row's
     trajectory depends only on its own target and on batch-level values
     (the vertex cap, the padded width of each correction) that are the same
     for the distinct rows as for the whole batch, so the output is bitwise
-    identical to solving every row.
+    identical to solving every row.  Corrections unpack the vertices in row
+    blocks of about 2 MiB, each padded to the correction's group-wide width,
+    so the block size does not change the bits either.
     """
     first, inv = _distinct_rows(targets)
     if first is not None:
@@ -229,9 +235,9 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     nb = targets.shape[0]
     x = shortest_path_batch(g, -targets)
     cap = 8
-    # Vertices are 0/1 paths, stored exactly as bytes.
-    verts = np.zeros((nb, cap, targets.shape[1]), dtype=np.uint8)
-    verts[:, 0] = x
+    # Vertices are 0/1 paths, stored exactly as packed bits.
+    verts = np.zeros((nb, cap, -(-targets.shape[1] // 8)), dtype=np.uint8)
+    verts[:, 0] = np.packbits(x.astype(bool), axis=1)
     counts = np.ones(nb, dtype=np.int64)
     active = np.ones(nb, dtype=bool)
 
@@ -254,12 +260,13 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
         denom = np.einsum("ij,ij->i", d, d)
         gamma = np.where(denom > 0, np.clip(gap / np.maximum(denom, 1e-300), 0.0, 1.0), 1.0)
         x[rows] += gamma[:, None] * d
+        del grad, d  # freed before a correction unpacks its block
 
         kmax = int(counts[rows].max())
         if kmax == cap:
             cap *= 2
             verts = np.concatenate([verts, np.zeros_like(verts)], axis=1)
-        s = s.astype(np.uint8)  # from here on only matched and stored, as bytes
+        s = np.packbits(s.astype(bool), axis=1)  # from here on only matched and stored
         sub = verts[rows, :kmax]
         hit = (sub == s[:, None, :]).all(axis=2)
         hit &= np.arange(kmax)[None, :] < counts[rows, None]
@@ -300,38 +307,50 @@ def _distinct_rows(a: np.ndarray):
     return first[order], np.argsort(order)[inv]
 
 
+# Float64 elements of the (rows x vertices x edges) vertex stack that one
+# _correct_rows block unpacks at a time: about 2 MiB.
+_CORRECT_BLOCK_ELEMS = 2**18
+
+
 def _correct_rows(verts, counts, x, targets, rows) -> None:
     """Exact projection onto each row's visited-vertex hull, in place.
 
-    Every row with more than one vertex joins one _simplex_lsq_batch stack,
-    padded to the largest vertex count; slots past a row's count (which may
-    still hold vertices left behind by earlier compactions) are masked out.
-    A candidate only replaces the iterate when it does not worsen the
-    objective, so a garbage solve from a near-singular system can never
-    hurt.  Vertices whose weight drops to zero leave the row, and only the
-    vertices behind them are moved.
+    Every row with more than one vertex is corrected, padded to the largest
+    vertex count k among them; slots past a row's count (which may still
+    hold vertices left behind by earlier compactions) are masked out.  The
+    rows run in blocks of about _CORRECT_BLOCK_ELEMS unpacked floats, each
+    block one _simplex_lsq_batch stack padded to that same k.  A row's
+    result depends only on its own vertices, its target and k, so the
+    blocks give the same bits as one stack.  A candidate only replaces the
+    iterate when it does not worsen the objective, so a garbage solve from
+    a near-singular system can never hurt.  Vertices whose weight drops to
+    zero leave the row, and only the vertices behind them are moved.
     """
     grp = rows[counts[rows] > 1]
     if grp.size == 0:
         return
     k = int(counts[grp].max())
-    valid = np.arange(k) < counts[grp, None]
-    P = verts[grp, :k].astype(float)
-    t = targets[grp]
-    w = _simplex_lsq_batch(P, t, valid)
-    x_new = (w[:, None, :] @ P)[:, 0]
-    f_new = 0.5 * np.sum((x_new - t) ** 2, axis=1)
-    ok = f_new <= 0.5 * np.sum((x[grp] - t) ** 2, axis=1) + 1e-15
-    grp, w = grp[ok], w[ok]
-    x[grp] = x_new[ok]
-    keep = (w > 1e-14) & valid[ok]
-    keep[np.arange(grp.size), w.argmax(axis=1)] = True  # never an empty row
-    # Stable compaction: a kept vertex moves to the slot numbered by the
-    # kept vertices before it, so only those behind a dropped one move.
-    dst = np.cumsum(keep, axis=1) - 1
-    i, j = np.nonzero(keep & (dst != np.arange(k)))
-    verts[grp[i], dst[i, j]] = verts[grp[i], j]
-    counts[grp] = dst[:, -1] + 1
+    e = targets.shape[1]
+    step = max(1, _CORRECT_BLOCK_ELEMS // (k * e))
+    for lo in range(0, grp.size, step):
+        blk = grp[lo : lo + step]
+        valid = np.arange(k) < counts[blk, None]
+        P = np.unpackbits(verts[blk, :k], axis=2, count=e).astype(float)
+        t = targets[blk]
+        w = _simplex_lsq_batch(P, t, valid)
+        x_new = (w[:, None, :] @ P)[:, 0]
+        f_new = 0.5 * np.sum((x_new - t) ** 2, axis=1)
+        ok = f_new <= 0.5 * np.sum((x[blk] - t) ** 2, axis=1) + 1e-15
+        blk, w = blk[ok], w[ok]
+        x[blk] = x_new[ok]
+        keep = (w > 1e-14) & valid[ok]
+        keep[np.arange(blk.size), w.argmax(axis=1)] = True  # never an empty row
+        # Stable compaction: a kept vertex moves to the slot numbered by the
+        # kept vertices before it, so only those behind a dropped one move.
+        dst = np.cumsum(keep, axis=1) - 1
+        i, j = np.nonzero(keep & (dst != np.arange(k)))
+        verts[blk[i], dst[i, j]] = verts[blk[i], j]
+        counts[blk] = dst[:, -1] + 1
 
 
 def _simplex_lsq_batch(P: np.ndarray, t: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Every third-party module the package or its tests import is declared,
-and the package exports exactly the names it binds.
+every module-level import is used, and the package exports exactly the
+names it binds.
 
 The package may import the standard library, itself and the modules of
 ``[project].dependencies``; the tests may also import pytest and their own
@@ -68,3 +69,31 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert set(fyinv.__all__) == bound
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a file's module-level imports bind but the file never reads.
+
+    A name counts as read where it appears as a Name node (attribute chains
+    start with one) or in the file's own ``__all__``; ``__future__`` imports
+    bind nothing.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src" / "fyinv").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in files}
+    assert {f: names for f, names in unused.items() if names} == {}

@@ -1,5 +1,7 @@
 """Shortest paths, closed-form projections, and the Frank-Wolfe projector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,9 @@ from fyinv import (
     shortest_path,
     solve_exact,
     solve_regularized,
+    synth_graph_instance,
 )
+from fyinv import spath
 from fyinv.graphs import _backtrack, shortest_path_batch
 from fyinv.solvers import (
     _correct_rows,
@@ -44,7 +48,6 @@ from oracles import (
     relabel_nodes,
     rescale_ball,
     sample_region,
-    simplex_project,
     tie_broken_paths,
     vi_gap,
 )
@@ -136,6 +139,22 @@ def test_shortest_path_unreachable_raises():
     edgeless = Graph(3, np.array([], dtype=int), np.array([], dtype=int), 0, 2)
     with pytest.raises(UnreachableError):
         shortest_path(edgeless, np.zeros(0))
+
+
+def test_shortest_path_overflow_is_not_unreachable():
+    # path sums past the float64 range used to warn and then report "no path"
+    g = grid_graph(45, 93)
+    for big in (1e308, -1e308):
+        with pytest.raises(ValueError, match="overflow"):
+            shortest_path_batch(g, np.full((2, 93), big))
+    with pytest.raises(ValueError, match="overflow"):
+        project(FlowPolytope(g), np.full(93, -1e308))
+    # an overflowing detour is no error, and no path stays UnreachableError
+    g = Graph(3, np.array([0, 1, 0]), np.array([1, 2, 2]), 0, 2)
+    np.testing.assert_array_equal(shortest_path(g, np.array([1e308, 1e308, 1.0])), [0, 0, 1])
+    g = Graph(3, np.array([0]), np.array([1]), 0, 2)
+    with pytest.raises(UnreachableError):
+        shortest_path(g, np.array([1e308]))
 
 
 def test_shortest_path_deterministic_under_ties():
@@ -643,13 +662,14 @@ def test_correct_rows_ignores_stale_slots(monkeypatch):
     rng = rng_stream(60)
     nb, cap, e = 8, 8, 10
     counts = np.array([1, 2, 3, 4, 5, 3, 4, 2])
-    verts = rng.integers(0, 2, (nb, cap, e)).astype(np.uint8)
-    clean = verts.copy()
+    bits = rng.integers(0, 2, (nb, cap, e)).astype(np.uint8)
     stale = np.arange(cap) >= counts[:, None]
+    verts = np.packbits(bits, axis=2)  # the packed layout of _fw_project_batch
+    clean = verts.copy()
     clean[stale] = 0
     mix = rng.uniform(0.1, 1.0, (nb, cap)) * ~stale
     mix /= mix.sum(axis=1, keepdims=True)
-    x = np.einsum("nk,nke->ne", mix, verts.astype(float))  # a point of each live hull
+    x = np.einsum("nk,nke->ne", mix, bits.astype(float))  # a point of each live hull
     targets = rng.uniform(-1.0, 2.0, (nb, e))
     rows = np.arange(nb)
 
@@ -677,3 +697,48 @@ def test_correct_rows_ignores_stale_slots(monkeypatch):
     assert np.all(c1 <= counts)
     np.testing.assert_array_equal(c1, c2)
     np.testing.assert_array_equal(v1, v2)
+
+
+def test_correct_rows_block_size_keeps_the_bits(monkeypatch):
+    # every block is padded to the group-wide vertex count, so one-row
+    # blocks give the bytes of one stack
+    rng = rng_stream(61)
+    stacks = []
+
+    def recorded(P, t, valid):
+        stacks.append(P.shape[0])
+        return _simplex_lsq_batch(P, t, valid)
+
+    monkeypatch.setattr("fyinv.solvers._simplex_lsq_batch", recorded)
+    graphs = [g for g in (random_dag(rng, 10) for _ in range(8)) if g.num_edges >= 12]
+    assert len(graphs) >= 3
+    for g in graphs:
+        # tie-heavy integer and half-integer rows, drawn with repeats
+        base = rng.integers(-2, 3, (120, g.num_edges)) * rng.choice([0.5, 1.0], (120, 1))
+        targets = base[rng.integers(0, base.shape[0], 320)]
+        for cfg in (FwConfig(), spath._FY_FW):
+            stacks.clear()
+            want = _fw_project_batch(g, targets.copy(), cfg)
+            assert max(stacks) > 1
+            with monkeypatch.context() as m:
+                m.setattr("fyinv.solvers._CORRECT_BLOCK_ELEMS", 1)
+                stacks.clear()
+                got = _fw_project_batch(g, targets.copy(), cfg)
+            assert max(stacks) == 1
+            assert got.tobytes() == want.tobytes()
+
+
+def test_fw_projection_memory_is_bounded():
+    # the grid FY fit's final 1,200-row risk evaluation: its traced peak was
+    # 31.1 MB with float vertex stacks in one correction, 6.5 MB with packed
+    # vertices corrected in blocks
+    sp = synth_graph_instance(seed=0)
+    fp = spath._flow_problem(sp)
+    targets = fp._canonical_costs(0.1 * sp.theta_star.values, sp.contexts[:1200]) / 0.5
+    tracemalloc.start()
+    try:
+        _fw_project_batch(sp.graph, targets, spath._FY_FW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6

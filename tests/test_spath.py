@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fyinv import (
-    Graph,
     MetricsReport,
     ParseError,
     Parameter,
