@@ -38,7 +38,7 @@ from .model import (
     _check_widths,
     as_parameter,
 )
-from .solvers import FwConfig, _linear_argmax_batch, _solve_reg_batch
+from .solvers import FwConfig, _check_lam, _linear_argmax_batch, _solve_reg_batch
 
 
 def _check_one(fp: ForwardProblem, theta, u, y):
@@ -54,14 +54,22 @@ def _check_one(fp: ForwardProblem, theta, u, y):
 # Fenchel-Young loss
 
 
+def _check_fy_one(fp: ForwardProblem, theta, u, y, lam: float):
+    """_check_one's rows, once lam passes solvers._check_lam at them."""
+    t, us, ys = _check_one(fp, theta, u, y)
+    _check_lam(fp, fp._canonical_costs(t, us), lam)
+    return t, us, ys
+
+
 def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> float:
-    """Fenchel-Young loss at one observation; lam must be positive and finite."""
-    return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[0]
+    """Fenchel-Young loss at one observation; lam must be positive and
+    finite, and large enough to keep hc / (base_quad + lam) finite."""
+    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam), lam, fw=fw)[0]
 
 
 def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
-    return _fy_batch(fp, *_check_one(fp, theta, u, y), lam, fw=fw)[1]
+    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam), lam, fw=fw)[1]
 
 
 def _fy_batch(

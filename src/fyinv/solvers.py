@@ -87,11 +87,29 @@ def _project_box_batch(vs: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _project_ball_batch(vs: np.ndarray, radius: float) -> np.ndarray:
-    nrm = np.linalg.norm(vs, axis=1)
+    nrm = _row_norms(vs)
     scale = np.ones_like(nrm)
     outside = nrm > radius
     scale[outside] = radius / nrm[outside]
-    return vs * scale[:, None]
+    return _rescale_overflowed(vs * scale[:, None], vs, nrm, radius)
+
+
+def _row_norms(vs: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: inf, with no warning, where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vs, axis=1)
+
+
+def _rescale_overflowed(out: np.ndarray, vs: np.ndarray, nrm: np.ndarray, radius: float) -> np.ndarray:
+    """out, with each row whose norm nrm overflowed to inf replaced by
+    radius * v / ||v||, the norm taken after dividing v by its largest
+    magnitude.  Rows with a finite norm keep their bits."""
+    huge = np.isinf(nrm)
+    if huge.any():
+        v = vs[huge]
+        v = v / np.abs(v).max(axis=1, keepdims=True)
+        out[huge] = (radius / np.linalg.norm(v, axis=1))[:, None] * v
+    return out
 
 
 def _project_nonneg_l1cap_batch(vs: np.ndarray, cap: float) -> np.ndarray:
@@ -146,9 +164,10 @@ def _linear_argmax_batch(region: Region, hcs: np.ndarray) -> np.ndarray:
         mid = 0.5 * (region.lo + region.hi)
         return np.where(hcs > 0, region.hi, np.where(hcs < 0, region.lo, mid))
     if isinstance(region, Ball):
-        nrm = np.linalg.norm(hcs, axis=1)
+        nrm = _row_norms(hcs)
         safe = np.where(nrm > 0, nrm, 1.0)
-        return np.where(nrm[:, None] > 0, (region.radius / safe)[:, None] * hcs, 0.0)
+        out = np.where(nrm[:, None] > 0, (region.radius / safe)[:, None] * hcs, 0.0)
+        return _rescale_overflowed(out, hcs, nrm, region.radius)
     if isinstance(region, NonNegL1Cap):
         k = hcs.argmax(axis=1)  # lowest index on ties
         x = np.zeros(hcs.shape)
@@ -183,11 +202,24 @@ def solve_regularized(
     """Unique optimum of the quadratically regularized forward problem.
 
     Solves max hc^T x - ((base_quad + lam)/2)||x||^2 over the region, i.e.
-    projects hc / (base_quad + lam).  Requires 0 < lam < inf.
+    projects hc / (base_quad + lam).  Requires 0 < lam < inf, and a lam
+    that keeps hc / (base_quad + lam) finite.
     """
+    hcs = fp.canonical_cost(theta, u)[None, :]
+    _check_lam(fp, hcs, lam)
+    return _solve_reg_batch(fp, hcs, lam, fw)[0]
+
+
+def _check_lam(fp: ForwardProblem, hcs: np.ndarray, lam: float) -> None:
+    """ValueError unless 0 < lam < inf and finite costs hcs stay finite
+    when scaled to the targets hc / (base_quad + lam).  Costs that are not
+    finite already pass: the fits report them as DivergedError."""
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    return _solve_reg_batch(fp, fp.canonical_cost(theta, u)[None, :], lam, fw)[0]
+    with np.errstate(over="ignore"):
+        targets = hcs / (fp.base_quad + lam)
+    if np.isfinite(hcs).all() and not np.isfinite(targets).all():
+        raise ValueError(f"lam = {lam:g} is too small: hc / (base_quad + lam) overflows")
 
 
 def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray) -> np.ndarray:

@@ -294,8 +294,9 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
 # kernel denoising and the two-stage SPA baseline
 
 
-# Float64 elements in the (rows x train x m) difference block that
-# _sq_distances reduces at a time: about 2 MB.
+# Float64 elements in one block of the kernel smoother: the K x rows x
+# train weights that _nw_predict holds at a time, and the rows x train x m
+# difference block that _sq_distances reduces at a time.  About 2 MiB each.
 _NW_BLOCK_ELEMS = 2**18
 
 
@@ -325,37 +326,77 @@ def _nw_weights(train_ctxs: np.ndarray, eval_ctxs: np.ndarray, bandwidth) -> np.
     distance computation, giving K x eval x train.  Peak memory is the
     weights, the eval x train distances (reused as the weights for a
     scalar bandwidth) and one difference block of about 2 MB: never an
-    (eval x train x m) temporary.
+    (eval x train x m) temporary.  A bandwidth whose 2 bw^2 underflows to 0
+    raises DegenerateKernelError; one whose 2 bw^2 overflows gives every
+    weight exp(-0) = 1.
     """
     bw = np.asarray(bandwidth, dtype=float)
     if not np.all(bw > 0):
         raise ValueError("bandwidth must be positive")
+    with np.errstate(over="ignore"):
+        scale = -(2.0 * bw[..., None, None] ** 2)
+    if np.any(scale == 0.0):
+        raise DegenerateKernelError(f"bandwidth {bandwidth} underflows the kernel scale 2 bw^2")
     d2 = _sq_distances(train_ctxs, eval_ctxs)
     w = d2 if bw.ndim == 0 else np.empty(bw.shape + d2.shape)
     # d2 / -(2 bw^2) has the bits of -d2 / (2 bw^2): IEEE division is
     # sign-symmetric
-    np.divide(d2, -(2.0 * bw[..., None, None] ** 2), out=w)
+    np.divide(d2, scale, out=w)
     return np.exp(w, out=w)
+
+
+def _nw_predict(
+    train_ctxs: np.ndarray, train_ys: np.ndarray, eval_ctxs: np.ndarray, bandwidth
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel mass and Nadaraya-Watson prediction of each evaluation row:
+    eval and eval x d for a scalar bandwidth, K x eval and K x eval x d for
+    a 1-D array of K bandwidths.
+
+    The evaluation rows stream through _nw_weights in equal blocks of at
+    most _NW_BLOCK_ELEMS weights (at least one row), so memory is the
+    outputs plus one block.  Each row's mass and prediction come from its
+    own weights alone; only the matrix product's BLAS kernel, which BLAS
+    picks by the block's shape, can move their last bits.  A row with zero
+    mass keeps its zero numerator: nothing divides by zero.
+    """
+    bw = np.asarray(bandwidth, dtype=float)
+    n_eval, (n_train, d) = len(eval_ctxs), train_ys.shape
+    mass = np.empty(bw.shape + (n_eval,))
+    pred = np.empty(bw.shape + (n_eval, d))
+    # blocks of equal size: a ragged tail of a few rows would send its
+    # product through a different BLAS kernel and change its last bits
+    blocks = -(-n_eval // max(1, _NW_BLOCK_ELEMS // (bw.size * n_train)))
+    rows = -(-n_eval // blocks)
+    for i in range(0, n_eval, rows):
+        w = _nw_weights(train_ctxs, eval_ctxs[i : i + rows], bw)
+        np.sum(w, axis=-1, out=mass[..., i : i + rows])
+        np.matmul(w, train_ys, out=pred[..., i : i + rows, :])
+    np.divide(pred, mass[..., None], out=pred, where=mass[..., None] > 0.0)
+    return mass, pred
 
 
 def nw_denoise(ds: Dataset, bandwidth: float) -> np.ndarray:
     """Nadaraya-Watson smoothing of the decisions with a Gaussian kernel.
 
     Each point keeps its own unit self-weight, so the estimate interpolates
-    as bandwidth -> 0 and tends to the sample mean as bandwidth -> infinity.
-    Raises DegenerateKernelError when the bandwidth is so small that no
-    point receives any neighbor mass at all (the kernel carries no
-    information beyond the identity).  Memory is O(n^2): the n x n weight
-    matrix plus a difference block of about 2 MB, whatever the context
-    width.
+    as bandwidth -> 0 and tends to the sample mean as bandwidth -> infinity
+    (a bandwidth whose square overflows gives the sample mean).  Raises
+    DegenerateKernelError when the bandwidth is so small that no point
+    receives any neighbor mass at all (the kernel carries no information
+    beyond the identity), or so small that 2 bw^2 underflows to 0; a
+    bandwidth that is not one positive number raises ValueError.  Memory is
+    O(n d) for the output plus blocks of about 2 MiB (see _nw_predict),
+    whatever n and the context width.
     """
-    w = _nw_weights(ds.contexts, ds.contexts, bandwidth)
-    off_mass = w.sum(axis=1) - np.diag(w)
-    if np.max(off_mass) == 0.0:
-        raise DegenerateKernelError(
-            f"bandwidth {bandwidth:g} leaves every point isolated"
-        )
-    return (w @ ds.decisions) / w.sum(axis=1, keepdims=True)
+    bw = np.asarray(bandwidth, dtype=float)
+    if bw.ndim != 0:
+        raise ValueError(f"bandwidth must be one number, got {bandwidth!r}")
+    mass, pred = _nw_predict(ds.contexts, ds.decisions, ds.contexts, bw)
+    # the self-weight is exactly exp(-0 / (2 bw^2)) = 1.0, so mass - 1.0 is
+    # the neighbor mass
+    if np.max(mass - 1.0) == 0.0:
+        raise DegenerateKernelError(f"bandwidth {float(bw):g} leaves every point isolated")
+    return pred
 
 
 # SPA's bandwidth grid and cross-validation fold count, fixed for every fit.
@@ -365,7 +406,12 @@ _SPA_FOLDS = 5
 
 def _cv_bandwidth(ds: Dataset, seed: int) -> float:
     """The member of _SPA_BANDWIDTHS with the least held-out reconstruction
-    error over _SPA_FOLDS folds drawn from a shuffle seeded by ``seed``."""
+    error over _SPA_FOLDS folds drawn from a shuffle seeded by ``seed``.
+
+    A bandwidth that leaves some held-out point with zero kernel mass
+    scores inf.  Memory is the fold's K x hold x d predictions plus one
+    block of _nw_predict.
+    """
     n = len(ds)
     folds = min(_SPA_FOLDS, n)
     assign = rng_stream(seed, 7).permutation(n) % folds
@@ -375,16 +421,14 @@ def _cv_bandwidth(ds: Dataset, seed: int) -> float:
         hold = assign == f
         if not np.any(hold) or np.all(hold):
             continue
-        ws = _nw_weights(ds.contexts[~hold], ds.contexts[hold], _SPA_BANDWIDTHS)
-        for k, w in enumerate(ws):
-            mass = w.sum(axis=1)
-            if np.any(mass == 0.0):
+        mass, pred = _nw_predict(
+            ds.contexts[~hold], ds.decisions[~hold], ds.contexts[hold], _SPA_BANDWIDTHS
+        )
+        for k in range(len(_SPA_BANDWIDTHS)):
+            if np.any(mass[k] == 0.0):
                 sse[k] = np.inf
-                continue
-            pred = (w @ ds.decisions[~hold]) / mass[:, None]
-            sse[k] += float(np.sum((pred - ds.decisions[hold]) ** 2))
-        # free this fold's stack before _nw_weights builds the next one
-        del ws, w
+            else:
+                sse[k] += float(np.sum((pred[k] - ds.decisions[hold]) ** 2))
         count += int(hold.sum())
     scores = sse / max(count, 1)
     if not np.isfinite(scores.min()):

@@ -165,6 +165,29 @@ def test_fy_rejects_nonpositive_lam():
             fy_grad(fp, theta, u, y, bad)
 
 
+def test_tiny_lam_rejects_an_overflowing_target():
+    # 0 < 1e-310 < inf passes the lam check, but hc / (base_quad + lam)
+    # overflows: NaN on families A and E, an overflow warning on B and C.
+    # Family D's base_quad = 2 keeps the target finite.
+    for kind in "ABCDE":
+        fp, theta, _ = build_example(kind)
+        u = rng_stream(24).uniform(0.5, 1.5, fp.cost_map.m)
+        y = np.zeros(fp.cost_map.d)
+        if fp.base_quad > 0:
+            np.testing.assert_array_equal(
+                solve_regularized(fp, theta, u, 1e-310), solve_exact(fp, theta, u)
+            )
+            assert np.isfinite(fy_loss(fp, theta, u, y, 1e-310))
+            continue
+        for call in (
+            lambda: solve_regularized(fp, theta, u, 1e-310),
+            lambda: fy_loss(fp, theta, u, y, 1e-310),
+            lambda: fy_grad(fp, theta, u, y, 1e-310),
+        ):
+            with pytest.raises(ValueError, match="overflows"):
+                call()
+
+
 def test_fy_shape_validation():
     _, fp = _example_problems()[0]
     theta = np.ones(fp.cost_map.p)

@@ -18,6 +18,7 @@ from fyinv import (
     NonNegL1Cap,
     Sense,
     UnreachableError,
+    build_example,
     UnsupportedRegionError,
     grid_graph,
     project,
@@ -34,6 +35,7 @@ from fyinv.solvers import (
     _correct_rows,
     _fw_project_batch,
     _linear_argmax_batch,
+    _project_ball_batch,
     _simplex_lsq_batch,
 )
 
@@ -259,6 +261,35 @@ def test_project_ball_matches_oracle():
         np.testing.assert_allclose(
             project(Ball(d, r), v), rescale_ball(v[None, :], r)[0], atol=1e-12
         )
+
+
+def test_ball_norm_overflow_keeps_the_direction():
+    # the squared norm of these rows overflows float64: the projection and
+    # the linear argmax used to scale them by radius / inf = 0
+    np.testing.assert_array_equal(project(Ball(3, 1.0), [1e200, 0, 0]), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(
+        project(Ball(2, 2.0), [1e308, -1e308]), [2**0.5, -(2**0.5)], rtol=1e-15
+    )
+    rows = np.array([[3e200, -4e200, 0.0], [3.0, -4.0, 0.0], [0.03, 0.04, 0.0]])
+    want = np.array([[0.6, -0.8, 0.0], [0.6, -0.8, 0.0], [0.03, 0.04, 0.0]])
+    got = _project_ball_batch(rows, 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    # rows with a finite norm keep their bits
+    np.testing.assert_array_equal(got[1:], rows[1:] * np.array([[1.0 / 5.0], [1.0]]))
+    np.testing.assert_allclose(
+        _linear_argmax_batch(Ball(3, 2.0), rows),
+        [[1.2, -1.6, 0.0], [1.2, -1.6, 0.0], [1.2, 1.6, 0.0]],
+        rtol=1e-15,
+    )
+
+    fp, _, _ = build_example("E")
+    u = np.zeros(fp.cost_map.m)
+    theta = rng_stream(23).uniform(0.5, 1.5, fp.cost_map.p)
+    x_ref = solve_regularized(fp, theta, u, 1e-3)
+    assert np.linalg.norm(x_ref) > 2.99  # the unregularized point lies outside the ball
+    for lam in (1e-160, 1e-300):
+        np.testing.assert_allclose(solve_regularized(fp, theta, u, lam), x_ref, rtol=1e-12)
+    np.testing.assert_allclose(solve_exact(fp, 1e300 * theta, u), solve_exact(fp, theta, u), rtol=1e-12)
 
 
 def test_project_cap_matches_newton_and_dykstra():

@@ -496,8 +496,10 @@ def test_nw_denoise_interpolates_at_tiny_bandwidth():
 
 def test_nw_denoise_tends_to_mean_at_huge_bandwidth():
     ds = _smooth_dataset()
-    out = nw_denoise(ds, 1e6)
-    np.testing.assert_allclose(out, np.tile(ds.decisions.mean(axis=0), (len(ds), 1)), atol=1e-8)
+    mean = np.tile(ds.decisions.mean(axis=0), (len(ds), 1))
+    np.testing.assert_allclose(nw_denoise(ds, 1e6), mean, atol=1e-8)
+    # bw^2 overflows: every weight is 1, with no overflow warning
+    np.testing.assert_allclose(nw_denoise(ds, 1e300), mean, rtol=1e-14)
 
 
 def test_nw_denoise_actually_smooths():
@@ -515,8 +517,12 @@ def test_nw_denoise_degenerate_bandwidth_raises():
     ds = Dataset(ctxs, np.ones((3, 1)))
     with pytest.raises(DegenerateKernelError):
         nw_denoise(ds, 1e-3)
-    with pytest.raises(ValueError):
-        nw_denoise(ds, 0.0)
+    # 2 bw^2 underflows to 0: the self-weight was 0/0 and every row NaN
+    with pytest.raises(DegenerateKernelError, match="underflow"):
+        nw_denoise(ds, 1e-300)
+    for bad in (0.0, [0.5], (0.5, 1.0), np.array([[0.5]])):
+        with pytest.raises(ValueError, match="bandwidth"):
+            nw_denoise(ds, bad)
 
 
 def test_nw_weights_blocks_match_direct_formula_bitwise():
@@ -536,36 +542,45 @@ def test_nw_weights_blocks_match_direct_formula_bitwise():
             assert np.all(got[..., -1, rows] == 1.0)
 
 
-def test_nw_denoise_memory_stays_near_the_weight_matrix():
-    # the n x n weights take n^2 x 8 B; an (n x n x m) distance temporary
-    # would take m times that
-    n, m = 1000, 10
-    rng = rng_stream(41)
-    ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        nw_denoise(ds, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * n * 8
 
 
-def test_cv_bandwidth_memory_holds_one_fold_of_weights():
-    # each fold stacks K (held-out x rest) weight blocks; the previous
-    # fold's stack must be freed before the next one is built
-    n, m = 1000, 10
+def test_nw_denoise_memory_is_flat_in_n():
+    # rows stream through blocks of about 2 MiB: at n = 3000 the n x n
+    # weights alone would take 72 MB
+    n, m = 3000, 10
     rng = rng_stream(41)
     ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
-    hold = n // fyinv.train._SPA_FOLDS
-    stack = len(fyinv.train._SPA_BANDWIDTHS) * hold * (n - hold) * 8
-    tracemalloc.start()
-    try:
-        _cv_bandwidth(ds, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * stack
+    assert _traced_peak(lambda: nw_denoise(ds, 0.5)) <= 12e6
+
+
+def test_cv_bandwidth_memory_is_flat_in_n():
+    # each fold keeps its K x hold x d predictions, not the K x hold x rest
+    # weights (69 MB at n = 3000)
+    n, m = 3000, 10
+    rng = rng_stream(41)
+    ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, m)))
+    assert _traced_peak(lambda: _cv_bandwidth(ds, 0)) <= 12e6
+
+
+def test_nw_row_blocks_match_direct_weights(monkeypatch):
+    rng = rng_stream(42)
+    n, m = 50, 3
+    ds = Dataset(rng.uniform(-1, 1, (n, m)), rng.standard_normal((n, 2)))
+    # blocks of 1 row, then 7 blocks of 7 rows and a ragged one of 1
+    for elems in (1, 7 * n):
+        monkeypatch.setattr(fyinv.train, "_NW_BLOCK_ELEMS", elems)
+        for bw in (0.25, 0.5, 2.0):
+            w = nw_weights_direct(ds.contexts, ds.contexts, bw)
+            want = (w @ ds.decisions) / w.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(nw_denoise(ds, bw), want, rtol=1e-12)
+        assert _cv_bandwidth(ds, 3) == _reference_choice(ds, 3)[0]
 
 
 def test_cv_bandwidth_deterministic_member_of_grid():
