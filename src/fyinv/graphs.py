@@ -1,8 +1,10 @@
 """Directed acyclic graphs and single-pair shortest paths.
 
-Graphs are acyclic by construction: a ``Graph`` with a cycle (a self-loop
-included) raises UnsupportedRegionError.  Edge costs may be negative; the
-solver settles every node in one relaxation sweep in topological order.
+Graphs are acyclic and join their source to their sink by construction: a
+``Graph`` with a cycle (a self-loop included) raises UnsupportedRegionError,
+and one with no source-sink path raises UnreachableError.  Edge costs may be
+negative; the solver settles every node in one relaxation sweep in
+topological order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class Graph:
     Edges are identified by their position in ``tails``/``heads``; every
     routine that breaks ties does so through this indexing, so two runs on
     the same Graph are bitwise identical.  Construction raises ValueError
-    on malformed input and UnsupportedRegionError on a cycle.
+    on malformed input, UnsupportedRegionError on a cycle and
+    UnreachableError when no path leads from the source to the sink.
 
     PARAMETERS
     ----------
@@ -70,7 +73,12 @@ class Graph:
                 raise ValueError(f"{name} must be an integer node index in range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        self._topo_edge_order  # raises on a cycle
+        reached = {self.source}
+        for t, h, _ in self._topo_edge_order:  # raises on a cycle
+            if t in reached:
+                reached.add(h)
+        if self.sink not in reached:
+            raise UnreachableError(f"no path from node {self.source} to node {self.sink}")
 
     @property
     def num_edges(self) -> int:
@@ -141,8 +149,7 @@ def shortest_path(g: Graph, costs: np.ndarray) -> np.ndarray:
     shortest_path_batch), so the output is deterministic even with
     all-zero costs.  Costs may be negative: the graph is acyclic.
 
-    Raises ValueError on non-finite costs or a path cost that overflows,
-    and UnreachableError if the graph has no path to the sink.
+    Raises ValueError on non-finite costs or a path cost that overflows.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (g.num_edges,):
@@ -164,8 +171,7 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
     a sweep updating only on strict improvement keeps, so among equal-cost
     paths the one whose edges come first in scan order wins.
 
-    Raises ValueError on non-finite costs or a path cost that overflows,
-    and UnreachableError if the graph has no path to the sink.
+    Raises ValueError on non-finite costs or a path cost that overflows.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[1] != g.num_edges:
@@ -190,19 +196,14 @@ def shortest_path_batch(g: Graph, costs: np.ndarray) -> np.ndarray:
     # One sweep in topological order settles the graph: dist[t] is final
     # before any out-edge of t is scanned.  Each edge's cost row is
     # overwritten with its candidate dist[t] + costs[e].  A sum that
-    # overflows becomes +-inf and is only an error if it reaches the sink.
+    # overflows becomes +-inf and is only an error if it reaches the sink,
+    # which every graph reaches with finite costs.
     with np.errstate(over="ignore"):
         for t, h, e in g._topo_edge_order:
             np.add(d[t], c[e], out=c[e])
             np.fmin(d[h], c[e], out=d[h])
     if np.isinf(dist[g.sink]).any():
-        reached = {g.source}
-        for t, h, _ in g._topo_edge_order:
-            if t in reached:
-                reached.add(h)
-        if g.sink in reached:
-            raise ValueError("path costs overflow")
-        raise UnreachableError(f"no path from node {g.source} to node {g.sink}")
+        raise ValueError("path costs overflow")
     pred = _first_tight_in_edges(g, dist, work)
     # Freed before the output is allocated, which then reuses their memory:
     # at batch 1200 this cut page faults per call from about 790 to 580.
@@ -238,7 +239,8 @@ def _backtrack(g: Graph, pred: np.ndarray) -> np.ndarray:
 
     pred has shape (num_nodes, batch).  Every row hops back from the sink at
     once; rows that reach the source leave the working set.  The edges are
-    marked in one scatter at the end.
+    marked in one scatter at the end.  Every node on a chain has a finite
+    distance, so its pred is one of its own in-edges, never the padding.
     """
     nb = pred.shape[1]
     rows = np.arange(nb)
@@ -254,9 +256,6 @@ def _backtrack(g: Graph, pred: np.ndarray) -> np.ndarray:
             rows, v = rows[live], v[live]
             if rows.size == 0:
                 break
-    edges = np.concatenate(hop_edges)
-    if edges.min() < 0:
-        raise UnreachableError("predecessor chain ends before the source")
     out = np.zeros((nb, g.num_edges))
-    out[np.concatenate(hop_rows), edges] = 1.0
+    out[np.concatenate(hop_rows), np.concatenate(hop_edges)] = 1.0
     return out

@@ -9,12 +9,13 @@ which is convex in theta, nonnegative whenever y is feasible, zero exactly
 when y is the regularized optimum, and differentiable with gradient
 J_c(u)^T (x_lam(theta; u) - y) by Danskin's rule.
 
-The suboptimality loss drops the quadratic part and compares y against the
-best linear objective value; it is the classic duality-gap objective and is
-degenerate at theta = 0 for purely multiplicative cost maps.  The KKT
-objective measures squared stationarity and complementary-slackness
-residuals with per-point dual variables; for fixed theta the minimizing
-duals have a closed form, which leaves a convex objective in theta alone;
+The suboptimality loss is the same gap with lam = 0: it compares y against
+the best value of the forward objective itself, base_quad included.  It is
+the classic duality-gap objective and is degenerate at theta = 0 for purely
+multiplicative cost maps.  The KKT objective measures squared stationarity
+and complementary-slackness residuals of the forward problem with
+per-point dual variables; for fixed theta the minimizing duals have a
+closed form, which leaves a convex objective in theta alone;
 ``kka_objective`` is its mean over the observations.
 
 Theta is checked once, by the public function that receives it: non-finite
@@ -38,7 +39,7 @@ from .model import (
     _check_widths,
     as_parameter,
 )
-from .solvers import FwConfig, _check_lam, _linear_argmax_batch, _solve_reg_batch
+from .solvers import FwConfig, _check_lam, _solve_exact_batch, _solve_reg_batch
 
 
 def _check_one(fp: ForwardProblem, theta, u, y):
@@ -85,8 +86,6 @@ def _fy_batch(
 
     ``theta`` is checked flat values (see the module docstring).
     """
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
     hcs = fp._canonical_costs(theta, ctxs)
     xs = _solve_reg_batch(fp, hcs, lam, fw)
     losses = fp._canonical_value(hcs, xs, lam) - fp._canonical_value(hcs, ys, lam)
@@ -99,17 +98,19 @@ def _fy_batch(
 
 
 def subopt_loss(fp: ForwardProblem, theta, u, y) -> float:
-    """Gap between the best and the observed linear objective value.
+    """Gap between the best and the observed forward objective value,
+    hc . x - (base_quad / 2) ||x||^2.
 
     Nonnegative for feasible y; can go negative when noisy observations
-    leave the region.  Ignores base_quad: this is the linear-objective
-    baseline, not a regularized quantity.
+    leave the region.  Unlike fy_loss it adds no regularization: with
+    base_quad = 0 it is the gap of the linear objective.
     """
     return _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)[0]
 
 
 def subopt_subgrad(fp: ForwardProblem, theta, u, y) -> np.ndarray:
-    """A subgradient of subopt_loss via the tie-broken exact maximizer."""
+    """A subgradient of subopt_loss via the exact (tie-broken when
+    base_quad = 0) maximizer."""
     return _subopt_batch(fp, *_check_one(fp, theta, u, y), hinge=False)[1]
 
 
@@ -119,12 +120,16 @@ def _subopt_batch(fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, *
     The hinge clamps per-point losses at zero, which restores boundedness
     when observations are infeasible; points with positive or zero loss
     contribute their plain subgradient (a valid selection at the kink).
+    By Danskin's rule the subgradient is J^T (x - y) with base_quad too.
     ``theta`` is checked flat values (see the module docstring).
     """
     hcs = fp._canonical_costs(theta, ctxs)
-    xs = _linear_argmax_batch(fp.region, hcs)
+    xs = _solve_exact_batch(fp, hcs)
     resid = xs - ys
     raw = np.einsum("ij,ij->i", hcs, resid)
+    if fp.base_quad > 0:
+        sq = np.einsum("ij,ij->i", xs, xs) - np.einsum("ij,ij->i", ys, ys)
+        raw -= 0.5 * fp.base_quad * sq
     if hinge:
         active = raw >= 0.0
         losses = np.where(active, raw, 0.0)
@@ -195,9 +200,11 @@ def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
     """Mean KKT objective at its minimizing duals, its theta-gradient, the duals.
 
     ``t`` is checked flat values.  The region's KKT form gives the duals in
-    closed form; a region without one raises UnsupportedRegionError.  By
-    Danskin's rule the theta-gradient at those duals is the gradient of the
-    objective minimized over them.
+    closed form; a region without one raises UnsupportedRegionError.  The
+    objective's gradient at y is hc - base_quad y, so the form sees that as
+    its linear cost; its theta-gradient is still J_c.  By Danskin's rule the
+    theta-gradient at those duals is the gradient of the objective
+    minimized over them.
     """
     form = _KKT_FORMS.get(type(fp.region))
     if form is None:
@@ -205,6 +212,8 @@ def _kka_reduced(fp: ForwardProblem, t: np.ndarray, ds: Dataset):
             f"KKT objective supports Box and NonNegL1Cap regions, not {type(fp.region).__name__}"
         )
     hcs = fp._canonical_costs(t, ds.contexts)
+    if fp.base_quad > 0:
+        hcs = hcs - fp.base_quad * ds.decisions
     duals, blocks = form(fp.region, hcs, ds.decisions)
     # Huge duals overflow to inf here instead of warning; kka_fit turns a
     # non-finite objective into DivergedError.
@@ -221,8 +230,9 @@ def kka_objective(fp: ForwardProblem, theta, ds: Dataset) -> float:
     """Mean squared KKT residual of the observations, duals minimized out.
 
     Zero exactly when some nonnegative duals make every y_i satisfy the KKT
-    system of the linear forward problem at theta; noisy observations keep
-    it away from zero.  Equals ``kka_fit``'s ``meta["risk"]`` at its theta.
+    system of the forward problem at theta, base_quad included; noisy
+    observations keep it away from zero.  Equals ``kka_fit``'s
+    ``meta["risk"]`` at its theta.
     """
     t = as_parameter(theta, fp.cost_map).values
     _check_widths(fp.cost_map, ds)

@@ -110,7 +110,8 @@ def load_graph(path, source: str, sink: str) -> Graph:
 
     Node names are mapped to dense indices in order of first appearance;
     source and sink are looked up by name after reading all rows.  A cyclic
-    edge list (a two-way street is a cycle) raises UnsupportedRegionError.
+    edge list (a two-way street is a cycle) raises UnsupportedRegionError,
+    and one with no path from source to sink raises UnreachableError.
     """
     rows: list[tuple[int, str, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -313,7 +314,7 @@ def _flow_problem(sp: SpDataset) -> ForwardProblem:
 # split), the baseline 12000 x 16 (160 epochs).  The two suboptimality fits
 # keep theta on the unit sphere: on this multiplicative cost map theta = 0
 # is a zero-risk minimizer they would otherwise never leave.
-_FY_FW = FwConfig(max_iters=150, gap_tol=2e-2, correct_every=4)
+_FY_FW = FwConfig(max_iters=150, gap_tol=2e-2)
 _DEFAULT_CFG = {
     "FY": SgdConfig(
         learning_rate=0.25,

@@ -1,15 +1,15 @@
 """Fitters that estimate forward-problem parameters from observed decisions.
 
-All first-order fitters share one driver: epoch-shuffled without-replacement
-minibatches, constant or 1/sqrt(t) step size, optional normalization of
-the iterate to unit Euclidean norm (``SgdConfig.unit_norm``), a
-gradient-norm stopping rule, and a divergence guard: DivergedError on a
-parameter norm past 1e6 or a non-finite checkpoint risk.  The driver
-checkpoints the full-data risk every ``eval_every`` updates (plus the start
-and the end) and returns the best checkpoint, which makes the "risk at
-theta_hat <= risk at theta0" contract hold by construction even for
-nonsmooth objectives.  FY and SUBOPT run it through ``_fit_rows`` on their
-row-mean objective.
+All first-order fitters share one driver: a start at theta = 0 (e_1 under
+``SgdConfig.unit_norm``), epoch-shuffled without-replacement minibatches,
+constant or 1/sqrt(t) step size, optional normalization of the iterate to
+unit Euclidean norm, a stop once the step's gradient norm is at most
+_GRAD_TOL, and a divergence guard: DivergedError on a parameter norm past
+1e6 or a non-finite checkpoint risk.  The driver checkpoints the full-data
+risk every ``eval_every`` updates (plus the start and the end) and returns
+the best checkpoint, which makes the "risk at theta_hat <= risk at the
+start" contract hold by construction even for nonsmooth objectives.  FY and
+SUBOPT run it through ``_fit_rows`` on their row-mean objective.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .model import Dataset, ForwardProblem, Parameter, _check_widths, as_paramet
 from .solvers import FwConfig, _project_region_batch
 
 _DIVERGE_NORM = 1e6
+# The driver stops once a step's gradient norm is at most this.
+_GRAD_TOL = 1e-6
 METHODS = ("FY", "SUBOPT", "KKA", "SPA")
 
 
@@ -41,19 +43,17 @@ class SgdConfig:
     Fenchel-Young solves, and SPA's projection of its smoothed decisions.
     ``step_decay`` of "inv_sqrt" scales the step by 1/sqrt(t+1), useful for
     the nonsmooth subgradient objectives; the default constant step mirrors
-    the plain SGD recipe.  ``unit_norm`` rescales theta0 and every iterate
-    to unit Euclidean norm (zero maps to e_1): the normalization that keeps
-    the suboptimality baseline off its trivial minimizer theta = 0 on
-    multiplicative cost maps.
+    the plain SGD recipe.  Every fit starts at theta = 0; ``unit_norm``
+    starts it at e_1 instead and rescales every iterate to unit Euclidean
+    norm: the normalization that keeps the suboptimality baseline off its
+    trivial minimizer theta = 0 on multiplicative cost maps.
     """
 
     learning_rate: float = 0.05
     batch_size: int = 32
     max_iters: int = 10_000
-    tolerance: float = 1e-6
     lam: float = 0.1
     seed: int = 0
-    theta0: np.ndarray | None = None
     unit_norm: bool = False
     step_decay: str | None = None
     eval_every: int = 50
@@ -65,8 +65,6 @@ class SgdConfig:
         for name, least in (("batch_size", 1), ("max_iters", 0), ("eval_every", 1)):
             if not _is_count(getattr(self, name), least):
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if np.isnan(self.tolerance):
-            raise ValueError("tolerance must not be NaN")
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be positive and finite")
         if not _is_count(self.seed, 0):
@@ -113,20 +111,10 @@ def _guard(theta: np.ndarray) -> np.ndarray:
 
 
 def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
-    """cfg.theta0 (zeros when unset), normalized if ``cfg.unit_norm`` and guarded.
-
-    Also rejects a dataset whose context or decision width does not match
-    the forward problem.
-    """
+    """Zeros, or e_1 under ``cfg.unit_norm``, once the dataset's context and
+    decision widths match the forward problem."""
     _check_widths(fp.cost_map, ds)
-    p = fp.cost_map.p
-    if cfg.theta0 is None:
-        theta = np.zeros(p)
-    else:
-        theta = np.ravel(np.asarray(cfg.theta0, dtype=float)).copy()
-        if theta.size != p:
-            raise ValueError(f"theta0 must have {p} entries")
-    return _guard(_apply_space(theta, cfg.unit_norm))
+    return _apply_space(np.zeros(fp.cost_map.p), cfg.unit_norm)
 
 
 def _run_sgd(
@@ -167,7 +155,7 @@ def _run_sgd(
         loss, grad = batch_step(theta, idx)
         trace.append(loss)
         grad_norm = _norm(grad)
-        if grad_norm <= cfg.tolerance:
+        if grad_norm <= _GRAD_TOL:
             break
 
         step = cfg.learning_rate
@@ -245,7 +233,7 @@ def kka_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     UnsupportedRegionError), and by Danskin's rule the theta-gradient of the
     objective minimized over them is the KKT objective's theta-gradient at
     those duals.  That reduced objective is convex in theta, so the shared
-    driver runs plain full-batch descent on it and stops on ``tolerance``.
+    driver runs plain full-batch descent on it and stops on _GRAD_TOL.
     Every step reads the whole dataset in its stored order, so
     ``batch_size`` and ``seed`` do not change the fit.  Values and steps are
     per-point means, so the step size does not have to shrink with the
@@ -451,9 +439,9 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     """
     cfg = cfg or SgdConfig()
     start = time.perf_counter()
-    # Fail on bad widths or theta0 before denoising: the projection below
-    # would broadcast width-1 decisions back to the full width.
-    _start_theta(fp, ds, cfg)
+    # Fail on bad widths before denoising: the projection below would
+    # broadcast width-1 decisions back to the full width.
+    _check_widths(fp.cost_map, ds)
     bw = _cv_bandwidth(ds, cfg.seed)
     smoothed = nw_denoise(ds, bw)
     projected = _project_region_batch(fp.region, smoothed, cfg.fw)

@@ -1,6 +1,7 @@
 """Every third-party module the package or its tests import is declared,
-every module-level import is used, and the package exports exactly the
-names it binds.
+every module-level import is used, the package exports exactly the names
+it binds, and every field of the fitter and solver configs takes at least
+two values somewhere in the package.
 
 The package may import the standard library, itself and the modules of
 ``[project].dependencies``; the tests may also import pytest and their own
@@ -97,3 +98,45 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src" / "fyinv").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in files}
     assert {f: names for f, names in unused.items() if names} == {}
+
+
+def _config_values(classes: tuple[str, ...]) -> dict[str, dict[str, set[str]]]:
+    """Class -> field -> the distinct source expressions the field takes.
+
+    Counted over every constructor call and every ``dataclasses.replace``
+    keyword in the package; a constructor call that leaves a field out
+    counts the field's default.  A replace keyword counts for each of the
+    classes that has a field of that name.
+    """
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "fyinv").glob("*.py"))]
+    defaults = {
+        node.name: {st.target.id: ast.unparse(st.value) for st in node.body if isinstance(st, ast.AnnAssign)}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in classes
+    }
+    values = {cls: {name: set() for name in fields} for cls, fields in defaults.items()}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            given = {kw.arg: ast.unparse(kw.value) for kw in call.keywords if kw.arg}
+            if callee in defaults:
+                given |= {name: ast.unparse(a) for name, a in zip(defaults[callee], call.args)}
+                for name, default in defaults[callee].items():
+                    values[callee][name].add(given.get(name, default))
+            elif callee == "replace":
+                for fields in values.values():
+                    for name, v in given.items():
+                        if name in fields:
+                            fields[name].add(v)
+    return values
+
+
+def test_every_config_knob_takes_two_values():
+    # a field that every caller leaves at one value is a constant, not a knob
+    values = _config_values(("SgdConfig", "FwConfig"))
+    assert set(values) == {"SgdConfig", "FwConfig"}
+    single = {f"{cls}.{name}": v for cls, fields in values.items() for name, v in fields.items() if len(v) < 2}
+    assert single == {}

@@ -15,6 +15,7 @@ from fyinv import (
     FlowPolytope,
     ForwardProblem,
     FwConfig,
+    Noiseless,
     NonNegL1Cap,
     Sense,
     UnsupportedRegionError,
@@ -24,6 +25,7 @@ from fyinv import (
     decision_error,
     fy_grad,
     fy_loss,
+    generate,
     grid_graph,
     kka_fit,
     kka_grad,
@@ -317,29 +319,43 @@ def test_subopt_loss_is_duality_gap():
 
 
 def test_subopt_loss_zero_at_exact_decision():
-    # the gap is against the *linear* objective, so base_quad problems
-    # (kind D) zero out at the linear argmax, not at their exact decision
+    # the gap is against the forward objective, base_quad included, so
+    # every kind (D too) zeroes out at its exact decision
     rng = rng_stream(71)
     for kind, fp in _example_problems():
         theta = rng.standard_normal(fp.cost_map.p)
         u = rng.uniform(-1, 1, fp.cost_map.m)
-        if fp.base_quad == 0.0:
-            y = solve_exact(fp, theta, u)
-        else:
-            y = _linear_argmax_batch(fp.region, fp.canonical_cost(theta, u)[None])[0]
+        y = solve_exact(fp, theta, u)
         assert abs(subopt_loss(fp, theta, u, y)) <= 1e-10, kind
+
+
+def test_baselines_fit_the_curved_problem_on_family_d():
+    # Family D maximizes (theta + u) . x - ||x||^2.  On noiseless data the
+    # gap and the KKT residual of that objective vanish at theta*; against
+    # the linear objective they read 2.82 and 0.976.
+    fp, theta_star, _ = build_example("D")
+    ds = generate("D", 200, Noiseless(), 3)
+    assert fp.base_quad == 2.0
+    assert _subopt_batch(fp, theta_star.values, ds.contexts, ds.decisions, hinge=False)[0] == 0.0
+    assert kka_objective(fp, theta_star, ds) == 0.0
+    # the hinged gap is zero, so SUBOPT's subgradient is too
+    np.testing.assert_array_equal(
+        _subopt_batch(fp, theta_star.values, ds.contexts, ds.decisions, hinge=True)[1], 0.0
+    )
 
 
 def test_subopt_subgrad_matches_fd_at_generic_points():
     rng = rng_stream(72)
-    fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 5, 3), Box.cube(5, -1, 1), Sense.MIN)
-    for _ in range(20):
-        theta = rng.standard_normal(fp.cost_map.p)
-        u = rng.uniform(-1, 1, 3)
-        y = sample_region(fp.region, 5, rng)
-        got = subopt_subgrad(fp, theta, u, y)
-        want = fd_grad(lambda v: subopt_loss(fp, v, u, y), theta, h=1e-7)
-        np.testing.assert_allclose(got, want, atol=1e-6)
+    for base_quad in (0.0, 2.0):
+        cm = CostMap(CostKind.MATRIX_PRODUCT, 5, 3)
+        fp = ForwardProblem(cm, Box.cube(5, -1, 1), Sense.MIN, base_quad=base_quad)
+        for _ in range(20):
+            theta = rng.standard_normal(fp.cost_map.p)
+            u = rng.uniform(-1, 1, 3)
+            y = sample_region(fp.region, 5, rng)
+            got = subopt_subgrad(fp, theta, u, y)
+            want = fd_grad(lambda v: subopt_loss(fp, v, u, y), theta, h=1e-7)
+            np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 def test_subopt_batch_matches_scalar_and_hinges():
@@ -461,17 +477,23 @@ def test_kka_closed_form_duals_on_vertex_data_with_tied_breakpoints():
 
 def test_kka_reduced_gradient_matches_finite_differences():
     # Danskin: the KKT objective's theta-gradient at the closed-form duals
-    # is the gradient of the objective minimized over the duals.
+    # is the gradient of the objective minimized over the duals.  With
+    # base_quad the objective's gradient at y, hc - base_quad y, takes the
+    # place of hc in the linear problem's KKT system.
     rng = rng_stream(85)
-    for region in (Box.cube(3, -1, 1), NonNegL1Cap(3, 2.0)):
-        fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 3, 2), region, Sense.MIN)
+    for region, bq in itertools.product((Box.cube(3, -1, 1), NonNegL1Cap(3, 2.0)), (0.0, 2.0)):
+        fp = ForwardProblem(CostMap(CostKind.MATRIX_PRODUCT, 3, 2), region, Sense.MIN, base_quad=bq)
         ds = _noisy_region_data(region, 2, 5, rng)
         theta = rng.standard_normal(fp.cost_map.p)
 
+        def lin_cost(t, u, y):
+            return fp.canonical_cost(t, u) - bq * y
+
         def reduced(t):
+            duals = [kkt_duals(region, lin_cost(t, u, y), y) for u, y in zip(ds.contexts, ds.decisions)]
             return np.mean([
-                kkt_residual(region, fp.canonical_cost(t, u), y, z)
-                for u, y, z in zip(ds.contexts, ds.decisions, _oracle_duals(fp, t, ds))
+                kkt_residual(region, lin_cost(t, u, y), y, z)
+                for u, y, z in zip(ds.contexts, ds.decisions, duals)
             ])
 
         assert kka_objective(fp, theta, ds) == pytest.approx(reduced(theta), rel=1e-12)

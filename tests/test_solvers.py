@@ -30,12 +30,13 @@ from fyinv import (
     synth_graph_instance,
 )
 from fyinv import spath
-from fyinv.graphs import _backtrack, shortest_path_batch
+from fyinv.graphs import shortest_path_batch
 from fyinv.solvers import (
     _correct_rows,
     _fw_project_batch,
     _linear_argmax_batch,
     _project_ball_batch,
+    _project_nonneg_l1cap_batch,
     _simplex_lsq_batch,
 )
 
@@ -81,7 +82,8 @@ def test_graph_validation():
             Graph(**args)
     ok = Graph(np.int64(3), np.array([0, 1], dtype=np.int32), [1, 2], np.int64(0), 2)
     assert ok.tails.dtype == np.int64 and ok.heads.dtype == np.int64
-    assert Graph(3, np.array([]), np.array([]), 0, 2).num_edges == 0
+    with pytest.raises(UnreachableError):
+        Graph(3, np.array([]), np.array([]), 0, 2)
     # the graph keeps read-only copies: the caller's arrays may change later
     t = np.array([0, 1])
     g = Graph(3, t, np.array([1, 2]), 0, 2)
@@ -135,12 +137,18 @@ def test_flow_polytope_rejects_cyclic_graph():
 
 
 def test_shortest_path_unreachable_raises():
-    g = Graph(3, np.array([0]), np.array([1]), 0, 2)
+    # a graph with no source-sink path is rejected when it is built, so no
+    # cost vector can reach the oracle on one
+    with pytest.raises(UnreachableError, match="no path from node 0 to node 2"):
+        Graph(3, np.array([0]), np.array([1]), 0, 2)
+    # edges that leave the sink or enter the source do not join them
     with pytest.raises(UnreachableError):
-        shortest_path(g, np.array([1.0]))
-    edgeless = Graph(3, np.array([], dtype=int), np.array([], dtype=int), 0, 2)
+        Graph(4, np.array([1, 2, 3]), np.array([0, 3, 1]), 0, 3)
     with pytest.raises(UnreachableError):
-        shortest_path(edgeless, np.zeros(0))
+        Graph(2, [], [], 0, 1)
+    # a cycle is reported as such, whether or not the sink is reachable
+    with pytest.raises(UnsupportedRegionError, match="cycle"):
+        Graph(4, np.array([1, 2]), np.array([2, 1]), 0, 3)
 
 
 def test_shortest_path_overflow_is_not_unreachable():
@@ -151,12 +159,9 @@ def test_shortest_path_overflow_is_not_unreachable():
             shortest_path_batch(g, np.full((2, 93), big))
     with pytest.raises(ValueError, match="overflow"):
         project(FlowPolytope(g), np.full(93, -1e308))
-    # an overflowing detour is no error, and no path stays UnreachableError
+    # an overflowing detour is no error
     g = Graph(3, np.array([0, 1, 0]), np.array([1, 2, 2]), 0, 2)
     np.testing.assert_array_equal(shortest_path(g, np.array([1e308, 1e308, 1.0])), [0, 0, 1])
-    g = Graph(3, np.array([0]), np.array([1]), 0, 2)
-    with pytest.raises(UnreachableError):
-        shortest_path(g, np.array([1e308]))
 
 
 def test_shortest_path_deterministic_under_ties():
@@ -208,15 +213,6 @@ def test_shortest_path_rejects_non_finite_costs():
             shortest_path_batch(g, costs)
     with pytest.raises(ValueError, match="finite"):
         project(FlowPolytope(g), np.full(7, np.nan))
-
-
-def test_backtrack_raises_typed_errors_on_bad_predecessors():
-    g = Graph(3, np.array([0, 1]), np.array([1, 2]), 0, 2)
-    ok = np.array([[-1], [0], [1]])
-    np.testing.assert_array_equal(_backtrack(g, ok), [[1.0, 1.0]])
-    broken = np.array([[-1], [-1], [1]])
-    with pytest.raises(UnreachableError):
-        _backtrack(g, broken)
 
 
 def test_shortest_path_batch_matches_scalar():
@@ -302,6 +298,32 @@ def test_project_cap_matches_newton_and_dykstra():
         np.testing.assert_allclose(got, newton_cap(v[None, :], cap)[0], atol=1e-10)
         if trial % 4 == 0:
             np.testing.assert_allclose(got, dykstra_cap(v, cap), atol=1e-7)
+
+
+def test_project_cap_keeps_the_cap_on_huge_entries():
+    # the top entry's cumulative sum swallowed the cap in rounding, which
+    # left no entry above the threshold and divided by zero
+    capr = NonNegL1Cap(3, 1.0)
+    np.testing.assert_array_equal(project(capr, [1e17, 0, 0]), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(project(capr, [1e17, 1e17, 0]), [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(project(capr, [-5.0, 3e300, 1e300]), [0.0, 1.0, 0.0])
+    for v in ([1e308, -1e308, 0.0], [1e308, 0.0, -1e300]):
+        np.testing.assert_array_equal(project(capr, v), [1.0, 0.0, 0.0])
+    rows = rng_stream(26).uniform(-3, 3, (6, 3))
+    rows[[1, 4]] = [[1e17, 0.0, 0.0], [2.0, 1e20, 2.0]]
+    got = _project_nonneg_l1cap_batch(rows, 1.0)
+    np.testing.assert_array_equal(got[[1, 4]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    # the other rows keep the bits they have in a batch of their own
+    rest = [0, 2, 3, 5]
+    np.testing.assert_array_equal(got[rest], _project_nonneg_l1cap_batch(rows[rest], 1.0))
+    # family A's regularized solve at a tiny lam reaches its exact decision
+    # (it returned all-inf)
+    fp, theta, _ = build_example("A")
+    for u in rng_stream(27).uniform(-1, 1, (5, fp.cost_map.m)):
+        x = solve_exact(fp, theta, u)
+        assert x.sum() == fp.region.cap
+        for lam in (1e-20, 1e-160):
+            np.testing.assert_array_equal(solve_regularized(fp, theta, u, lam), x)
 
 
 def test_project_cap_variational_inequality():
@@ -536,7 +558,7 @@ def test_fw_project_nonconvergence_carries_gap():
     heads = np.array([1, 2, 3, 4, 4, 4])
     g = Graph(5, tails, heads, 0, 4)
     target = np.full(6, 1.0 / 3.0)
-    cfg = FwConfig(max_iters=1, gap_tol=1e-16, correct_every=5)
+    cfg = FwConfig(max_iters=1, gap_tol=1e-16)
     with pytest.raises(NonConvergenceError) as err:
         project(FlowPolytope(g), target, cfg)
     assert err.value.final_gap > 1e-16
@@ -571,12 +593,6 @@ def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
     assert oracle_rows[0] == 7
 
 
-def test_fw_project_batch_zero_width_rows_raise():
-    g = Graph(2, [], [], 0, 1)
-    with pytest.raises(UnreachableError):
-        _fw_project_batch(g, np.zeros((3, 0)), FwConfig())
-
-
 def test_fw_project_shape_check():
     g = random_dag(rng_stream(54))
     with pytest.raises(ValueError):
@@ -591,11 +607,10 @@ def test_fw_config_validation():
     for bad in (float("nan"), float("inf"), -1e-6):
         with pytest.raises(ValueError):
             FwConfig(gap_tol=bad)
-    for key in ("max_iters", "correct_every"):
-        for bad in (0, -1, 1.5, float("nan"), True):
-            with pytest.raises(ValueError):
-                FwConfig(**{key: bad})
-    assert FwConfig(max_iters=np.int64(3), correct_every=np.int64(1)).correct_every == 1
+    for bad in (0, -1, 1.5, float("nan"), True):
+        with pytest.raises(ValueError):
+            FwConfig(max_iters=bad)
+    assert FwConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_simplex_lsq_batch_matches_projection_oracle():

@@ -11,6 +11,7 @@ from fyinv import (
     Parameter,
     SgdConfig,
     SpDataset,
+    UnreachableError,
     UnsupportedRegionError,
     grid_graph,
     load_graph,
@@ -254,6 +255,13 @@ def test_load_graph_rejects_cyclic_graph(tmp_path):
     # a <-> b is a two-way street: the graph does not load
     edges = "edge_id,tail,head\n0,s,a\n1,a,b\n2,b,a\n3,a,t\n4,b,t\n"
     with pytest.raises(UnsupportedRegionError):
+        load_graph(_write(tmp_path, "e.csv", edges), "s", "t")
+
+
+def test_load_graph_rejects_unreachable_sink(tmp_path):
+    # t only leaves; the graph fails to load before any records are read
+    edges = "edge_id,tail,head\n0,s,a\n1,t,a\n"
+    with pytest.raises(UnreachableError, match="no path"):
         load_graph(_write(tmp_path, "e.csv", edges), "s", "t")
 
 
