@@ -39,7 +39,6 @@ from .model import (
     sample_dataset,
 )
 from .solvers import (
-    FwConfig,
     project,
     solve_exact,
     solve_regularized,
@@ -98,7 +97,6 @@ __all__ = [
     "FitResult",
     "FlowPolytope",
     "ForwardProblem",
-    "FwConfig",
     "FyinvError",
     "Graph",
     "MetricsReport",

@@ -35,9 +35,11 @@ import numpy as np
 import yaml
 
 from .metrics import _exact_batch, calibration_check, decision_error, parameter_error, regret
-from .model import Dataset, Noiseless, NoisyDecision, NoisyObjective, _is_count, cost, rng_stream
-from .losses import fy_grad, fy_loss
-from .solvers import FwConfig, solve_exact, solve_regularized
+from .model import (
+    Dataset, FlowPolytope, Noiseless, NoisyDecision, NoisyObjective, _is_count, cost, rng_stream
+)
+from .losses import _KKT_FORMS, fy_grad, fy_loss
+from .solvers import solve_exact, solve_regularized
 from .spath import _flow_problem, sp_run, synth_graph_instance
 from .synth import EXAMPLE_KINDS, build_example, generate
 from .train import METHODS, SgdConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
@@ -106,6 +108,11 @@ class RunConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # KKA would fail every cell of a region that has no KKT form
+        spath = self.experiment == "spath"
+        region = FlowPolytope if spath else type(build_example(self.experiment)[0].region)
+        if "KKA" in self.methods and region not in _KKT_FORMS:
+            raise ValueError(f"KKA has no KKT form on {self.experiment}'s {region.__name__} region")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
         counts = (
@@ -339,7 +346,7 @@ def grad_check(kind: str, trials: int, seed: int = 0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    fw = FwConfig(max_iters=3000, gap_tol=1e-10)
+    gap_tol = 1e-10  # Frank-Wolfe's tolerance on the SP instance
     if kind == "SP":
         fp, theta_star = _grad_flow_problem()
         law = None
@@ -357,11 +364,11 @@ def grad_check(kind: str, trials: int, seed: int = 0):
         witness = theta_star.values + rng.standard_normal(p)
         y = solve_exact(fp, witness, u)
         lam = 0.1 if t % 2 == 0 else 1.0
-        g = fy_grad(fp, theta, u, y, lam, fw=fw)
+        g = fy_grad(fp, theta, u, y, lam, gap_tol=gap_tol)
         v = rng.standard_normal(p)
         v /= np.linalg.norm(v)
-        up = fy_loss(fp, theta + _FD_STEP * v, u, y, lam, fw=fw)
-        dn = fy_loss(fp, theta - _FD_STEP * v, u, y, lam, fw=fw)
+        up = fy_loss(fp, theta + _FD_STEP * v, u, y, lam, gap_tol=gap_tol)
+        dn = fy_loss(fp, theta - _FD_STEP * v, u, y, lam, gap_tol=gap_tol)
         fd = (up - dn) / (2 * _FD_STEP)
         rel = abs(float(v @ g) - fd) / max(1.0, abs(fd))
         worst = max(worst, rel)

@@ -12,7 +12,8 @@ class UnreachableError(FyinvError):
 
 
 class NonConvergenceError(FyinvError):
-    """Frank-Wolfe stopped at max_iters with the duality gap above tolerance."""
+    """Frank-Wolfe spent its iteration budget (solvers._FW_MAX_ITERS) with the
+    duality gap still above gap_tol; carries the final gap and that budget."""
 
     def __init__(self, final_gap: float, max_iters: int):
         self.final_gap = float(final_gap)

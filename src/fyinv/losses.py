@@ -39,7 +39,7 @@ from .model import (
     _check_widths,
     as_parameter,
 )
-from .solvers import FwConfig, _check_lam, _solve_exact_batch, _solve_reg_batch
+from .solvers import _GAP_TOL, _check_gap_tol, _check_lam, _solve_exact_batch, _solve_reg_batch
 
 
 def _check_one(fp: ForwardProblem, theta, u, y):
@@ -55,39 +55,34 @@ def _check_one(fp: ForwardProblem, theta, u, y):
 # Fenchel-Young loss
 
 
-def _check_fy_one(fp: ForwardProblem, theta, u, y, lam: float):
-    """_check_one's rows, once lam passes solvers._check_lam at them."""
+def _check_fy_one(fp: ForwardProblem, theta, u, y, lam: float, gap_tol: float):
+    """_check_one's rows, after checking gap_tol and, at those rows, lam."""
+    _check_gap_tol(gap_tol)
     t, us, ys = _check_one(fp, theta, u, y)
     _check_lam(fp, fp._canonical_costs(t, us), lam)
     return t, us, ys
 
 
-def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> float:
-    """Fenchel-Young loss at one observation; lam must be positive and
-    finite, and large enough to keep hc / (base_quad + lam) finite."""
-    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam), lam, fw=fw)[0]
+def fy_loss(fp: ForwardProblem, theta, u, y, lam: float, *, gap_tol=_GAP_TOL) -> float:
+    """Fenchel-Young loss at one observation; lam and gap_tol must pass
+    solve_regularized's checks (Frank-Wolfe's tolerance on flow regions)."""
+    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam, gap_tol), lam, gap_tol=gap_tol)[0]
 
 
-def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, fw: FwConfig = FwConfig()) -> np.ndarray:
+def fy_grad(fp: ForwardProblem, theta, u, y, lam: float, *, gap_tol=_GAP_TOL) -> np.ndarray:
     """Gradient of fy_loss in theta: J_c(u)^T (x_lam(theta; u) - y)."""
-    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam), lam, fw=fw)[1]
+    return _fy_batch(fp, *_check_fy_one(fp, theta, u, y, lam, gap_tol), lam, gap_tol=gap_tol)[1]
 
 
 def _fy_batch(
-    fp: ForwardProblem,
-    theta,
-    ctxs: np.ndarray,
-    ys: np.ndarray,
-    lam: float,
-    *,
-    fw: FwConfig = FwConfig(),
+    fp: ForwardProblem, theta, ctxs: np.ndarray, ys: np.ndarray, lam: float, *, gap_tol=_GAP_TOL
 ):
     """Mean FY loss and mean gradient of a batch.
 
     ``theta`` is checked flat values (see the module docstring).
     """
     hcs = fp._canonical_costs(theta, ctxs)
-    xs = _solve_reg_batch(fp, hcs, lam, fw)
+    xs = _solve_reg_batch(fp, hcs, lam, gap_tol)
     losses = fp._canonical_value(hcs, xs, lam) - fp._canonical_value(hcs, ys, lam)
     # the bits of losses.mean(), without its Python wrapper
     return float(np.add.reduce(losses) / losses.shape[0]), fp._canonical_adjoint(ctxs, xs - ys)
@@ -150,10 +145,12 @@ def _box_kkt(r: Box, hcs: np.ndarray, ys: np.ndarray):
     Per coordinate at most one of lam_hi, lam_lo is positive, with
     lam_hi = h / (1 + (y - hi)^2) if h > 0 and lam_lo = -h / (1 + (lo - y)^2)
     if h < 0.  The blocks are stationarity first, then complementary
-    slackness of the upper and of the lower bounds.
+    slackness of the upper and of the lower bounds.  A y so far out that the
+    square overflows gets the limit lam = 0, with no warning.
     """
-    lam_hi = np.maximum(hcs, 0.0) / (1.0 + (ys - r.hi) ** 2)
-    lam_lo = np.maximum(-hcs, 0.0) / (1.0 + (r.lo - ys) ** 2)
+    with np.errstate(over="ignore"):
+        lam_hi = np.maximum(hcs, 0.0) / (1.0 + (ys - r.hi) ** 2)
+        lam_lo = np.maximum(-hcs, 0.0) / (1.0 + (r.lo - ys) ** 2)
     blocks = (lam_hi - lam_lo - hcs, lam_hi * (ys - r.hi), lam_lo * (r.lo - ys))
     return np.concatenate([lam_hi, lam_lo], axis=1), blocks
 
@@ -173,20 +170,23 @@ def _cap_kkt(r: NonNegL1Cap, hcs: np.ndarray, ys: np.ndarray):
     g'/2 = a_k mu - b_k with a_k = d + s^2 - (sum of their v) and
     b_k = sum(h) - (sum of their v h), so one sort and two cumulative sums
     give every segment.  mu is the root on the segment where g' changes
-    sign, clipped at 0.
+    sign, clipped at 0.  Squares of y that overflow give their limits, with
+    no warning: v_j = 0, and s^2 = inf, which pins mu at 0.
     """
     n, d = hcs.shape
-    v = 1.0 / (1.0 + ys**2)
+    with np.errstate(over="ignore"):
+        v = 1.0 / (1.0 + ys**2)
+        s2 = (ys.sum(axis=1, keepdims=True) - r.cap) ** 2
     rows = np.arange(n)[:, None]
     order = np.argsort(hcs, axis=1)
     hs, vs = hcs[rows, order], v[rows, order]
-    s2 = (ys.sum(axis=1, keepdims=True) - r.cap) ** 2
     zero = np.zeros((n, 1))
     a = d + s2 - np.concatenate([zero, np.cumsum(vs, axis=1)], axis=1)
     b = hs.sum(axis=1, keepdims=True) - np.concatenate([zero, np.cumsum(vs * hs, axis=1)], axis=1)
     # g' is nondecreasing, so the breakpoints where it is negative form a
     # prefix of the sorted h; their count k names the root's segment
-    k = np.count_nonzero(a[:, 1:] * hs < b[:, 1:], axis=1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # s^2 = inf: every a is inf, mu = 0
+        k = np.count_nonzero(a[:, 1:] * hs < b[:, 1:], axis=1)[:, None]
     mu = np.maximum(b[rows, k] / a[rows, k], 0.0)
     nu = np.maximum(mu - hcs, 0.0) * v
     blocks = (mu - nu - hcs, mu[:, 0] * (ys.sum(axis=1) - r.cap), nu * (-ys))

@@ -11,8 +11,6 @@ deterministic tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonConvergenceError
@@ -24,40 +22,21 @@ from .model import (
     NonNegL1Cap,
     Region,
     _check_point,
-    _is_count,
 )
 
-__all__ = ["FwConfig", "project", "solve_exact", "solve_regularized"]
+__all__ = ["project", "solve_exact", "solve_regularized"]
 
 
-@dataclass(frozen=True)
-class FwConfig:
-    """Knobs for the Frank-Wolfe projection onto a flow polytope.
+# Frank-Wolfe's default duality-gap tolerance, and the iteration budget of
+# every projection: far above the most any projection took on the planted
+# grid (28 for FY at gap_tol 2e-2, 64 for SPA) or in grad-check SP (5).
+_GAP_TOL = 1e-6
+_FW_MAX_ITERS = 2000
 
-    The duality gap <= gap_tol certifies ||x - projection||^2 <= 2 * gap.
-    Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
-    a face, so every _CORRECT_EVERY iterations each row's iterate is
-    replaced by the exact projection onto the hull of the vertices it has
-    visited, as an active-set solve (from the centroid) over all those rows
-    padded to their largest vertex count (_correct_rows).  Visited vertices
-    are stored as packed bits, 1 bit per edge, and the correction unpacks
-    them in row blocks of about 2 MiB, each padded to that same group-wide
-    count, so the blocks give the bits of one stack.  With the optimal
-    face's vertices in hand that snaps the iterate onto the true projection
-    and the gap collapses to roundoff.
-    Bitwise-equal targets in one batch share one solve, and the output is
-    bitwise identical to solving every row.  ``max_iters`` is an integer
-    >= 1; ``gap_tol`` is positive and finite.
-    """
 
-    max_iters: int = 2000
-    gap_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not _is_count(self.max_iters):
-            raise ValueError("max_iters must be an integer >= 1")
-        if not 0 < self.gap_tol < np.inf:
-            raise ValueError("gap_tol must be positive and finite")
+def _check_gap_tol(gap_tol: float) -> None:
+    if not 0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +44,21 @@ class FwConfig:
 # that dispatches to the closed forms or to Frank-Wolfe
 
 
-def project(region: Region, v, fw: FwConfig = FwConfig()) -> np.ndarray:
+def project(region: Region, v, gap_tol=_GAP_TOL) -> np.ndarray:
     """Euclidean projection of the point v onto the region.
 
     Box, Ball and NonNegL1Cap have closed forms (clipping, rescaling, the
     sorted-threshold shift onto the capped simplex); a FlowPolytope runs
-    Frank-Wolfe under ``fw`` (see FwConfig), which raises
-    NonConvergenceError if its budget runs out.  v must be one finite 1-D
-    point of the region's dimension; anything else raises ValueError.
+    Frank-Wolfe to the duality gap ``gap_tol`` (see _fw_project_batch),
+    which raises NonConvergenceError if its budget runs out.  v must be one
+    finite 1-D point of the region's dimension, and gap_tol positive and
+    finite; anything else raises ValueError.
     """
+    _check_gap_tol(gap_tol)
     v = _check_point(region, v)
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
-    return _project_region_batch(region, v[None, :], fw)[0]
+    return _project_region_batch(region, v[None, :], gap_tol)[0]
 
 
 def _project_box_batch(vs: np.ndarray, lo, hi) -> np.ndarray:
@@ -120,13 +101,21 @@ def _project_nonneg_l1cap_batch(vs: np.ndarray, cap: float) -> np.ndarray:
     entry swallows the cap in rounding (above about cap x 2^53) is solved
     as v - max(v), with entries below -cap (which project to 0 either way)
     raised to -cap so its sums stay finite; every other row keeps its bits.
+    The projection is positively homogeneous, so a finite row whose clipped
+    sum overflows is solved divided by the power of two s >= d, which keeps
+    its sums finite and scales exactly, and multiplied back by s.
     """
-    clipped = np.maximum(vs, 0.0)
-    sums = clipped.sum(axis=1)
-    out = clipped
+    out = np.maximum(vs, 0.0)
+    with np.errstate(over="ignore"):
+        sums = out.sum(axis=1)
     over = sums > cap
+    huge = np.isinf(sums)
+    if huge.any():
+        huge &= np.isfinite(vs).all(axis=1)
+        over &= ~huge
+        s = 2.0 ** (vs.shape[1] - 1).bit_length()
+        out[huge] = s * _project_nonneg_l1cap_batch(vs[huge] / s, cap / s)
     if over.any():
-        out = clipped.copy()
         v = vs[over]
         css, rho = _cap_prefix(v, cap)
         lost = rho == 0
@@ -154,14 +143,14 @@ def _cap_prefix(v: np.ndarray, cap: float):
     return css, rho
 
 
-def _project_region_batch(region: Region, vs: np.ndarray, fw: FwConfig = FwConfig()) -> np.ndarray:
+def _project_region_batch(region: Region, vs: np.ndarray, gap_tol=_GAP_TOL) -> np.ndarray:
     if isinstance(region, Box):
         return _project_box_batch(vs, region.lo, region.hi)
     if isinstance(region, Ball):
         return _project_ball_batch(vs, region.radius)
     if isinstance(region, NonNegL1Cap):
         return _project_nonneg_l1cap_batch(vs, region.cap)
-    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), fw)
+    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +196,18 @@ def solve_exact(fp: ForwardProblem, theta, u) -> np.ndarray:
     return _solve_exact_batch(fp, fp.canonical_cost(theta, u)[None, :])[0]
 
 
-def solve_regularized(
-    fp: ForwardProblem,
-    theta,
-    u,
-    lam: float,
-    *,
-    fw: FwConfig = FwConfig(),
-) -> np.ndarray:
+def solve_regularized(fp: ForwardProblem, theta, u, lam: float, *, gap_tol=_GAP_TOL) -> np.ndarray:
     """Unique optimum of the quadratically regularized forward problem.
 
     Solves max hc^T x - ((base_quad + lam)/2)||x||^2 over the region, i.e.
-    projects hc / (base_quad + lam).  Requires 0 < lam < inf, and a lam
-    that keeps hc / (base_quad + lam) finite.
+    projects hc / (base_quad + lam).  Requires 0 < lam < inf, a lam that
+    keeps hc / (base_quad + lam) finite, and a positive, finite gap_tol
+    (Frank-Wolfe's tolerance on flow regions).
     """
+    _check_gap_tol(gap_tol)
     hcs = fp.canonical_cost(theta, u)[None, :]
     _check_lam(fp, hcs, lam)
-    return _solve_reg_batch(fp, hcs, lam, fw)[0]
+    return _solve_reg_batch(fp, hcs, lam, gap_tol)[0]
 
 
 def _check_lam(fp: ForwardProblem, hcs: np.ndarray, lam: float) -> None:
@@ -240,15 +224,13 @@ def _check_lam(fp: ForwardProblem, hcs: np.ndarray, lam: float) -> None:
 
 def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray) -> np.ndarray:
     if fp.base_quad > 0:
-        return _project_region_batch(fp.region, hcs / fp.base_quad, FwConfig())
+        return _project_region_batch(fp.region, hcs / fp.base_quad)
     return _linear_argmax_batch(fp.region, hcs)
 
 
-def _solve_reg_batch(
-    fp: ForwardProblem, hcs: np.ndarray, lam: float, fw: FwConfig = FwConfig()
-) -> np.ndarray:
+def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, gap_tol=_GAP_TOL) -> np.ndarray:
     lam_eff = fp.base_quad + lam
-    return _project_region_batch(fp.region, hcs / lam_eff, fw)
+    return _project_region_batch(fp.region, hcs / lam_eff, gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +243,21 @@ def _solve_reg_batch(
 _CORRECT_EVERY = 4
 
 
-def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarray:
+def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarray:
     """Projection of each row of ``targets`` onto the graph's path polytope.
 
-    Frank-Wolfe with the shortest-path oracle, exact line search and the
-    periodic correction of FwConfig.  Raises NonConvergenceError (carrying
-    the final gap) if the budget runs out before the gap reaches gap_tol.
+    Frank-Wolfe with the shortest-path oracle and exact line search, until
+    each row's duality gap is at most gap_tol, which certifies
+    ||x - projection||^2 <= 2 * gap.  Raises NonConvergenceError (carrying
+    the final gap and the budget) if _FW_MAX_ITERS iterations run out first.
+
+    Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
+    a face, so every _CORRECT_EVERY iterations each row's iterate is
+    replaced by the exact projection onto the hull of the vertices it has
+    visited, as an active-set solve (from the centroid) over all those rows
+    padded to their largest vertex count (_correct_rows).  With the optimal
+    face's vertices in hand that snaps the iterate onto the true projection
+    and the gap collapses to roundoff.
 
     Per-row state (visited vertices and the iterate) lives in padded
     arrays, each vertex a 0/1 path packed 8 edges to a byte; rows whose
@@ -295,14 +286,14 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
     counts = np.ones(nb, dtype=np.int64)
     active = np.ones(nb, dtype=bool)
 
-    for it in range(cfg.max_iters):
+    for it in range(_FW_MAX_ITERS):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         grad = x[rows] - targets[rows]
         s = shortest_path_batch(g, grad)
         gap = np.einsum("ij,ij->i", grad, x[rows] - s)
-        done = gap <= cfg.gap_tol
+        done = gap <= gap_tol
         if done.any():
             active[rows[done]] = False
             keep = ~done
@@ -338,8 +329,8 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, cfg: FwConfig) -> np.ndarra
         grad = x[rows] - targets[rows]
         s = shortest_path_batch(g, grad)
         gap = np.einsum("ij,ij->i", grad, x[rows] - s)
-        if np.any(gap > cfg.gap_tol):
-            raise NonConvergenceError(float(gap.max()), cfg.max_iters)
+        if np.any(gap > gap_tol):
+            raise NonConvergenceError(float(gap.max()), _FW_MAX_ITERS)
     return x if inv is None else x[inv]
 
 

@@ -40,7 +40,7 @@ from .model import (
     as_parameter,
     rng_stream,
 )
-from .solvers import FwConfig, _solve_exact_batch
+from .solvers import _solve_exact_batch
 from .metrics import MetricsReport, _mean_sq_dist, _path_regret, parameter_error
 from .train import METHODS, FitResult, SgdConfig, fy_sgd_fit, spa_fit, subopt_fit
 
@@ -314,7 +314,6 @@ def _flow_problem(sp: SpDataset) -> ForwardProblem:
 # split), the baseline 12000 x 16 (160 epochs).  The two suboptimality fits
 # keep theta on the unit sphere: on this multiplicative cost map theta = 0
 # is a zero-risk minimizer they would otherwise never leave.
-_FY_FW = FwConfig(max_iters=150, gap_tol=2e-2)
 _DEFAULT_CFG = {
     "FY": SgdConfig(
         learning_rate=0.25,
@@ -322,7 +321,7 @@ _DEFAULT_CFG = {
         max_iters=100,
         lam=0.5,
         eval_every=100,
-        fw=_FY_FW,
+        gap_tol=2e-2,
     ),
     "SUBOPT": SgdConfig(
         learning_rate=0.5,

@@ -26,7 +26,7 @@ from .errors import DegenerateKernelError, DivergedError
 from .losses import _fy_batch, _kka_reduced, _subopt_batch
 from .graphs import _is_count
 from .model import Dataset, ForwardProblem, Parameter, _check_widths, as_parameter, rng_stream
-from .solvers import FwConfig, _project_region_batch
+from .solvers import _GAP_TOL, _check_gap_tol, _project_region_batch
 
 _DIVERGE_NORM = 1e6
 # The driver stops once a step's gradient norm is at most this.
@@ -38,9 +38,10 @@ METHODS = ("FY", "SUBOPT", "KKA", "SPA")
 class SgdConfig:
     """Hyperparameters shared by the first-order fitters.
 
-    ``lam`` only matters to the Fenchel-Young fitter.  ``fw`` configures
-    Frank-Wolfe wherever a fitter projects onto a flow polytope: the
-    Fenchel-Young solves, and SPA's projection of its smoothed decisions.
+    ``lam`` only matters to the Fenchel-Young fitter.  ``gap_tol`` is
+    Frank-Wolfe's duality-gap tolerance wherever a fitter projects onto a
+    flow polytope: the Fenchel-Young solves, and SPA's projection of its
+    smoothed decisions.
     ``step_decay`` of "inv_sqrt" scales the step by 1/sqrt(t+1), useful for
     the nonsmooth subgradient objectives; the default constant step mirrors
     the plain SGD recipe.  Every fit starts at theta = 0; ``unit_norm``
@@ -57,7 +58,7 @@ class SgdConfig:
     unit_norm: bool = False
     step_decay: str | None = None
     eval_every: int = 50
-    fw: FwConfig = FwConfig()
+    gap_tol: float = _GAP_TOL
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
@@ -73,6 +74,7 @@ class SgdConfig:
             raise ValueError("unit_norm must be a bool")
         if self.step_decay not in (None, "inv_sqrt"):
             raise ValueError(f"unknown step_decay {self.step_decay!r}")
+        _check_gap_tol(self.gap_tol)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def fy_sgd_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) ->
     """Minimize the empirical Fenchel-Young risk by minibatch SGD."""
     cfg = cfg or SgdConfig()
     return _fit_rows(
-        fp, ds, cfg, lambda theta, ctxs, ys: _fy_batch(fp, theta, ctxs, ys, cfg.lam, fw=cfg.fw)
+        fp, ds, cfg, lambda t, ctxs, ys: _fy_batch(fp, t, ctxs, ys, cfg.lam, gap_tol=cfg.gap_tol)
     )
 
 
@@ -396,32 +398,33 @@ def _cv_bandwidth(ds: Dataset, seed: int) -> float:
     """The member of _SPA_BANDWIDTHS with the least held-out reconstruction
     error over _SPA_FOLDS folds drawn from a shuffle seeded by ``seed``.
 
-    A bandwidth that leaves some held-out point with zero kernel mass
-    scores inf.  Memory is the fold's K x hold x d predictions plus one
-    block of _nw_predict.
+    A bandwidth that leaves some held-out point with zero kernel mass is
+    out.  If an error overflows, every error is recomputed on the decisions
+    divided by their largest magnitude, which scales them all alike.  Memory
+    is the fold's K x hold x d predictions plus one block of _nw_predict.
     """
     n = len(ds)
     folds = min(_SPA_FOLDS, n)
     assign = rng_stream(seed, 7).permutation(n) % folds
-    sse = np.zeros(len(_SPA_BANDWIDTHS))
-    count = 0
-    for f in range(folds):
-        hold = assign == f
-        if not np.any(hold) or np.all(hold):
-            continue
-        mass, pred = _nw_predict(
-            ds.contexts[~hold], ds.decisions[~hold], ds.contexts[hold], _SPA_BANDWIDTHS
-        )
-        for k in range(len(_SPA_BANDWIDTHS)):
-            if np.any(mass[k] == 0.0):
-                sse[k] = np.inf
-            else:
-                sse[k] += float(np.sum((pred[k] - ds.decisions[hold]) ** 2))
-        count += int(hold.sum())
-    scores = sse / max(count, 1)
-    if not np.isfinite(scores.min()):
+
+    def errors(ys):
+        sse = np.zeros(len(_SPA_BANDWIDTHS))
+        isolated = np.zeros(len(_SPA_BANDWIDTHS), dtype=bool)
+        for f in range(folds if folds > 1 else 0):  # one fold leaves no training rows
+            hold = assign == f
+            mass, pred = _nw_predict(ds.contexts[~hold], ys[~hold], ds.contexts[hold], _SPA_BANDWIDTHS)
+            isolated |= np.any(mass == 0.0, axis=1)
+            with np.errstate(over="ignore"):
+                sse += [float(np.sum((p - ys[hold]) ** 2)) for p in pred]
+        return sse, isolated
+
+    sse, isolated = errors(ds.decisions)
+    if isolated.all():
         raise DegenerateKernelError("every candidate bandwidth isolated some fold")
-    return _SPA_BANDWIDTHS[int(np.argmin(scores))]
+    if not np.isfinite(sse[~isolated]).all():
+        sse = errors(ds.decisions / np.abs(ds.decisions).max())[0]
+    # each point is held out once (with one fold, none: the errors stay 0)
+    return _SPA_BANDWIDTHS[int(np.argmin(np.where(isolated, np.inf, sse / n)))]
 
 
 def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> FitResult:
@@ -433,7 +436,7 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     reconstruction error (_SPA_BANDWIDTHS, _SPA_FOLDS); the folds come from
     a shuffle seeded by ``cfg.seed``, so the whole pipeline is
     deterministic.  Stage two projects the smoothed decisions onto the
-    feasible region (with ``cfg.fw`` on flow regions) so the suboptimality
+    feasible region (to ``cfg.gap_tol`` on flow regions) so the suboptimality
     loss is meaningful; stage three runs subopt_fit with ``cfg`` on the
     cleaned dataset.  ``wall_time`` covers all three stages.
     """
@@ -444,7 +447,7 @@ def spa_fit(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig | None = None) -> Fi
     _check_widths(fp.cost_map, ds)
     bw = _cv_bandwidth(ds, cfg.seed)
     smoothed = nw_denoise(ds, bw)
-    projected = _project_region_batch(fp.region, smoothed, cfg.fw)
+    projected = _project_region_batch(fp.region, smoothed, cfg.gap_tol)
     cleaned = Dataset(ds.contexts, projected)
     result = subopt_fit(fp, cleaned, cfg)
     return dataclasses.replace(

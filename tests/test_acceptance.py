@@ -16,7 +16,6 @@ from fyinv import (
     ExampleSpec,
     FlowPolytope,
     ForwardProblem,
-    FwConfig,
     NoisyDecision,
     Noiseless,
     NonNegL1Cap,
@@ -113,11 +112,10 @@ def test_flow_projection_matches_enumerated_polytope_oracle():
     """project onto a FlowPolytope agrees to 1e-4 with a certified QP over
     all enumerated paths."""
     rng = rng_stream(201)
-    cfg = FwConfig(max_iters=4000, gap_tol=1e-12)
     for trial in range(20):
         g = random_dag(rng, max_nodes=8)
         target = rng.uniform(-1.0, 2.0, g.num_edges)
-        x = project(FlowPolytope(g), target, cfg)
+        x = project(FlowPolytope(g), target, 1e-12)
         want, certified = hull_project(enum_paths(g), target)
         assert certified, f"trial {trial}: oracle failed to certify"
         err = float(np.abs(x - want).max())

@@ -79,6 +79,11 @@ def test_run_config_validation():
         with pytest.raises(ValueError):
             RunConfig(out=bad)
     assert RunConfig(experiment="spath").experiment == "spath"
+    # KKA has no KKT form on the ball (E) or the path polytope (spath)
+    for experiment in ("E", "spath"):
+        with pytest.raises(ValueError, match="KKT form"):
+            RunConfig(experiment=experiment, methods=("FY", "KKA"))
+    assert RunConfig(experiment="D", methods=("KKA",)).methods == ("KKA",)
     assert RunConfig(n_eval=np.int64(5), sample_sizes=(np.int64(5),)).n_eval == 5
     assert RunConfig(seed=np.int64(0)).seed == 0
     assert RunConfig(lambdas=(0.0,)).lambdas == (0.0,)  # lam 0 = plain subopt
@@ -232,6 +237,10 @@ def test_main_requires_subcommand():
 def test_main_config_error_exits_2(tmp_path):
     bad = _cfg_file(tmp_path, "experiment: Q\n")
     assert main(["synth", "--config", str(bad)]) == 2
+    # KKA on the path polytope failed every cell and exited 1
+    kka = _cfg_file(tmp_path, "methods: [KKA]\n")
+    assert main(["spath", "--config", str(kka), "--out", str(tmp_path / "never")]) == 2
+    assert not (tmp_path / "never").exists()
     assert main(["synth", "--config", str(tmp_path / "missing.yaml")]) == 2
     # a bad seed is a config error, not a grid of failed (or relabelled) cells
     small = "sample_sizes: [5]\nreplications: 1\nn_eval: 5\n"

@@ -136,7 +136,7 @@ def _config_values(classes: tuple[str, ...]) -> dict[str, dict[str, set[str]]]:
 
 def test_every_config_knob_takes_two_values():
     # a field that every caller leaves at one value is a constant, not a knob
-    values = _config_values(("SgdConfig", "FwConfig"))
-    assert set(values) == {"SgdConfig", "FwConfig"}
+    values = _config_values(("SgdConfig",))
+    assert set(values) == {"SgdConfig"} and "gap_tol" in values["SgdConfig"]
     single = {f"{cls}.{name}": v for cls, fields in values.items() for name, v in fields.items() if len(v) < 2}
     assert single == {}

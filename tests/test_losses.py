@@ -14,7 +14,6 @@ from fyinv import (
     ExampleSpec,
     FlowPolytope,
     ForwardProblem,
-    FwConfig,
     Noiseless,
     NonNegL1Cap,
     Sense,
@@ -43,7 +42,7 @@ from fyinv.solvers import _linear_argmax_batch, _solve_reg_batch
 
 from oracles import enum_paths, fd_grad, kkt_duals, kkt_residual, sample_region
 
-TIGHT_FW = FwConfig(max_iters=3000, gap_tol=1e-12)
+TIGHT_GAP = 1e-12
 
 
 def _flow_problem(m: int = 3) -> ForwardProblem:
@@ -79,7 +78,7 @@ def test_fy_loss_nonnegative_on_flow_mixtures():
         u = rng.uniform(-1, 1, fp.cost_map.m)
         w = rng.dirichlet(np.ones(paths.shape[0]))
         y = paths.T @ w
-        assert fy_loss(fp, theta, u, y, 0.5, fw=TIGHT_FW) >= -1e-9
+        assert fy_loss(fp, theta, u, y, 0.5, gap_tol=TIGHT_GAP) >= -1e-9
 
 
 def test_fy_loss_zero_at_regularized_optimum():
@@ -95,8 +94,8 @@ def test_fy_loss_zero_at_regularized_optimum():
     for _ in range(10):
         theta = rng.standard_normal(fp.cost_map.p)
         u = rng.uniform(-1, 1, fp.cost_map.m)
-        y = solve_regularized(fp, theta, u, 0.5, fw=TIGHT_FW)
-        assert abs(fy_loss(fp, theta, u, y, 0.5, fw=TIGHT_FW)) <= 1e-9
+        y = solve_regularized(fp, theta, u, 0.5, gap_tol=TIGHT_GAP)
+        assert abs(fy_loss(fp, theta, u, y, 0.5, gap_tol=TIGHT_GAP)) <= 1e-9
 
 
 def test_fy_grad_matches_finite_differences():
@@ -120,8 +119,8 @@ def test_fy_grad_matches_finite_differences_on_flow():
         theta = rng.standard_normal(fp.cost_map.p)
         u = rng.uniform(-1, 1, fp.cost_map.m)
         y = paths[int(rng.integers(paths.shape[0]))].astype(float)
-        got = fy_grad(fp, theta, u, y, lam, fw=TIGHT_FW)
-        want = fd_grad(lambda v: fy_loss(fp, v, u, y, lam, fw=TIGHT_FW), theta)
+        got = fy_grad(fp, theta, u, y, lam, gap_tol=TIGHT_GAP)
+        want = fd_grad(lambda v: fy_loss(fp, v, u, y, lam, gap_tol=TIGHT_GAP), theta)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 

@@ -12,14 +12,16 @@ from fyinv import (
     CostMap,
     FlowPolytope,
     ForwardProblem,
-    FwConfig,
     Graph,
     NonConvergenceError,
     NonNegL1Cap,
     Sense,
     UnreachableError,
+    SgdConfig,
     build_example,
     UnsupportedRegionError,
+    fy_grad,
+    fy_loss,
     grid_graph,
     project,
     region_contains,
@@ -316,6 +318,15 @@ def test_project_cap_keeps_the_cap_on_huge_entries():
     # the other rows keep the bits they have in a batch of their own
     rest = [0, 2, 3, 5]
     np.testing.assert_array_equal(got[rest], _project_nonneg_l1cap_batch(rows[rest], 1.0))
+    # a clipped sum that overflowed to inf warned and returned the input,
+    # past the cap
+    np.testing.assert_array_equal(project(NonNegL1Cap(3, 1e308), [1e308, 1e308, 0]), [5e307, 5e307, 0])
+    np.testing.assert_array_equal(project(NonNegL1Cap(3, 1e-20), [1e308, 1e308, 0]), [5e-21, 5e-21, 0])
+    rows[[1, 4]] = [[1e308, 1e308, -1e308], [1.7e308, 3.0, 1.7e308]]
+    got = _project_nonneg_l1cap_batch(rows, 1e308)
+    for i in (1, 4):
+        np.testing.assert_allclose(got[i], 1e308 * newton_cap(rows[i : i + 1] / 1e308, 1.0)[0], rtol=1e-12)
+    np.testing.assert_array_equal(got[rest], _project_nonneg_l1cap_batch(rows[rest], 1e308))
     # family A's regularized solve at a tiny lam reaches its exact decision
     # (it returned all-inf)
     fp, theta, _ = build_example("A")
@@ -512,11 +523,10 @@ def test_solve_regularized_converges_to_exact_as_lam_shrinks():
 
 def test_fw_project_matches_enumerated_hull_oracle():
     rng = rng_stream(50)
-    cfg = FwConfig(max_iters=4000, gap_tol=1e-12)
     for trial in range(25):
         g = random_dag(rng)
         target = rng.uniform(-1.0, 2.0, g.num_edges)
-        x = project(FlowPolytope(g), target, cfg)
+        x = project(FlowPolytope(g), target, 1e-12)
         paths = enum_paths(g)
         want, certified = hull_project(paths, target)
         assert certified
@@ -528,7 +538,7 @@ def test_fw_project_idempotent_on_vertices():
     rng = rng_stream(51)
     g = random_dag(rng)
     paths = enum_paths(g)
-    x = project(FlowPolytope(g), paths[0], FwConfig(max_iters=100, gap_tol=1e-12))
+    x = project(FlowPolytope(g), paths[0], 1e-12)
     np.testing.assert_allclose(x, paths[0], atol=1e-10)
 
 
@@ -545,27 +555,26 @@ def test_fw_project_batch_matches_scalar():
     rng = rng_stream(53)
     g = random_dag(rng)
     targets = rng.uniform(-1, 2, (17, g.num_edges))
-    cfg = FwConfig(max_iters=2000, gap_tol=1e-10)
-    batch = _fw_project_batch(g, targets.copy(), cfg)
+    batch = _fw_project_batch(g, targets.copy(), 1e-10)
     for i in range(17):
-        np.testing.assert_allclose(batch[i], project(FlowPolytope(g), targets[i], cfg), atol=1e-8)
+        np.testing.assert_allclose(batch[i], project(FlowPolytope(g), targets[i], 1e-10), atol=1e-8)
 
 
-def test_fw_project_nonconvergence_carries_gap():
+def test_fw_project_nonconvergence_carries_gap(monkeypatch):
     # diamond with three parallel middle routes; one iteration cannot span
     # the optimal face, so an absurd tolerance must fail loudly
     tails = np.array([0, 0, 0, 1, 2, 3])
     heads = np.array([1, 2, 3, 4, 4, 4])
     g = Graph(5, tails, heads, 0, 4)
     target = np.full(6, 1.0 / 3.0)
-    cfg = FwConfig(max_iters=1, gap_tol=1e-16)
+    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 1)
     with pytest.raises(NonConvergenceError) as err:
-        project(FlowPolytope(g), target, cfg)
+        project(FlowPolytope(g), target, 1e-16)
     assert err.value.final_gap > 1e-16
     assert err.value.max_iters == 1
     # repeats of the target share its solve, so they fail with its gap
     with pytest.raises(NonConvergenceError) as many:
-        _fw_project_batch(g, np.tile(target, (5, 1)), cfg)
+        _fw_project_batch(g, np.tile(target, (5, 1)), 1e-16)
     assert many.value.final_gap == err.value.final_gap
     assert many.value.max_iters == 1
 
@@ -578,8 +587,7 @@ def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
     targets = targets[rng.permutation(targets.shape[0])]
     uniq, inv = np.unique(targets, axis=0, return_inverse=True)
     assert uniq.shape[0] == 7
-    cfg = FwConfig(max_iters=2000, gap_tol=1e-10)
-    want = _fw_project_batch(g, uniq, cfg)[inv.reshape(-1)]
+    want = _fw_project_batch(g, uniq, 1e-10)[inv.reshape(-1)]
 
     oracle_rows = []
 
@@ -588,7 +596,7 @@ def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
         return shortest_path_batch(graph, costs)
 
     monkeypatch.setattr("fyinv.solvers.shortest_path_batch", counted)
-    got = _fw_project_batch(g, targets.copy(), cfg)
+    got = _fw_project_batch(g, targets.copy(), 1e-10)
     np.testing.assert_array_equal(got, want)
     assert oracle_rows[0] == 7
 
@@ -599,18 +607,22 @@ def test_fw_project_shape_check():
         project(FlowPolytope(g), np.zeros(g.num_edges + 2))
 
 
-def test_fw_config_validation():
-    with pytest.raises(ValueError):
-        FwConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        FwConfig(gap_tol=0.0)
-    for bad in (float("nan"), float("inf"), -1e-6):
-        with pytest.raises(ValueError):
-            FwConfig(gap_tol=bad)
-    for bad in (0, -1, 1.5, float("nan"), True):
-        with pytest.raises(ValueError):
-            FwConfig(max_iters=bad)
-    assert FwConfig(max_iters=np.int64(3)).max_iters == 3
+def test_gap_tol_validation():
+    # every entry point that takes gap_tol rejects it, closed-form regions included
+    g = random_dag(rng_stream(57))
+    fp, theta, _ = build_example("C")
+    u, y = np.ones(fp.cost_map.m), np.zeros(fp.cost_map.d)
+    for bad in (0.0, -1e-6, float("nan"), float("inf")):
+        for call in (
+            lambda: project(FlowPolytope(g), np.zeros(g.num_edges), bad),
+            lambda: project(Box(np.zeros(2), np.ones(2)), np.zeros(2), bad),
+            lambda: solve_regularized(fp, theta, u, 0.5, gap_tol=bad),
+            lambda: fy_loss(fp, theta, u, y, 0.5, gap_tol=bad),
+            lambda: fy_grad(fp, theta, u, y, 0.5, gap_tol=bad),
+            lambda: SgdConfig(gap_tol=bad),
+        ):
+            with pytest.raises(ValueError, match="gap_tol"):
+                call()
 
 
 def test_simplex_lsq_batch_matches_projection_oracle():
@@ -762,14 +774,14 @@ def test_correct_rows_block_size_keeps_the_bits(monkeypatch):
         # tie-heavy integer and half-integer rows, drawn with repeats
         base = rng.integers(-2, 3, (120, g.num_edges)) * rng.choice([0.5, 1.0], (120, 1))
         targets = base[rng.integers(0, base.shape[0], 320)]
-        for cfg in (FwConfig(), spath._FY_FW):
+        for gap_tol in (1e-6, spath._DEFAULT_CFG["FY"].gap_tol):
             stacks.clear()
-            want = _fw_project_batch(g, targets.copy(), cfg)
+            want = _fw_project_batch(g, targets.copy(), gap_tol)
             assert max(stacks) > 1
             with monkeypatch.context() as m:
                 m.setattr("fyinv.solvers._CORRECT_BLOCK_ELEMS", 1)
                 stacks.clear()
-                got = _fw_project_batch(g, targets.copy(), cfg)
+                got = _fw_project_batch(g, targets.copy(), gap_tol)
             assert max(stacks) == 1
             assert got.tobytes() == want.tobytes()
 
@@ -783,7 +795,7 @@ def test_fw_projection_memory_is_bounded():
     targets = fp._canonical_costs(0.1 * sp.theta_star.values, sp.contexts[:1200]) / 0.5
     tracemalloc.start()
     try:
-        _fw_project_batch(sp.graph, targets, spath._FY_FW)
+        _fw_project_batch(sp.graph, targets, spath._DEFAULT_CFG["FY"].gap_tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -199,6 +199,30 @@ def test_sgd_fits_raise_on_overflowing_risk():
                 fit(fp, huge, SgdConfig(max_iters=20))
 
 
+def test_kka_and_spa_fit_huge_decisions():
+    # squares of decisions near 1e154 overflow: KKA warned, and SPA's
+    # overflowing held-out error read as "every candidate bandwidth isolated
+    # some fold"
+    cfg = SgdConfig(max_iters=50)
+    for kind in "ABCD":
+        fp, _, _ = build_example(kind)
+        ds = generate(kind, 50, NoisyDecision(1e154), 0)
+        assert np.all(np.isfinite(spa_fit(fp, ds, cfg).theta.values))
+        if kind == "D":
+            # base_quad = 2 leaves the stationarity residual near 1e154,
+            # so the objective itself overflows
+            with pytest.raises(DivergedError):
+                kka_fit(fp, ds, cfg)
+        else:
+            assert np.all(np.isfinite(kka_fit(fp, ds, cfg).theta.values))
+    # family A at a theta that zeroes the cost row of a point whose s^2
+    # overflows: inf * 0 in _cap_kkt
+    fp, _, _ = build_example("A")
+    ds = generate("A", 50, NoisyDecision(1e154), 0)
+    i = np.argmax(np.abs(ds.decisions.sum(axis=1)))
+    assert np.isfinite(kka_objective(fp, -ds.contexts[i], ds))
+
+
 def test_fy_fit_diverges_with_absurd_learning_rate():
     fp, _, ds = _noisy_c()
     with pytest.raises(DivergedError):
