@@ -36,7 +36,6 @@ from .model import (
     cost,
     region_contains,
     rng_stream,
-    sample_dataset,
 )
 from .solvers import (
     project,
@@ -60,7 +59,7 @@ from .train import (
     spa_fit,
     subopt_fit,
 )
-from .synth import EXAMPLE_KINDS, ExampleSpec, build_example, generate
+from .synth import EXAMPLE_KINDS, ExampleSpec, build_example, generate, sample_dataset
 from .metrics import (
     CalibrationReport,
     MetricsReport,

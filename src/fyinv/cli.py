@@ -40,7 +40,7 @@ from .model import (
 )
 from .losses import _KKT_FORMS, fy_grad, fy_loss
 from .solvers import solve_exact, solve_regularized
-from .spath import _flow_problem, sp_run, synth_graph_instance
+from .spath import _flow_problem, grid_graph, sp_run, synth_graph_instance, train_test_split
 from .synth import EXAMPLE_KINDS, build_example, generate
 from .train import METHODS, SgdConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
 
@@ -131,6 +131,9 @@ class RunConfig:
             raise ValueError("sigma and sp_sigma must be finite numbers >= 0")
         if not isinstance(self.out, str):
             raise ValueError("out must be a string")
+        if spath:  # the grid's edge range and the split's sides, as each cell checks them
+            grid_graph(self.sp_nodes, self.sp_edges)
+            train_test_split(self.sp_n, 0)
 
 
 def load_config(path) -> RunConfig:

@@ -423,57 +423,18 @@ class Dataset:
         return Dataset(self.contexts[idx], self.decisions[idx])
 
 
+def _sample_costs(fp: ForwardProblem, t: np.ndarray, ctxs: np.ndarray, noise: NoiseModel, rng) -> np.ndarray:
+    """Canonical costs h_c(t; u_i) for every row of ctxs; under NoisyObjective
+    sigma times standard normal draws from rng perturb h before the sense fold."""
+    hs = _cost_batch(fp.cost_map, t, ctxs)
+    if isinstance(noise, NoisyObjective):
+        hs = hs + noise.sigma * rng.standard_normal(hs.shape)
+    return fp.canonical_sign * hs
+
+
 def _check_widths(cm: CostMap, ds: Dataset) -> None:
     """Reject a dataset whose context or decision width does not match cm."""
     if ds.contexts.shape[1] != cm.m or ds.decisions.shape[1] != cm.d:
         raise ValueError(
             f"dataset rows must be contexts of width {cm.m} and decisions of width {cm.d}"
         )
-
-
-def sample_dataset(
-    fp: ForwardProblem,
-    theta_star,
-    n: int,
-    noise: NoiseModel,
-    contexts: UniformContexts,
-    seed: int,
-) -> Dataset:
-    """Draw contexts, solve the forward problem at theta_star, add noise.
-
-    PARAMETERS
-    ----------
-    fp : ForwardProblem
-    theta_star : Parameter or array
-        Ground-truth parameter generating the decisions.
-    n : int
-        Number of observations.
-    noise : Noiseless | NoisyDecision | NoisyObjective
-        NoisyDecision perturbs the solved decision and may produce infeasible
-        observations; NoisyObjective perturbs the cost vector and re-solves,
-        so observations stay extreme points of the region.
-    contexts : UniformContexts
-        Context sampling law; its dim must match the cost map.
-    seed : int
-        Master seed.  The same seed reproduces the dataset bitwise.
-    """
-    from .solvers import _solve_exact_batch  # late import: solvers builds on model
-
-    if not _is_count(n):
-        raise ValueError("n must be an integer >= 1")
-    if not isinstance(noise, NoiseModel):
-        raise ValueError("noise must be Noiseless, NoisyDecision or NoisyObjective")
-    cm = fp.cost_map
-    if contexts.dim != cm.m:
-        raise ValueError(f"context dim {contexts.dim} does not match cost map m={cm.m}")
-    theta_star = as_parameter(theta_star, cm)
-
-    rng = rng_stream(seed)
-    ctxs = contexts.sample(rng, n)
-    hs = _cost_batch(cm, theta_star.values, ctxs)
-    if isinstance(noise, NoisyObjective):
-        hs = hs + noise.sigma * rng.standard_normal((n, cm.d))
-    decisions = _solve_exact_batch(fp, fp.canonical_sign * hs)
-    if isinstance(noise, NoisyDecision):
-        decisions = decisions + noise.sigma * rng.standard_normal((n, cm.d))
-    return Dataset(ctxs, decisions)

@@ -289,10 +289,7 @@ def synth_graph_instance(
     feats = rng.uniform(0.0, 1.0, size=(n, m - 1))
     ctxs = np.column_stack([feats, np.ones(n)])
     mean_times = ctxs @ theta.T
-    if sigma > 0:
-        factor = np.exp(sigma * rng.standard_normal((n, g.num_edges)) - sigma**2 / 2)
-    else:
-        factor = np.ones((n, g.num_edges))
+    factor = np.exp(sigma * rng.standard_normal((n, g.num_edges)) - sigma**2 / 2)
     times = np.maximum(mean_times * factor, 0.01)
     ys = shortest_path_batch(g, times)
     return SpDataset(g, ctxs, times, ys, Parameter(theta))

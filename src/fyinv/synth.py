@@ -31,13 +31,17 @@ from .model import (
     Dataset,
     ForwardProblem,
     NoiseModel,
+    NoisyDecision,
     NonNegL1Cap,
     Parameter,
     Sense,
     UniformContexts,
     _is_count,
-    sample_dataset,
+    _sample_costs,
+    as_parameter,
+    rng_stream,
 )
+from .solvers import _solve_exact_batch
 
 EXAMPLE_KINDS = ("A", "B", "C", "D", "E")
 
@@ -84,6 +88,40 @@ def build_example(
         return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
     fp = ForwardProblem(additive, Ball(p, 3.0), Sense.MAX)
     return fp, Parameter(half), UniformContexts(0.0, 2.0, p)
+
+
+def sample_dataset(
+    fp: ForwardProblem,
+    theta_star,
+    n: int,
+    noise: NoiseModel,
+    contexts: UniformContexts,
+    seed: int,
+) -> Dataset:
+    """Draw n contexts from the law ``contexts`` (whose dim must match the
+    cost map), solve the forward problem at the ground truth theta_star (a
+    Parameter or array), and add noise.
+
+    NoisyDecision perturbs the solved decision and may produce infeasible
+    observations; NoisyObjective perturbs the cost vector and re-solves, so
+    observations stay extreme points of the region.  The same seed
+    reproduces the dataset bitwise.
+    """
+    if not _is_count(n):
+        raise ValueError("n must be an integer >= 1")
+    if not isinstance(noise, NoiseModel):
+        raise ValueError("noise must be Noiseless, NoisyDecision or NoisyObjective")
+    cm = fp.cost_map
+    if contexts.dim != cm.m:
+        raise ValueError(f"context dim {contexts.dim} does not match cost map m={cm.m}")
+    theta_star = as_parameter(theta_star, cm)
+
+    rng = rng_stream(seed)
+    ctxs = contexts.sample(rng, n)
+    decisions = _solve_exact_batch(fp, _sample_costs(fp, theta_star.values, ctxs, noise, rng))
+    if isinstance(noise, NoisyDecision):
+        decisions = decisions + noise.sigma * rng.standard_normal((n, cm.d))
+    return Dataset(ctxs, decisions)
 
 
 def generate(

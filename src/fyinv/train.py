@@ -105,20 +105,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _guard(theta: np.ndarray) -> np.ndarray:
-    """The iterate itself, unless its norm is past _DIVERGE_NORM or NaN."""
-    if not _norm(theta) <= _DIVERGE_NORM:
-        raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g} or is not finite")
-    return theta
-
-
-def _start_theta(fp: ForwardProblem, ds: Dataset, cfg: SgdConfig) -> np.ndarray:
-    """Zeros, or e_1 under ``cfg.unit_norm``, once the dataset's context and
-    decision widths match the forward problem."""
-    _check_widths(fp.cost_map, ds)
-    return _apply_space(np.zeros(fp.cost_map.p), cfg.unit_norm)
-
-
 def _run_sgd(
     fp: ForwardProblem,
     ds: Dataset,
@@ -127,13 +113,19 @@ def _run_sgd(
     full_risk: Callable[[np.ndarray], float],
 ) -> FitResult:
     n = len(ds)
-    theta = _start_theta(fp, ds, cfg)
+    _check_widths(fp.cost_map, ds)
+    theta = _apply_space(np.zeros(fp.cost_map.p), cfg.unit_norm)
+    best_theta, best_risk = theta, math.inf
 
     def checkpoint(theta):
+        """Keep theta if its full-data risk beats the best so far (no copy:
+        the driver never writes an iterate in place)."""
+        nonlocal best_theta, best_risk
         risk = full_risk(theta)
         if not math.isfinite(risk):
             raise DivergedError(f"full-data risk is {risk}")
-        return risk
+        if risk < best_risk:
+            best_theta, best_risk = theta, risk
 
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
@@ -141,12 +133,10 @@ def _run_sgd(
     pos = 0
 
     start = time.perf_counter()
-    best_theta = theta.copy()
-    best_risk = checkpoint(theta)
     trace: list[float] = []
     grad_norm = np.inf
-    t = 0
-    last_eval = 0  # the start risk is checkpoint 0
+    t = last_eval = 0  # the start risk is checkpoint 0
+    checkpoint(theta)
     while t < cfg.max_iters:
         if pos + b > n:
             order = rng.permutation(n)
@@ -163,18 +153,16 @@ def _run_sgd(
         step = cfg.learning_rate
         if cfg.step_decay == "inv_sqrt":
             step /= math.sqrt(t + 1.0)
-        theta = _guard(_apply_space(theta - step * grad, cfg.unit_norm))
+        theta = _apply_space(theta - step * grad, cfg.unit_norm)
+        if not _norm(theta) <= _DIVERGE_NORM:
+            raise DivergedError(f"parameter norm exceeded {_DIVERGE_NORM:g} or is not finite")
         t += 1
         if t % cfg.eval_every == 0:
-            risk = checkpoint(theta)
+            checkpoint(theta)
             last_eval = t
-            if risk < best_risk:
-                best_risk, best_theta = risk, theta.copy()
 
     if t != last_eval:
-        risk = checkpoint(theta)
-        if risk < best_risk:
-            best_risk, best_theta = risk, theta.copy()
+        checkpoint(theta)
     return FitResult(
         theta=as_parameter(best_theta, fp.cost_map),
         iterations=t,

@@ -56,6 +56,13 @@ def test_run_config_validation():
     for key, bad in (("sp_nodes", 45.5), ("sp_nodes", 1), ("sp_nodes", 45.0), ("sp_edges", -1), ("sp_m", 1)):
         with pytest.raises(ValueError):
             RunConfig(**{key: bad})
+    # so did an edge count the grid cannot hold and a split with an empty side
+    with pytest.raises(ValueError, match="num_edges must be in"):
+        RunConfig(experiment="spath", sp_edges=200)
+    with pytest.raises(ValueError, match="empty side"):
+        RunConfig(experiment="spath", sp_n=1)
+    # only the spath pipeline reads them
+    RunConfig(sp_edges=200, sp_n=1)
     for bad in (2.5, float("nan")):
         with pytest.raises(ValueError):
             RunConfig(sample_sizes=(50, bad))
@@ -264,6 +271,10 @@ def test_main_config_error_exits_2(tmp_path):
         flags = [] if key == "out" else ["--out", str(out)]
         for command in ("synth", "spath"):
             assert main([command, "--config", str(bad), *flags]) == 2, (key, value)
+    # these failed every spath cell and exited 1
+    for key, value in (("sp_edges", "200"), ("sp_n", "1")):
+        bad = _cfg_file(tmp_path, f"{key}: {value}\n")
+        assert main(["spath", "--config", str(bad), "--out", str(out)]) == 2, (key, value)
     assert not out.exists()
 
 
@@ -325,12 +336,17 @@ def test_main_seed_override_changes_cells(tmp_path):
     assert ra["parameter_error_mean"] != rb["parameter_error_mean"]
 
 
-def test_main_cell_failure_sets_exit_code(tmp_path, capsys):
-    # sp_edges far above the grid's capacity makes every replication fail
+def test_main_cell_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
+    # a pipeline that raises in every replication (a bad sp_edges used to
+    # do this, and is now a config error)
+    def fail(*args):
+        raise ValueError("pipeline failed")
+
+    monkeypatch.setattr(fyinv.cli, "sp_run", fail)
     cfg = _cfg_file(
         tmp_path,
         "experiment: spath\nmethods: [FY]\nreplications: 2\nsp_n: 20\n"
-        "sp_nodes: 12\nsp_edges: 999\nsp_m: 3\n",
+        "sp_nodes: 12\nsp_edges: 20\nsp_m: 3\n",
     )
     out = tmp_path / "res"
     code = main(["spath", "--config", str(cfg), "--out", str(out)])

@@ -579,6 +579,20 @@ def test_fw_project_nonconvergence_carries_gap(monkeypatch):
     assert many.value.max_iters == 1
 
 
+def test_fw_project_certifies_on_the_pass_after_its_budget(monkeypatch):
+    # this target takes exactly four Frank-Wolfe iterations, the fourth
+    # ending in a correction; the pass after a budget of four certifies it
+    g = grid_graph(6, 7)
+    target = rng_stream(0).uniform(-1, 2, (4, g.num_edges))[3]
+    want = _fw_project_batch(g, target[None, :], 1e-9)
+    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 4)
+    np.testing.assert_array_equal(_fw_project_batch(g, target[None, :], 1e-9), want)
+    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 3)
+    with pytest.raises(NonConvergenceError) as err:
+        _fw_project_batch(g, target[None, :], 1e-9)
+    assert err.value.max_iters == 3
+
+
 def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
     rng = rng_stream(56)
     g = random_dag(rng, max_nodes=10)
