@@ -34,35 +34,24 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .metrics import _exact_batch, calibration_check, decision_error, parameter_error, regret
+from .metrics import MetricsReport, _exact_batch, calibration_check, decision_error, parameter_error, regret
 from .model import (
     Dataset, FlowPolytope, Noiseless, NoisyDecision, NoisyObjective, _is_count, cost, rng_stream
 )
 from .losses import _KKT_FORMS, fy_grad, fy_loss
 from .solvers import solve_exact, solve_regularized
-from .spath import _flow_problem, grid_graph, sp_run, synth_graph_instance, train_test_split
+from .spath import _flow_problem, sp_run, synth_graph_instance, train_test_split
 from .synth import EXAMPLE_KINDS, build_example, generate
 from .train import METHODS, SgdConfig, fy_sgd_fit, kka_fit, spa_fit, subopt_fit
 
 NOISE_KINDS = ("none", "noisy_decision", "noisy_objective")
 
+METRICS = ("parameter_error", "decision_error", "regret", "relative_regret_ratio")
+
 CSV_COLUMNS = (
-    "experiment",
-    "method",
-    "n",
-    "lam",
-    "reps_ok",
-    "reps_failed",
-    "parameter_error_mean",
-    "parameter_error_se",
-    "decision_error_mean",
-    "decision_error_se",
-    "regret_mean",
-    "regret_se",
-    "relative_regret_ratio_mean",
-    "relative_regret_ratio_se",
-    "wall_time_mean",
-    "error",
+    "experiment", "method", "n", "lam", "reps_ok", "reps_failed",
+    *(f"{metric}_{stat}" for metric in METRICS for stat in ("mean", "se")),
+    "wall_time_mean", "error",
 )
 
 
@@ -116,13 +105,12 @@ class RunConfig:
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
         counts = (
-            ("replications", 1), ("n_eval", 1), ("sp_n", 1), ("sp_nodes", 2), ("sp_edges", 1), ("sp_m", 2)
+            ("replications", 1), ("n_eval", 1), ("sp_n", 1), ("sp_nodes", 2), ("sp_edges", 1),
+            ("sp_m", 2), ("seed", 0),
         )
         for name, least in counts:
             if not _is_count(getattr(self, name), least):
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if not _is_count(self.seed, 0):
-            raise ValueError("seed must be an integer >= 0")
         if not all(_is_count(n) for n in self.sample_sizes):
             raise ValueError("sample sizes must be integers >= 1")
         if not all(_is_nonneg_real(l) for l in self.lambdas):
@@ -131,8 +119,8 @@ class RunConfig:
             raise ValueError("sigma and sp_sigma must be finite numbers >= 0")
         if not isinstance(self.out, str):
             raise ValueError("out must be a string")
-        if spath:  # the grid's edge range and the split's sides, as each cell checks them
-            grid_graph(self.sp_nodes, self.sp_edges)
+        if spath:  # a one-row instance and the split's sides, as each cell checks them
+            synth_graph_instance(self.sp_nodes, self.sp_edges, self.sp_m, None, 1, self.sp_sigma, 0)
             train_test_split(self.sp_n, 0)
 
 
@@ -172,7 +160,7 @@ _SYNTH_CFG = {
 }
 
 
-def _synth_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
+def _synth_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> MetricsReport:
     fp, theta_star, law = build_example(cfg.experiment)
     ds = generate(cfg.experiment, n, _noise_model(cfg.noise, cfg.sigma), seed)
 
@@ -188,32 +176,26 @@ def _synth_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
     wall = time.perf_counter() - t0
 
     eval_ctxs = law.sample(rng_stream(seed, 99), cfg.n_eval)
-    return {
-        "parameter_error": parameter_error(fit.theta, theta_star),
-        "decision_error": decision_error(fp, fit.theta, theta_star, eval_ctxs),
-        "regret": regret(fp, fit.theta, theta_star, eval_ctxs),
-        "relative_regret_ratio": None,
-        "wall_time": wall,
-    }
+    return MetricsReport(
+        parameter_error=parameter_error(fit.theta, theta_star),
+        decision_error=decision_error(fp, fit.theta, theta_star, eval_ctxs),
+        regret=regret(fp, fit.theta, theta_star, eval_ctxs),
+        relative_regret_ratio=None,
+        n_test=cfg.n_eval,
+        wall_time=wall,
+    )
 
 
-def _spath_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> dict:
+def _spath_cell(cfg: RunConfig, method: str, n: int, lam, seed: int) -> MetricsReport:
     sp = synth_graph_instance(cfg.sp_nodes, cfg.sp_edges, cfg.sp_m, None, n, cfg.sp_sigma, seed)
-    rep = sp_run(sp, method, None, seed)
-    return {
-        "parameter_error": rep.parameter_error,
-        "decision_error": rep.decision_error,
-        "regret": rep.regret,
-        "relative_regret_ratio": rep.relative_regret_ratio,
-        "wall_time": rep.wall_time,
-    }
+    return sp_run(sp, method, None, seed)
 
 
 def _run_cell(cfg: RunConfig, cell: tuple) -> dict:
     """Run one (method, n, lam, seed) replication of the grid ``cfg`` describes."""
     try:
         fn = _spath_cell if cfg.experiment == "spath" else _synth_cell
-        return {"ok": True, **fn(cfg, *cell)}
+        return {"ok": True, **dataclasses.asdict(fn(cfg, *cell))}
     except Exception as exc:  # recorded per cell, siblings keep running
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -268,7 +250,7 @@ def _aggregate(key, results):
         "reps_failed": str(len(bad)),
         "error": bad[0]["error"] if bad else "",
     }
-    for metric in ("parameter_error", "decision_error", "regret", "relative_regret_ratio"):
+    for metric in METRICS:
         mean, se = _mean_se([r[metric] for r in ok])
         row[f"{metric}_mean"] = _fmt(mean)
         row[f"{metric}_se"] = _fmt(se)

@@ -86,6 +86,10 @@ def _path_regret(times: np.ndarray, xs_hat: np.ndarray, xs_clair: np.ndarray):
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """One replication's scores.  ``n_test`` counts the contexts that the
+    decision metrics average over: a benchmark-family cell's fresh evaluation
+    contexts, or the shortest-path pipeline's test split."""
+
     parameter_error: float
     decision_error: float
     regret: float

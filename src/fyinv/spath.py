@@ -213,32 +213,14 @@ def grid_graph(num_nodes: int = 45, num_edges: int = 93) -> Graph:
     rows = max(r for r in range(1, int(num_nodes**0.5) + 1) if num_nodes % r == 0)
     cols = num_nodes // rows
 
-    def node(r, c):
-        return r * cols + c
-
-    edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols - 1):
-            edges.append((node(r, c), node(r, c + 1)))
-    for r in range(rows - 1):
-        for c in range(cols):
-            edges.append((node(r, c), node(r + 1, c)))
-    base = len(edges)
+    node = np.arange(num_nodes).reshape(rows, cols)
+    base = rows * (cols - 1) + (rows - 1) * cols
     extra = num_edges - base
     diag = (rows - 1) * (cols - 1)
     if extra < 0 or extra > diag:
         raise ValueError(f"num_edges must be in [{base}, {base + diag}] for this grid")
-    added = 0
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            if added == extra:
-                break
-            edges.append((node(r, c), node(r + 1, c + 1)))
-            added += 1
-        if added == extra:
-            break
-    tails = np.array([e[0] for e in edges])
-    heads = np.array([e[1] for e in edges])
+    tails = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel(), node[:-1, :-1].ravel()[:extra]])
+    heads = np.concatenate([node[:, 1:].ravel(), node[1:].ravel(), node[1:, 1:].ravel()[:extra]])
     return Graph(num_nodes, tails, heads, 0, num_nodes - 1)
 
 
@@ -274,6 +256,8 @@ def synth_graph_instance(
     the shortest paths under those realized times.
     """
     _check_sigma(sigma)
+    if float(sigma) * float(sigma) == np.inf:  # on Python floats: ** would raise, np.float64 warn
+        raise ValueError("sigma is too large: its square overflows")
     if not _is_count(m, 2):
         raise ValueError("m must be an integer >= 2: one feature plus the intercept")
     if not _is_count(n):

@@ -63,13 +63,11 @@ class SgdConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        for name, least in (("batch_size", 1), ("max_iters", 0), ("eval_every", 1)):
+        for name, least in (("batch_size", 1), ("max_iters", 0), ("eval_every", 1), ("seed", 0)):
             if not _is_count(getattr(self, name), least):
                 raise ValueError(f"{name} must be an integer >= {least}")
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be positive and finite")
-        if not _is_count(self.seed, 0):
-            raise ValueError("seed must be an integer >= 0")
         if not isinstance(self.unit_norm, bool):
             raise ValueError("unit_norm must be a bool")
         if self.step_decay not in (None, "inv_sqrt"):

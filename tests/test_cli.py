@@ -61,8 +61,10 @@ def test_run_config_validation():
         RunConfig(experiment="spath", sp_edges=200)
     with pytest.raises(ValueError, match="empty side"):
         RunConfig(experiment="spath", sp_n=1)
+    with pytest.raises(ValueError, match="square overflows"):
+        RunConfig(experiment="spath", sp_sigma=1e200)
     # only the spath pipeline reads them
-    RunConfig(sp_edges=200, sp_n=1)
+    RunConfig(sp_edges=200, sp_n=1, sp_sigma=1e200)
     for bad in (2.5, float("nan")):
         with pytest.raises(ValueError):
             RunConfig(sample_sizes=(50, bad))
@@ -272,7 +274,7 @@ def test_main_config_error_exits_2(tmp_path):
         for command in ("synth", "spath"):
             assert main([command, "--config", str(bad), *flags]) == 2, (key, value)
     # these failed every spath cell and exited 1
-    for key, value in (("sp_edges", "200"), ("sp_n", "1")):
+    for key, value in (("sp_edges", "200"), ("sp_n", "1"), ("sp_sigma", "1.0e+200")):
         bad = _cfg_file(tmp_path, f"{key}: {value}\n")
         assert main(["spath", "--config", str(bad), "--out", str(out)]) == 2, (key, value)
     assert not out.exists()

@@ -1,6 +1,7 @@
 """Extreme-range battery: the public solves, losses and metrics at the
-ground truth of each benchmark family scaled by +-10^k, and the family
-generators at noise levels from 1e-300 to 1e300.
+ground truth of each benchmark family and of a small path-polytope problem
+scaled by +-10^k, and the family generators at noise levels from 1e-300 to
+1e300.
 
 Tier-1 turns every RuntimeWarning into an error, so an overflow or
 underflow that numpy would only warn about fails here too.  Each call must
@@ -31,6 +32,7 @@ from fyinv import (
     solve_regularized,
     subopt_loss,
 )
+from fyinv.spath import _flow_problem, synth_graph_instance
 
 EXPONENTS = (-300, -154, -17, 0, 17, 154, 300)
 LAM = 0.1
@@ -41,10 +43,18 @@ def _finite_decision(fp, x):
     assert region_contains(fp.region, x)
 
 
-@pytest.mark.parametrize("kind", EXAMPLE_KINDS)
-def test_entry_points_stay_finite_from_tiny_to_huge_theta(kind):
+def _problem(kind):
+    """(problem, ground truth, 3 contexts) of a family, or of the flow problem "SP"."""
+    if kind == "SP":
+        sp = synth_graph_instance(12, 20, 3, None, 3, 0.1, 5)
+        return _flow_problem(sp), sp.theta_star, sp.contexts
     fp, theta_star, law = build_example(kind)
-    ctxs = law.sample(rng_stream(5), 3)
+    return fp, theta_star, law.sample(rng_stream(5), 3)
+
+
+@pytest.mark.parametrize("kind", (*EXAMPLE_KINDS, "SP"))
+def test_entry_points_stay_finite_from_tiny_to_huge_theta(kind):
+    fp, theta_star, ctxs = _problem(kind)
     ys = [solve_exact(fp, theta_star, u) for u in ctxs]
     for k, sign in itertools.product(EXPONENTS, (1.0, -1.0)):
         theta = theta_star.values * (sign * 10.0**k)

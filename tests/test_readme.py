@@ -1,8 +1,10 @@
-"""README's Quickstart runs as documented."""
+"""README's Quickstart runs as documented, and its report columns are the CLI's."""
 
 import math
 import re
 from pathlib import Path
+
+from fyinv.cli import CSV_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +19,9 @@ def test_readme_quickstart_runs(capsys):
         "parameter error", "decision error", "regret",
     ]
     assert all(math.isfinite(float(line.split(":")[1])) for line in lines)
+
+
+def test_readme_lists_the_report_columns():
+    section = README.read_text(encoding="utf-8").split("Report columns:", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    assert tuple(block.replace(",", " ").split()) == CSV_COLUMNS

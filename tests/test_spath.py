@@ -68,6 +68,14 @@ def test_grid_graph_edge_count_bounds():
     assert grid_graph(45, 108).num_edges == 108
 
 
+def test_grid_graph_edge_order():
+    # right edges, then down edges, then row-major diagonals: the oracle's
+    # tie-breaks follow this order
+    g = grid_graph(6, 9)  # 2 x 3 grid, 4 + 3 + 2 edges
+    assert g.tails.tolist() == [0, 1, 3, 4, 0, 1, 2, 0, 1]
+    assert g.heads.tolist() == [1, 2, 4, 5, 3, 4, 5, 4, 5]
+
+
 def test_grid_graph_prime_node_count_degenerates_to_line():
     g = grid_graph(7, 6)
     assert g.num_nodes == 7 and g.num_edges == 6
@@ -157,8 +165,9 @@ def test_synth_instance_zero_noise_times_are_linear():
 
 
 def test_synth_instance_rejects_bad_sigma():
-    # a NaN or negative sigma used to build the noiseless instance
-    for bad in (float("nan"), -0.5, float("inf")):
+    # a NaN or negative sigma used to build the noiseless instance, and one
+    # whose square overflows raised an untyped OverflowError
+    for bad in (float("nan"), -0.5, float("inf"), 1e200, np.float64(1e200)):
         with pytest.raises(ValueError):
             synth_graph_instance(num_nodes=12, num_edges=20, m=3, n=15, sigma=bad, seed=4)
 
