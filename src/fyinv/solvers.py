@@ -28,8 +28,9 @@ __all__ = ["project", "solve_exact", "solve_regularized"]
 
 
 # Frank-Wolfe's default duality-gap tolerance, and the iteration budget of
-# every projection: far above the most any projection took on the planted
-# grid (28 for FY at gap_tol 2e-2, 64 for SPA) or in grad-check SP (5).
+# every projection: far above the most any projection took in seed-0 grid
+# replications (26 for FY at gap_tol 2e-2, its one zero target at theta = 0;
+# 56 for SPA's 1,200 rows) or in grad-check SP (1).
 _GAP_TOL = 1e-6
 _FW_MAX_ITERS = 2000
 
@@ -143,14 +144,16 @@ def _cap_prefix(v: np.ndarray, cap: float):
     return css, rho
 
 
-def _project_region_batch(region: Region, vs: np.ndarray, gap_tol=_GAP_TOL) -> np.ndarray:
+def _project_region_batch(
+    region: Region, vs: np.ndarray, gap_tol=_GAP_TOL, *, batch_mean: bool = False
+) -> np.ndarray:
     if isinstance(region, Box):
         return _project_box_batch(vs, region.lo, region.hi)
     if isinstance(region, Ball):
         return _project_ball_batch(vs, region.radius)
     if isinstance(region, NonNegL1Cap):
         return _project_nonneg_l1cap_batch(vs, region.cap)
-    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), gap_tol)
+    return _fw_project_batch(region.graph, np.asarray(vs, dtype=float), gap_tol, batch_mean=batch_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +232,14 @@ def _solve_exact_batch(fp: ForwardProblem, hcs: np.ndarray) -> np.ndarray:
 
 
 def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, gap_tol=_GAP_TOL) -> np.ndarray:
+    """Regularized optima of a batch; on flow regions certified by the
+    batch-mean duality gap (see _fw_project_batch).  Every caller averages
+    the rows (the FY loss and gradient, calibration's mean distance), and
+    that certificate keeps the per-row error bounds on those means while
+    it stops the batch instead of running more rounds for its slowest few
+    rows.  A single row stops exactly where the per-row rule does."""
     lam_eff = fp.base_quad + lam
-    return _project_region_batch(fp.region, hcs / lam_eff, gap_tol)
+    return _project_region_batch(fp.region, hcs / lam_eff, gap_tol, batch_mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +252,33 @@ def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, gap_tol=_G
 _CORRECT_EVERY = 4
 
 
-def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarray:
+def _fw_project_batch(
+    g: Graph, targets: np.ndarray, gap_tol: float, *, batch_mean: bool = False
+) -> np.ndarray:
     """Projection of each row of ``targets`` onto the graph's path polytope.
 
-    Frank-Wolfe with the shortest-path oracle and exact line search, until
-    each row's duality gap is at most gap_tol, which certifies
-    ||x - projection||^2 <= 2 * gap.  The pass after _FW_MAX_ITERS
-    iterations only certifies, and raises NonConvergenceError (carrying the
-    final gap and the budget) if a row's gap is still above gap_tol; the
-    budget is a multiple of _CORRECT_EVERY, so it sees a corrected iterate.
+    Frank-Wolfe with the shortest-path oracle and exact line search.  A
+    row's duality gap bounds the suboptimality of its objective
+    0.5 ||x - t||^2, which is 1-strongly convex, so it certifies
+    ||x - projection||^2 <= 2 * gap (Jaggi, ICML 2013).  Each row leaves
+    the working set once its gap is at most gap_tol, and the call returns
+    when every row has left: the per-row certificate.
+
+    With ``batch_mean`` the whole batch also stops at the first pass where
+    the mean of the rows' last measured gaps (each clamped at 0) is at most
+    gap_tol: the batch certificate.  It keeps the per-row bounds on the
+    row means a caller averages.  By Jensen,
+    mean ||x_i - x_i*|| <= sqrt(mean ||x_i - x_i*||^2) <= sqrt(2 gap_tol);
+    and at targets t = hc / lam_eff the regularized value
+    hc . x - (lam_eff / 2) ||x||^2 is lam_eff (||t||^2 / 2 - 0.5 ||x - t||^2),
+    so a mean of such values (the FY loss) is off by at most
+    lam_eff * gap_tol.  A one-row batch stops exactly where the per-row
+    rule does.
+
+    The pass after _FW_MAX_ITERS iterations only certifies, and raises
+    NonConvergenceError (carrying the final gap, the largest row's or the
+    batch mean, and the budget) if the certificate still fails; the budget
+    is a multiple of _CORRECT_EVERY, so it sees a corrected iterate.
 
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
     a face, so every _CORRECT_EVERY iterations each row's iterate is
@@ -270,9 +297,10 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarr
     Bitwise-equal targets share one solve: only the distinct rows, in
     first-appearance order, run, and the result is expanded back.  A row's
     trajectory depends only on its own target and on batch-level values
-    (the vertex cap, the padded width of each correction) that are the same
-    for the distinct rows as for the whole batch, so the output is bitwise
-    identical to solving every row.  Corrections unpack the vertices in row
+    (the vertex cap, the padded width of each correction, the batch mean
+    gap, taken over the expanded rows) that are the same for the distinct
+    rows as for the whole batch, so the output is bitwise identical to
+    solving every row.  Corrections unpack the vertices in row
     blocks of about 2 MiB, each padded to the correction's group-wide width,
     so the block size does not change the bits either.
     """
@@ -287,6 +315,7 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarr
     verts[:, 0] = np.packbits(x.astype(bool), axis=1)
     counts = np.ones(nb, dtype=np.int64)
     active = np.ones(nb, dtype=bool)
+    last_gap = np.empty(nb)  # each row's last measured gap, clamped at 0
 
     for it in range(_FW_MAX_ITERS + 1):
         rows = np.flatnonzero(active)
@@ -295,6 +324,13 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarr
         grad = x[rows] - targets[rows]
         s = shortest_path_batch(g, grad)
         gap = np.einsum("ij,ij->i", grad, x[rows] - s)
+        if batch_mean:
+            last_gap[rows] = np.maximum(gap, 0.0)
+            # a repeated target counts once per copy: the bits of the mean
+            # over the undeduplicated batch
+            mean_gap = float((last_gap if inv is None else last_gap[inv]).mean())
+            if mean_gap <= gap_tol:
+                break
         done = gap <= gap_tol
         if done.any():
             active[rows[done]] = False
@@ -303,7 +339,7 @@ def _fw_project_batch(g: Graph, targets: np.ndarray, gap_tol: float) -> np.ndarr
                 break
             rows, s, gap = rows[keep], s[keep], gap[keep]
         if it == _FW_MAX_ITERS:
-            raise NonConvergenceError(float(gap.max()), _FW_MAX_ITERS)
+            raise NonConvergenceError(mean_gap if batch_mean else float(gap.max()), _FW_MAX_ITERS)
 
         d = s - x[rows]
         denom = np.einsum("ij,ij->i", d, d)
@@ -334,8 +370,9 @@ def _distinct_rows(a: np.ndarray):
     and the inverse map that expands them back, or (None, None) when no row
     repeats.  Rows are keyed by their bytes, far cheaper than
     np.unique(axis=0); every graph has an edge, so every row has bytes.
-    In a seed-0 grid FY replication (`sp_run`) only 2 of 102 calls repeat
-    a target, both at theta = 0 where every target is zero: the start
+    In a seed-0 grid FY replication (`sp_run`), under the batch-mean
+    certificate as under the per-row one, only 2 of 102 calls repeat a
+    target, both at theta = 0 where every target is zero: the start
     checkpoint (1,200 rows) and the first step (96 rows).  That skips
     1,294 of the 12,000 rows.
     """

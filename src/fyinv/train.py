@@ -86,10 +86,15 @@ class FitResult:
 
 
 def _apply_space(theta: np.ndarray, unit_norm: bool) -> np.ndarray:
-    """theta itself, or with ``unit_norm`` theta / ||theta|| (zero maps to e_1)."""
+    """theta itself, or with ``unit_norm`` theta / ||theta|| (zero maps to e_1).
+    A finite theta whose norm overflows is first divided by its largest
+    magnitude, which keeps its direction."""
     if not unit_norm:
         return theta
-    nrm = float(np.linalg.norm(theta))
+    nrm = _norm(theta)
+    if nrm == math.inf:
+        theta = theta / np.abs(theta).max()
+        nrm = _norm(theta)
     if nrm < 1e-12:
         out = np.zeros_like(theta)
         out[0] = 1.0
@@ -99,8 +104,11 @@ def _apply_space(theta: np.ndarray, unit_norm: bool) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array: the bits of np.linalg.norm, which
-    computes sqrt(v . v) the same way, minus its Python wrapper."""
-    return math.sqrt(v.dot(v))
+    computes sqrt(v . v) the same way, minus its Python wrapper.  np.vdot
+    runs the same BLAS dot as v.dot(v) but reads no floating-point status,
+    so a sum of squares that overflows reads inf, with no warning, and the
+    driver's guards turn it into DivergedError."""
+    return math.sqrt(np.vdot(v, v))
 
 
 def _run_sgd(

@@ -1,7 +1,8 @@
 """Every third-party module the package or its tests import is declared,
 every module-level import is used, the package exports exactly the names
-it binds, and every field of the fitter and solver configs takes at least
-two values somewhere in the package.
+it binds, and every field of the fitter and solver configs, like the
+solvers' ``batch_mean`` keyword, takes at least two values somewhere in the
+package.
 
 The package may import the standard library, itself and the modules of
 ``[project].dependencies``; the tests may also import pytest and their own
@@ -134,9 +135,55 @@ def _config_values(classes: tuple[str, ...]) -> dict[str, dict[str, set[str]]]:
     return values
 
 
+def _keyword_values(keyword: str) -> dict[str, set[str]]:
+    """Function -> the distinct source expressions its keyword-only
+    parameter ``keyword`` takes over every call in the package.
+
+    A call that leaves the keyword out counts its default; a call that
+    passes on its own caller's parameter of that name counts every value
+    the caller takes.
+    """
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "fyinv").glob("*.py"))]
+    defaults = {
+        fn.name: ast.unparse(d)
+        for tree in trees
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if a.arg == keyword
+    }
+    values = {fn: set() for fn in defaults}
+    forwards = set()  # (caller, callee)
+
+    def visit(node, caller):
+        if isinstance(node, ast.FunctionDef):
+            caller = node.name
+        func = node.func if isinstance(node, ast.Call) else None
+        callee = getattr(func, "id", getattr(func, "attr", None))
+        if callee in defaults:
+            arg = next((kw.value for kw in node.keywords if kw.arg == keyword), None)
+            if isinstance(arg, ast.Name) and arg.id == keyword and caller in defaults:
+                forwards.add((caller, callee))
+            else:
+                values[callee].add(defaults[callee] if arg is None else ast.unparse(arg))
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
+    for tree in trees:
+        visit(tree, None)
+    for _ in forwards:  # a chain of forwards is at most this long
+        for caller, callee in forwards:
+            values[callee] |= values[caller]
+    return values
+
+
 def test_every_config_knob_takes_two_values():
     # a field that every caller leaves at one value is a constant, not a knob
     values = _config_values(("SgdConfig",))
     assert set(values) == {"SgdConfig"} and "gap_tol" in values["SgdConfig"]
     single = {f"{cls}.{name}": v for cls, fields in values.items() for name, v in fields.items() if len(v) < 2}
     assert single == {}
+    # so is a private keyword that every call passes the same way
+    batch_mean = _keyword_values("batch_mean")
+    assert {"_fw_project_batch", "_project_region_batch"} <= set(batch_mean)
+    assert {fn: v for fn, v in batch_mean.items() if len(v) < 2} == {}

@@ -1,7 +1,7 @@
 """Extreme-range battery: the public solves, losses and metrics at the
 ground truth of each benchmark family and of a small path-polytope problem
-scaled by +-10^k, and the family generators at noise levels from 1e-300 to
-1e300.
+scaled by +-10^k, the family generators at noise levels from 1e-300 to
+1e300, and the suboptimality fit on decisions noised at 1e300.
 
 Tier-1 turns every RuntimeWarning into an error, so an overflow or
 underflow that numpy would only warn about fails here too.  Each call must
@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from fyinv import (
+    DivergedError,
     EXAMPLE_KINDS,
     NoisyDecision,
     NoisyObjective,
+    SgdConfig,
     build_example,
     decision_error,
     fy_grad,
@@ -30,6 +32,7 @@ from fyinv import (
     rng_stream,
     solve_exact,
     solve_regularized,
+    subopt_fit,
     subopt_loss,
 )
 from fyinv.spath import _flow_problem, synth_graph_instance
@@ -80,3 +83,16 @@ def test_generate_stays_finite_from_tiny_to_huge_sigma(kind):
             if isinstance(noise, NoisyObjective):  # re-solved, so feasible
                 for y in ds.decisions:
                     assert region_contains(fp.region, y)
+
+
+@pytest.mark.parametrize("kind", ("A", "B", "C", "E"))
+def test_subopt_fit_on_huge_noise_diverges_without_a_warning(kind):
+    # the first step's gradient norm overflows: the fit must end in
+    # DivergedError, not numpy's overflow warning (an error under tier-1)
+    fp = build_example(kind)[0]
+    ds = generate(kind, 50, NoisyDecision(1e300), 0)
+    with pytest.raises(DivergedError):
+        subopt_fit(fp, ds, SgdConfig(max_iters=50))
+    # under unit_norm the overflowing iterate keeps its direction
+    theta = subopt_fit(fp, ds, SgdConfig(max_iters=50, unit_norm=True)).theta.values
+    assert np.isfinite(theta).all() and abs(np.linalg.norm(theta) - 1.0) <= 1e-12

@@ -33,6 +33,7 @@ from fyinv import (
 )
 from fyinv import spath
 from fyinv.graphs import shortest_path_batch
+from fyinv.losses import _fy_batch
 from fyinv.solvers import (
     _correct_rows,
     _fw_project_batch,
@@ -40,6 +41,7 @@ from fyinv.solvers import (
     _project_ball_batch,
     _project_nonneg_l1cap_batch,
     _simplex_lsq_batch,
+    _solve_reg_batch,
 )
 
 from oracles import (
@@ -577,6 +579,10 @@ def test_fw_project_nonconvergence_carries_gap(monkeypatch):
         _fw_project_batch(g, np.tile(target, (5, 1)), 1e-16)
     assert many.value.final_gap == err.value.final_gap
     assert many.value.max_iters == 1
+    # so do they under the batch certificate, whose mean is that one gap
+    with pytest.raises(NonConvergenceError) as mean:
+        _fw_project_batch(g, np.tile(target, (5, 1)), 1e-16, batch_mean=True)
+    assert mean.value.final_gap == err.value.final_gap
 
 
 def test_fw_project_certifies_on_the_pass_after_its_budget(monkeypatch):
@@ -613,6 +619,87 @@ def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
     got = _fw_project_batch(g, targets.copy(), 1e-10)
     np.testing.assert_array_equal(got, want)
     assert oracle_rows[0] == 7
+
+
+def test_fw_batch_mean_certificate_bounds_the_fy_means():
+    # the batch certificate: mean ||x_i - x_i*||^2 <= 2 gap_tol, and the FY
+    # loss within lam_eff gap_tol of the loss at the exact projections
+    rng, lam, slow_rows = rng_stream(71), 0.5, 0
+    for base_quad in (0.0,) * 4 + (1.0,) * 4:
+        g = random_dag(rng, max_nodes=9)
+        paths = enum_paths(g)
+        cm = CostMap(CostKind.MATRIX_PRODUCT, g.num_edges, 3)
+        fp = ForwardProblem(cm, FlowPolytope(g), Sense.MIN, base_quad)
+        theta = rng.standard_normal(fp.cost_map.p)
+        # eight distinct contexts drawn into forty rows, so most rows repeat
+        ctxs = rng.uniform(-1, 1, (8, 3))[rng.integers(0, 8, 40)]
+        ys = paths[rng.integers(0, paths.shape[0], 40)]
+        hcs = fp._canonical_costs(theta, ctxs)
+        targets = hcs / (base_quad + lam)
+        uniq, inv = np.unique(targets, axis=0, return_inverse=True)
+        exact = []
+        for t in uniq:
+            x_star, certified = hull_project(paths, t)
+            assert certified
+            exact.append(x_star)
+        exact = np.array(exact)[inv.reshape(-1)]
+        want = np.mean(fp._canonical_value(hcs, exact, lam) - fp._canonical_value(hcs, ys, lam))
+        for gap_tol in (1e-3, 2e-2):
+            xs = _solve_reg_batch(fp, hcs, lam, gap_tol)
+            assert np.mean(np.sum((xs - exact) ** 2, axis=1)) <= 2 * gap_tol
+            loss = _fy_batch(fp, theta, ctxs, ys, lam, gap_tol=gap_tol)[0]
+            assert abs(loss - want) <= (base_quad + lam) * gap_tol + 1e-12
+            slow_rows += sum(vi_gap(paths, x, t) > gap_tol for x, t in zip(xs, targets))
+    assert slow_rows > 0  # some batch stopped on its mean, not on every row
+
+
+def test_fw_batch_mean_keeps_one_row_and_dedup_bytes(monkeypatch):
+    rng = rng_stream(72)
+    for _ in range(6):
+        g = random_dag(rng, max_nodes=9)
+        distinct = rng.uniform(-0.5, 1.0, (10, g.num_edges))
+        targets = distinct[rng.integers(0, 10, 40)]
+        for gap_tol in (1e-3, 2e-2):
+            # a one-row batch stops exactly where the per-row rule does
+            for t in distinct[:3]:
+                one = _fw_project_batch(g, t[None, :], gap_tol, batch_mean=True)
+                assert one.tobytes() == _fw_project_batch(g, t[None, :], gap_tol).tobytes()
+            # repeats weigh by their multiplicity, as if every row were solved
+            got = _fw_project_batch(g, targets.copy(), gap_tol, batch_mean=True)
+            with monkeypatch.context() as m:
+                m.setattr("fyinv.solvers._distinct_rows", lambda a: (None, None))
+                want = _fw_project_batch(g, targets.copy(), gap_tol, batch_mean=True)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_fw_per_row_certificate_holds_on_every_row():
+    # project, _solve_exact_batch and SPA's projection rely on each row
+    rng = rng_stream(73)
+    for _ in range(6):
+        g = random_dag(rng, max_nodes=9)
+        paths = enum_paths(g)
+        targets = rng.uniform(-0.5, 1.0, (10, g.num_edges))[rng.integers(0, 10, 40)]
+        for gap_tol in (1e-3, 2e-2):
+            xs = _fw_project_batch(g, targets.copy(), gap_tol)
+            assert max(vi_gap(paths, x, t) for x, t in zip(xs, targets)) <= gap_tol
+
+
+def test_fw_batch_mean_makes_fewer_oracle_calls_on_the_grid(monkeypatch):
+    # a training step's 96 FY targets on the planted grid at seed 0
+    sp = synth_graph_instance(seed=0)
+    fy = spath._DEFAULT_CFG["FY"]
+    targets = spath._flow_problem(sp)._canonical_costs(0.1 * sp.theta_star.values, sp.contexts[:96]) / fy.lam
+    calls = []
+
+    def counted(graph, costs):
+        calls[-1] += 1
+        return shortest_path_batch(graph, costs)
+
+    monkeypatch.setattr("fyinv.solvers.shortest_path_batch", counted)
+    for batch_mean in (False, True):
+        calls.append(0)
+        _fw_project_batch(sp.graph, targets.copy(), fy.gap_tol, batch_mean=batch_mean)
+    assert calls[1] < calls[0]
 
 
 def test_fw_project_shape_check():
