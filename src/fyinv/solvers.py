@@ -29,8 +29,8 @@ __all__ = ["project", "solve_exact", "solve_regularized"]
 
 # Frank-Wolfe's default duality-gap tolerance, and the iteration budget of
 # every projection: far above the most any projection took in seed-0 grid
-# replications (26 for FY at gap_tol 2e-2, its one zero target at theta = 0;
-# 56 for SPA's 1,200 rows) or in grad-check SP (1).
+# replications (13 for FY at gap_tol 2e-1, its one zero target at theta = 0,
+# in 15 oracle calls; 56 for SPA's 1,200 rows) or in grad-check SP (1).
 _GAP_TOL = 1e-6
 _FW_MAX_ITERS = 2000
 
@@ -370,10 +370,10 @@ def _distinct_rows(a: np.ndarray):
     and the inverse map that expands them back, or (None, None) when no row
     repeats.  Rows are keyed by their bytes, far cheaper than
     np.unique(axis=0); every graph has an edge, so every row has bytes.
-    In a seed-0 grid FY replication (`sp_run`), under the batch-mean
-    certificate as under the per-row one, only 2 of 102 calls repeat a
-    target, both at theta = 0 where every target is zero: the start
-    checkpoint (1,200 rows) and the first step (96 rows).  That skips
+    In a seed-0 grid FY replication (`sp_run`) at gap_tol 2e-1, under the
+    batch-mean certificate as under the per-row one, only 2 of 102 calls
+    repeat a target, both at theta = 0 where every target is zero: the
+    start checkpoint (1,200 rows) and the first step (96 rows).  That skips
     1,294 of the 12,000 rows.
     """
     nb, width = a.shape

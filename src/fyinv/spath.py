@@ -295,6 +295,21 @@ def _flow_problem(sp: SpDataset) -> ForwardProblem:
 # split), the baseline 12000 x 16 (160 epochs).  The two suboptimality fits
 # keep theta on the unit sphere: on this multiplicative cost map theta = 0
 # is a zero-risk minimizer they would otherwise never leave.
+#
+# FY's gap_tol was chosen on held-out data.  On the 45-node, 93-edge grid
+# (m = 12, n = 2000, sigma 0.1, theta* drawn at seed 0) at seeds 400-409,
+# each fit ran on 720 rows of the 1,200-row training side and was scored by
+# regret on the other 480; test rows were never read.  With lam, the step
+# and the batch shape held, the mean validation regret over gap_tol
+# 2e-2 / 5e-2 / 1e-1 / 2e-1 / 5e-1 was 0.709 / 0.640 / 0.557 / 0.534 /
+# 0.548, and 2e-1 had the least regret at 7 of 10 seeds.  At 2e-1 the
+# batch-mean certificate still bounds the FY means: the mean squared
+# distance to the exact projections is at most 0.4, under one edge of a
+# 0/1 path, and the mean loss is off by at most lam * gap_tol = 0.1.
+# lam is held because on this linear cost map it and the step are one
+# knob: the targets hc(theta) / lam are hc(theta / lam), so scaling both by
+# a power of two scales every iterate and loss by it, bit for bit, and
+# keeps every decision.
 _DEFAULT_CFG = {
     "FY": SgdConfig(
         learning_rate=0.25,
@@ -302,7 +317,7 @@ _DEFAULT_CFG = {
         max_iters=100,
         lam=0.5,
         eval_every=100,
-        gap_tol=2e-2,
+        gap_tol=2e-1,
     ),
     "SUBOPT": SgdConfig(
         learning_rate=0.5,

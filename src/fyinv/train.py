@@ -8,8 +8,11 @@ _GRAD_TOL, and a divergence guard: DivergedError on a parameter norm past
 1e6 or a non-finite checkpoint risk.  The driver checkpoints the full-data
 risk every ``eval_every`` updates (plus the start and the end) and returns
 the best checkpoint, which makes the "risk at theta_hat <= risk at the
-start" contract hold by construction even for nonsmooth objectives.  FY and
-SUBOPT run it through ``_fit_rows`` on their row-mean objective.
+start" contract hold by construction even for nonsmooth objectives.  The
+result's ``meta`` holds that checkpoint's ``risk`` and its
+``best_iteration``, the update count at it: 0 says the fit returned its
+start.  FY and SUBOPT run it through ``_fit_rows`` on their row-mean
+objective.
 """
 
 from __future__ import annotations
@@ -121,17 +124,18 @@ def _run_sgd(
     n = len(ds)
     _check_widths(fp.cost_map, ds)
     theta = _apply_space(np.zeros(fp.cost_map.p), cfg.unit_norm)
-    best_theta, best_risk = theta, math.inf
+    best_theta, best_risk, best_t = theta, math.inf, 0
 
     def checkpoint(theta):
-        """Keep theta if its full-data risk beats the best so far (no copy:
-        the driver never writes an iterate in place)."""
-        nonlocal best_theta, best_risk
+        """Keep theta, and the update count t that reached it, if its
+        full-data risk beats the best so far (no copy: the driver never
+        writes an iterate in place)."""
+        nonlocal best_theta, best_risk, best_t
         risk = full_risk(theta)
         if not math.isfinite(risk):
             raise DivergedError(f"full-data risk is {risk}")
         if risk < best_risk:
-            best_theta, best_risk = theta, risk
+            best_theta, best_risk, best_t = theta, risk, t
 
     rng = rng_stream(cfg.seed)
     b = min(cfg.batch_size, n)
@@ -175,7 +179,7 @@ def _run_sgd(
         grad_norm=grad_norm,
         loss_trace=np.asarray(trace),
         wall_time=time.perf_counter() - start,
-        meta={"risk": best_risk},
+        meta={"risk": best_risk, "best_iteration": best_t},
     )
 
 

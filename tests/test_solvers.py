@@ -644,7 +644,7 @@ def test_fw_batch_mean_certificate_bounds_the_fy_means():
             exact.append(x_star)
         exact = np.array(exact)[inv.reshape(-1)]
         want = np.mean(fp._canonical_value(hcs, exact, lam) - fp._canonical_value(hcs, ys, lam))
-        for gap_tol in (1e-3, 2e-2):
+        for gap_tol in (1e-3, 2e-2, spath._DEFAULT_CFG["FY"].gap_tol):
             xs = _solve_reg_batch(fp, hcs, lam, gap_tol)
             assert np.mean(np.sum((xs - exact) ** 2, axis=1)) <= 2 * gap_tol
             loss = _fy_batch(fp, theta, ctxs, ys, lam, gap_tol=gap_tol)[0]
@@ -659,7 +659,7 @@ def test_fw_batch_mean_keeps_one_row_and_dedup_bytes(monkeypatch):
         g = random_dag(rng, max_nodes=9)
         distinct = rng.uniform(-0.5, 1.0, (10, g.num_edges))
         targets = distinct[rng.integers(0, 10, 40)]
-        for gap_tol in (1e-3, 2e-2):
+        for gap_tol in (1e-3, 2e-2, spath._DEFAULT_CFG["FY"].gap_tol):
             # a one-row batch stops exactly where the per-row rule does
             for t in distinct[:3]:
                 one = _fw_project_batch(g, t[None, :], gap_tol, batch_mean=True)
@@ -679,7 +679,7 @@ def test_fw_per_row_certificate_holds_on_every_row():
         g = random_dag(rng, max_nodes=9)
         paths = enum_paths(g)
         targets = rng.uniform(-0.5, 1.0, (10, g.num_edges))[rng.integers(0, 10, 40)]
-        for gap_tol in (1e-3, 2e-2):
+        for gap_tol in (1e-3, 2e-2, spath._DEFAULT_CFG["FY"].gap_tol):
             xs = _fw_project_batch(g, targets.copy(), gap_tol)
             assert max(vi_gap(paths, x, t) for x, t in zip(xs, targets)) <= gap_tol
 
@@ -875,7 +875,7 @@ def test_correct_rows_block_size_keeps_the_bits(monkeypatch):
         # tie-heavy integer and half-integer rows, drawn with repeats
         base = rng.integers(-2, 3, (120, g.num_edges)) * rng.choice([0.5, 1.0], (120, 1))
         targets = base[rng.integers(0, base.shape[0], 320)]
-        for gap_tol in (1e-6, spath._DEFAULT_CFG["FY"].gap_tol):
+        for gap_tol in (1e-6, 2e-2):
             stacks.clear()
             want = _fw_project_batch(g, targets.copy(), gap_tol)
             assert max(stacks) > 1

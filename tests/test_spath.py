@@ -26,6 +26,7 @@ from fyinv import (
 )
 from fyinv import spath
 from fyinv.graphs import shortest_path_batch
+from fyinv.solvers import _solve_exact_batch
 from fyinv.train import METHODS
 
 
@@ -367,3 +368,31 @@ def test_grid_baselines_leave_their_start(method):
         fit = sp_fit(sp, method, cfg, seed=0)
         assert np.linalg.norm(fit.theta.values) == pytest.approx(1.0, abs=1e-12)
         assert sp_run(sp, method, cfg, seed=0).regret < sp_run(sp, method, at_zero, seed=0).regret
+
+
+def test_grid_fy_lam_and_step_are_one_knob():
+    # on this linear cost map the FY targets hc(theta) / lam are
+    # hc(theta / lam): doubling lam and the step doubles every iterate and
+    # loss bit for bit and keeps every decision
+    sp = synth_graph_instance(45, 93, 12, None, 300, 0.1, 5)
+    cfg = spath._DEFAULT_CFG["FY"]
+    doubled = dataclasses.replace(cfg, lam=2 * cfg.lam, learning_rate=2 * cfg.learning_rate)
+    a, b = sp_fit(sp, "FY", cfg, 5), sp_fit(sp, "FY", doubled, 5)
+    assert b.theta.values.tobytes() == (2 * a.theta.values).tobytes()
+    assert b.loss_trace.tobytes() == (2 * a.loss_trace).tobytes()
+    assert a.iterations == b.iterations
+    fp = spath._flow_problem(sp)
+    xa, xb = (_solve_exact_batch(fp, fp._canonical_costs(f.theta.values, sp.contexts)) for f in (a, b))
+    assert xa.tobytes() == xb.tobytes()
+
+
+def test_grid_fy_reports_whether_it_left_its_start():
+    sp = synth_graph_instance(45, 93, 12, None, 300, 0.1, 5)
+    cfg = spath._DEFAULT_CFG["FY"]
+    assert sp_fit(sp, "FY", cfg, 5).meta["best_iteration"] > 0
+    # no update, and a Frank-Wolfe so loose that it stops at each target's
+    # first vertex: both return the start
+    for start in (dataclasses.replace(cfg, max_iters=0), dataclasses.replace(cfg, gap_tol=1e9)):
+        fit = sp_fit(sp, "FY", start, 5)
+        assert fit.meta["best_iteration"] == 0
+        assert not fit.theta.values.any()

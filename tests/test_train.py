@@ -465,7 +465,7 @@ def test_kka_fit_matches_snapshot_and_evaluates_each_iterate_once(monkeypatch):
             _digest(res.meta["duals"]),
         )
         assert got == want, kind
-        assert sorted(res.meta) == ["duals", "risk"]
+        assert sorted(res.meta) == ["best_iteration", "duals", "risk"]
         assert len(calls) == len(res.loss_trace) + 1, kind
 
 
