@@ -29,8 +29,8 @@ __all__ = ["project", "solve_exact", "solve_regularized"]
 
 # Frank-Wolfe's default duality-gap tolerance, and the iteration budget of
 # every projection: far above the most any projection took in seed-0 grid
-# replications (13 for FY at gap_tol 2e-1, its one zero target at theta = 0,
-# in 15 oracle calls; 56 for SPA's 1,200 rows) or in grad-check SP (1).
+# replications (12 for FY at gap_tol 2e-1, its one zero target at theta = 0,
+# in 14 oracle calls; 60 for SPA's 1,200 rows) or in grad-check SP (1).
 _GAP_TOL = 1e-6
 _FW_MAX_ITERS = 2000
 
@@ -245,10 +245,20 @@ def _solve_reg_batch(fp: ForwardProblem, hcs: np.ndarray, lam: float, gap_tol=_G
 # ---------------------------------------------------------------------------
 # Frank-Wolfe projection onto the path polytope
 
-# Frank-Wolfe iterations between corrections, for every projection.  On
-# the 45-node grid 4 beat 8 (SPA's 1,200-row projection took about 0.9 s
-# against 1.6-2.0 s on 2 vCPUs), and 1, fully corrective, ran slower than
-# 4 (ROADMAP, "Already ruled out").
+# Frank-Wolfe iterations between corrections, for every projection; the
+# first block goes uncorrected, so the first correction comes after
+# iteration 2 x _CORRECT_EVERY.  A fully corrective step pays off only once
+# plain Frank-Wolfe stalls on a face (Lacoste-Julien & Jaggi, NeurIPS 2015),
+# and most batches certify before that.  In a seed-0 grid FY replication
+# (batch-mean certificate, gap_tol 2e-1) 97 of its 100 training batches
+# certify within 8 iterations, and skipping the first-block correction cut
+# the corrections from 92 to 9 for 710 oracle calls instead of 699.  SPA's
+# 1,200-row projection (per-row certificate, 1e-6) did not move: over
+# seeds 100-111 its oracle calls changed by -4 to +4 and its time by a
+# median ratio of 1.02 (IQR 0.97-1.08), inside the host's noise.  After
+# the first block 4 beat 8 (SPA's projection took about 0.9 s against
+# 1.6-2.0 s on 2 vCPUs), and 1, fully corrective, ran slower than 4
+# (ROADMAP, "Already ruled out").
 _CORRECT_EVERY = 4
 
 
@@ -278,21 +288,29 @@ def _fw_project_batch(
     The pass after _FW_MAX_ITERS iterations only certifies, and raises
     NonConvergenceError (carrying the final gap, the largest row's or the
     batch mean, and the budget) if the certificate still fails; the budget
-    is a multiple of _CORRECT_EVERY, so it sees a corrected iterate.
+    is a multiple of _CORRECT_EVERY larger than it, so its last iteration
+    ends in a correction and that pass sees a corrected iterate.
 
     Plain line-search Frank-Wolfe stalls at O(1/t) once the solution lies on
-    a face, so every _CORRECT_EVERY iterations each row's iterate is
-    replaced by the exact projection onto the hull of the vertices it has
-    visited, as an active-set solve (from the centroid) over all those rows
-    padded to their largest vertex count (_correct_rows).  With the optimal
-    face's vertices in hand that snaps the iterate onto the true projection
-    and the gap collapses to roundoff.
+    a face, so after iteration 2 x _CORRECT_EVERY, and every _CORRECT_EVERY
+    iterations from there, each row's iterate is replaced by the exact
+    projection onto the hull of the vertices it has visited, as an
+    active-set solve (from the centroid) over all those rows padded to
+    their largest vertex count (_correct_rows).  With the optimal face's
+    vertices in hand that snaps the iterate onto the true projection and
+    the gap collapses to roundoff.
 
     Per-row state (visited vertices and the iterate) lives in padded
     arrays, each vertex a 0/1 path packed 8 edges to a byte; rows whose
     duality gap certificate is met drop out of the working set.  The gap
     is checked before stepping, so a row whose very first vertex is
-    optimal is returned untouched.
+    optimal is returned untouched.  Only a correction reads the visited
+    vertices, so each iteration's packed oracle paths wait in a list and
+    are matched against the stored ones and stored, iteration by
+    iteration with the same capacity doubling, right before the next
+    correction.  That leaves the same vertices and counts, bit for bit, as
+    storing them on every iteration, and a batch that certifies before its
+    first correction never stores a path.
 
     Bitwise-equal targets share one solve: only the distinct rows, in
     first-appearance order, run, and the result is expanded back.  A row's
@@ -316,6 +334,7 @@ def _fw_project_batch(
     counts = np.ones(nb, dtype=np.int64)
     active = np.ones(nb, dtype=bool)
     last_gap = np.empty(nb)  # each row's last measured gap, clamped at 0
+    pending = []  # (rows, packed oracle paths) per iteration, not yet stored
 
     for it in range(_FW_MAX_ITERS + 1):
         rows = np.flatnonzero(active)
@@ -345,22 +364,22 @@ def _fw_project_batch(
         denom = np.einsum("ij,ij->i", d, d)
         gamma = np.where(denom > 0, np.clip(gap / np.maximum(denom, 1e-300), 0.0, 1.0), 1.0)
         x[rows] += gamma[:, None] * d
-        del grad, d  # freed before a correction unpacks its block
+        pending.append((rows, np.packbits(s.astype(bool), axis=1)))
+        del grad, d, s  # freed before a correction unpacks its block
 
-        kmax = int(counts[rows].max())
-        if kmax == cap:
-            cap *= 2
-            verts = np.concatenate([verts, np.zeros_like(verts)], axis=1)
-        s = np.packbits(s.astype(bool), axis=1)  # from here on only matched and stored
-        sub = verts[rows, :kmax]
-        hit = (sub == s[:, None, :]).all(axis=2)
-        hit &= np.arange(kmax)[None, :] < counts[rows, None]
-        found = hit.any(axis=1)
-        fresh = rows[~found]
-        verts[fresh, counts[fresh]] = s[~found]
-        counts[fresh] += 1
-
-        if (it + 1) % _CORRECT_EVERY == 0:
+        if (it + 1) % _CORRECT_EVERY == 0 and it + 1 > _CORRECT_EVERY:
+            for step_rows, paths in pending:  # the store, in iteration order
+                kmax = int(counts[step_rows].max())
+                if kmax == cap:
+                    cap *= 2
+                    verts = np.concatenate([verts, np.zeros_like(verts)], axis=1)
+                hit = (verts[step_rows, :kmax] == paths[:, None, :]).all(axis=2)
+                hit &= np.arange(kmax)[None, :] < counts[step_rows, None]
+                found = hit.any(axis=1)
+                fresh = step_rows[~found]
+                verts[fresh, counts[fresh]] = paths[~found]
+                counts[fresh] += 1
+            pending.clear()
             _correct_rows(verts, counts, x, targets, rows=rows)
     return x if inv is None else x[inv]
 
@@ -370,11 +389,11 @@ def _distinct_rows(a: np.ndarray):
     and the inverse map that expands them back, or (None, None) when no row
     repeats.  Rows are keyed by their bytes, far cheaper than
     np.unique(axis=0); every graph has an edge, so every row has bytes.
-    In a seed-0 grid FY replication (`sp_run`) at gap_tol 2e-1, under the
-    batch-mean certificate as under the per-row one, only 2 of 102 calls
-    repeat a target, both at theta = 0 where every target is zero: the
-    start checkpoint (1,200 rows) and the first step (96 rows).  That skips
-    1,294 of the 12,000 rows.
+    In a seed-0 grid FY replication (`sp_run`) at gap_tol 2e-1, with the
+    first correction after two blocks, only 2 of 102 calls repeat a
+    target, both at theta = 0 where every target is zero: the start
+    checkpoint (1,200 rows) and the first step (96 rows).  That skips 1,294
+    of the 12,000 rows.
     """
     nb, width = a.shape
     keys = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * width)))[:, 0]

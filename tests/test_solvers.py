@@ -35,6 +35,8 @@ from fyinv import spath
 from fyinv.graphs import shortest_path_batch
 from fyinv.losses import _fy_batch
 from fyinv.solvers import (
+    _CORRECT_EVERY,
+    _FW_MAX_ITERS,
     _correct_rows,
     _fw_project_batch,
     _linear_argmax_batch,
@@ -585,18 +587,28 @@ def test_fw_project_nonconvergence_carries_gap(monkeypatch):
     assert mean.value.final_gap == err.value.final_gap
 
 
-def test_fw_project_certifies_on_the_pass_after_its_budget(monkeypatch):
-    # this target takes exactly four Frank-Wolfe iterations, the fourth
-    # ending in a correction; the pass after a budget of four certifies it
+def _slow_grid_target():
+    """A target on the 6 x 7 grid that takes exactly eight Frank-Wolfe
+    iterations at gap_tol 1e-9, the eighth ending in the first correction."""
     g = grid_graph(6, 7)
-    target = rng_stream(0).uniform(-1, 2, (4, g.num_edges))[3]
+    return g, rng_stream(0).uniform(-1, 2, (4, g.num_edges))[3]
+
+
+def test_fw_project_certifies_on_the_pass_after_its_budget(monkeypatch):
+    # the pass after a budget of eight certifies the slow target
+    g, target = _slow_grid_target()
     want = _fw_project_batch(g, target[None, :], 1e-9)
-    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 4)
+    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 8)
     np.testing.assert_array_equal(_fw_project_batch(g, target[None, :], 1e-9), want)
-    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 3)
+    monkeypatch.setattr("fyinv.solvers._FW_MAX_ITERS", 7)
     with pytest.raises(NonConvergenceError) as err:
         _fw_project_batch(g, target[None, :], 1e-9)
-    assert err.value.max_iters == 3
+    assert err.value.max_iters == 7
+
+
+def test_fw_budget_ends_on_a_correction():
+    # the pass after _FW_MAX_ITERS certifies a corrected iterate
+    assert _FW_MAX_ITERS % _CORRECT_EVERY == 0 and _FW_MAX_ITERS > _CORRECT_EVERY
 
 
 def test_fw_project_batch_solves_each_distinct_target_once(monkeypatch):
@@ -700,6 +712,35 @@ def test_fw_batch_mean_makes_fewer_oracle_calls_on_the_grid(monkeypatch):
         calls.append(0)
         _fw_project_batch(sp.graph, targets.copy(), fy.gap_tol, batch_mean=batch_mean)
     assert calls[1] < calls[0]
+
+
+def test_fw_first_correction_comes_after_two_blocks(monkeypatch):
+    log = []
+
+    def counted_oracle(graph, costs):
+        log.append("oracle")
+        return shortest_path_batch(graph, costs)
+
+    def counted_correction(*args, **kwargs):
+        log.append("correct")
+        return _correct_rows(*args, **kwargs)
+
+    monkeypatch.setattr("fyinv.solvers.shortest_path_batch", counted_oracle)
+    monkeypatch.setattr("fyinv.solvers._correct_rows", counted_correction)
+    # 96 grid FY targets whose batch mean certifies within two blocks make
+    # no correction; the first oracle call picks the start, and the pass
+    # after each iteration calls it once more
+    sp = synth_graph_instance(seed=0)
+    fy = spath._DEFAULT_CFG["FY"]
+    targets = spath._flow_problem(sp)._canonical_costs(0.5 * sp.theta_star.values, sp.contexts[:96]) / fy.lam
+    _fw_project_batch(sp.graph, targets, fy.gap_tol, batch_mean=True)
+    assert log.count("oracle") - 2 <= 2 * _CORRECT_EVERY
+    assert "correct" not in log
+    # a slow target is first corrected after iteration 2 x _CORRECT_EVERY
+    log.clear()
+    g, target = _slow_grid_target()
+    _fw_project_batch(g, target[None, :], 1e-9)
+    assert log.index("correct") == 1 + 2 * _CORRECT_EVERY
 
 
 def test_fw_project_shape_check():
